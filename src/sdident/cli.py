@@ -265,7 +265,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, fiber: bool = False):
+    def add_common(p):
         p.add_argument("--json", action="store_true", help="machine-readable output")
         p.add_argument("--seed", type=int, default=0, help="RNG seed")
 

@@ -21,6 +21,7 @@ Sylvester matrix of L1 and L3 between two triangular blocks.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from enum import Enum
@@ -29,7 +30,7 @@ from typing import Sequence
 
 from .network import Leaf, NetworkExpr, params
 from .nettypes import NetType, TraceStep, classify, type_trace
-from .opalg import ConstitutiveEq, InvariantViolation, Rat, Shape, constitutive
+from .opalg import ConstitutiveEq, InvariantViolation, Rat, Shape, fold_constitutive
 
 Quadruple = tuple[Shape, Shape, Shape, Shape]
 
@@ -82,9 +83,10 @@ def constructible_one_at_a_time(expr: NetworkExpr) -> bool:
 
 
 def analyze(expr: NetworkExpr) -> Verdict:
-    """Full verdict: both local routes (count and table), plus global."""
+    """Full verdict: both local routes (count and table), plus global.
+    Counting reads the exact shapes from the integer pass at theta = 1."""
     n_params = len(params(expr))
-    eq = constitutive(expr)
+    eq = fold_constitutive(expr, [1] * n_params, 1)
     n_coeffs = nonmonic_count(eq)
     net_type, trace = type_trace(expr)
     _, index = classify(eq)
@@ -113,14 +115,6 @@ def analyze(expr: NetworkExpr) -> Verdict:
     )
 
 
-def local_identifiable(expr: NetworkExpr) -> Verdict:
-    return analyze(expr)
-
-
-def globally_identifiable(expr: NetworkExpr) -> Verdict:
-    return analyze(expr)
-
-
 # ---------------------------------------------------------------------------
 # exact linear algebra over the rationals
 
@@ -133,42 +127,30 @@ def exact_det(matrix: Sequence[Sequence[Rat]]) -> Fraction:
     if any(len(row) != n for row in matrix):
         raise ValueError("determinant of a non-square matrix")
     rows, scale = _integer_rows(matrix)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if rows[k][k] == 0:
-            for i in range(k + 1, n):
-                if rows[i][k] != 0:
-                    rows[k], rows[i] = rows[i], rows[k]
-                    sign = -sign
-                    break
-            else:
-                return Fraction(0)
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                rows[i][j] = (rows[i][j] * rows[k][k] - rows[i][k] * rows[k][j]) // prev
-            rows[i][k] = 0
-        prev = rows[k][k]
-    return Fraction(sign * rows[n - 1][n - 1], scale)
+    rank, sign, last_pivot = _bareiss(rows)
+    return Fraction(sign * last_pivot, scale) if rank == n else Fraction(0)
 
 
 def exact_rank(matrix: Sequence[Sequence[Rat]]) -> int:
     """Exact rank by fraction-free elimination with column pivot search."""
     if not matrix:
         return 0
-    rows, _ = _integer_rows(matrix)
+    return _bareiss(_integer_rows(matrix)[0])[0]
+
+
+def _bareiss(rows: list[list[int]]) -> tuple[int, int, int]:
+    """Fraction-free elimination in place with column pivot search; returns
+    the rank, the sign of the row swaps and the last pivot (up to that
+    sign, the determinant of a full-rank square matrix)."""
     n_rows, n_cols = len(rows), len(rows[0])
-    rank = 0
-    prev = 1
+    rank, sign, prev = 0, 1, 1
     for col in range(n_cols):
-        pivot_row = None
-        for i in range(rank, n_rows):
-            if rows[i][col] != 0:
-                pivot_row = i
-                break
+        pivot_row = next((i for i in range(rank, n_rows) if rows[i][col] != 0), None)
         if pivot_row is None:
             continue
-        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
+        if pivot_row != rank:
+            rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
+            sign = -sign
         for i in range(rank + 1, n_rows):
             for j in range(col + 1, n_cols):
                 rows[i][j] = (rows[i][j] * rows[rank][col] - rows[i][col] * rows[rank][j]) // prev
@@ -177,7 +159,7 @@ def exact_rank(matrix: Sequence[Sequence[Rat]]) -> int:
         rank += 1
         if rank == n_rows:
             break
-    return rank
+    return rank, sign, prev
 
 
 def _integer_rows(matrix: Sequence[Sequence[Rat]]) -> tuple[list[list[int]], int]:
@@ -188,16 +170,10 @@ def _integer_rows(matrix: Sequence[Sequence[Rat]]) -> tuple[list[list[int]], int
         fracs = [Fraction(x) for x in row]
         mult = 1
         for f in fracs:
-            mult = mult * f.denominator // _gcd(mult, f.denominator)
+            mult = mult * f.denominator // math.gcd(mult, f.denominator)
         out.append([int(f * mult) for f in fracs])
         scale *= mult
     return out, scale
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 # ---------------------------------------------------------------------------

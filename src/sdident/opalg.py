@@ -1,12 +1,11 @@
 """Exact symbolic algebra behind the constitutive equation of a network.
 
-Three layers, all with exact rational arithmetic (no floating point here):
+Three layers:
 
 * ``ParamPoly``     sparse multivariate polynomial in the element
                     parameters, exponent-vector -> Fraction map.
-* ``DiffOperator``  polynomial in the time-derivative operator whose
-                    coefficients are ``ParamPoly`` values; its shape is
-                    the pair (highest order, lowest order).
+* ``DiffOperator``  polynomial in the time-derivative operator; its
+                    shape is the pair (highest order, lowest order).
 * ``ConstitutiveEq`` the pair (eps_op, sig_op) meaning
                     ``eps_op eps = sig_op sigma`` with denominators
                     cleared; defined up to one global nonzero scalar.
@@ -20,6 +19,12 @@ In operator form, for sub-equations (L1, L2) and (L3, L4):
                common factor of the strain operators,
     parallel:  (L1*L4 + L2*L3, L2*L4), no division needed because
                stress operators always have a constant term.
+
+The rules only add, multiply and shift, so every coefficient is a
+polynomial with non-negative integer coefficients, nonzero at positive
+points unless zero.  So ``fold_constitutive`` gives the same shapes over
+every ring it accepts: ``ParamPoly`` (``constitutive``), ``int`` at
+theta = (1, ..., 1), ``float`` values and the oracle's exact duals.
 """
 
 from __future__ import annotations
@@ -101,10 +106,8 @@ class ParamPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def total_degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(sum(e) for e in self.terms)
+    def __bool__(self) -> bool:
+        return bool(self.terms)
 
     def _coerce(self, other) -> "ParamPoly | None":
         if isinstance(other, ParamPoly):
@@ -256,10 +259,11 @@ class ParamPoly:
 
 
 class DiffOperator:
-    """Polynomial in d/dt with ``ParamPoly`` coefficients.
+    """Polynomial in d/dt with coefficients in one ring (``ParamPoly``
+    unless a fold says otherwise).
 
     ``coeffs[i]`` is the coefficient of order ``low + i``; both end
-    coefficients are nonzero polynomials, so the shape is tight.
+    coefficients are nonzero, so the shape is tight.
     """
 
     __slots__ = ("low", "coeffs")
@@ -268,9 +272,9 @@ class DiffOperator:
         coeffs = list(coeffs)
         if not coeffs:
             raise InvariantViolation("differential operator with no coefficients")
-        while coeffs and coeffs[-1].is_zero:
+        while coeffs and not coeffs[-1]:
             coeffs.pop()
-        while coeffs and coeffs[0].is_zero:
+        while coeffs and not coeffs[0]:
             coeffs.pop(0)
             low += 1
         if not coeffs:
@@ -292,10 +296,10 @@ class DiffOperator:
     def nvars(self) -> int:
         return self.coeffs[0].nvars
 
-    def coeff(self, order: int) -> ParamPoly:
+    def coeff(self, order: int):
         if self.low <= order <= self.high:
             return self.coeffs[order - self.low]
-        return ParamPoly.zero(self.nvars)
+        return self.coeffs[0] * 0
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DiffOperator):
@@ -305,13 +309,10 @@ class DiffOperator:
     __hash__ = None  # type: ignore[assignment]
 
     def __mul__(self, other: "DiffOperator") -> "DiffOperator":
-        nv = self.nvars
-        out = [ParamPoly.zero(nv) for _ in range(len(self.coeffs) + len(other.coeffs) - 1)]
+        out = [None] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
-            if a.is_zero:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
+            for k, b in enumerate(other.coeffs, start=i):
+                out[k] = a * b if out[k] is None else out[k] + a * b
         return DiffOperator(self.low + other.low, out)
 
     def __add__(self, other: "DiffOperator") -> "DiffOperator":
@@ -319,11 +320,6 @@ class DiffOperator:
         high = max(self.high, other.high)
         out = [self.coeff(k) + other.coeff(k) for k in range(low, high + 1)]
         return DiffOperator(low, out)
-
-    def scale(self, factor: ParamPoly | Rat) -> "DiffOperator":
-        if not isinstance(factor, ParamPoly):
-            factor = ParamPoly.const(self.nvars, factor)
-        return DiffOperator(self.low, [c * factor for c in self.coeffs])
 
     def shift_down(self, k: int) -> "DiffOperator":
         """Exact division by x**k (x = d/dt)."""
@@ -362,8 +358,6 @@ class ConstitutiveEq:
     sig: DiffOperator
 
     def __post_init__(self):
-        if self.eps.nvars != self.sig.nvars:
-            raise InvariantViolation("operator sides over different parameter lists")
         if self.sig.low != 0:
             raise InvariantViolation(
                 f"stress operator must have a constant term, shape {self.sig.shape}"
@@ -381,12 +375,14 @@ class ConstitutiveEq:
 
 def leaf_equation(kind: str, index: int, nvars: int) -> ConstitutiveEq:
     """Base equation of one element over an ``nvars``-parameter space."""
-    one = ParamPoly.const(nvars, 1)
-    p = ParamPoly.var(nvars, index)
+    return _leaf(kind, ParamPoly.var(nvars, index), ParamPoly.const(nvars, 1))
+
+
+def _leaf(kind: str, value, one) -> ConstitutiveEq:
     if kind == SPRING:
-        return ConstitutiveEq(DiffOperator(0, [p]), DiffOperator(0, [one]))
+        return ConstitutiveEq(DiffOperator(0, [value]), DiffOperator(0, [one]))
     if kind == DASHPOT:
-        return ConstitutiveEq(DiffOperator(1, [p]), DiffOperator(0, [one]))
+        return ConstitutiveEq(DiffOperator(1, [value]), DiffOperator(0, [one]))
     raise ValueError(f"unknown element kind {kind!r}")
 
 
@@ -412,17 +408,26 @@ def combine_parallel(eq1: ConstitutiveEq, eq2: ConstitutiveEq) -> ConstitutiveEq
 
 
 def constitutive(expr: NetworkExpr) -> ConstitutiveEq:
-    """Constitutive equation of a flattened network over its canonical
-    parameter ordering, folding children left to right."""
-    names = params(expr)
-    nvars = len(names)
-    cursor = [0]
+    """Symbolic constitutive equation of a flattened network over its
+    canonical parameter ordering."""
+    nvars = len(params(expr))
+    variables = [ParamPoly.var(nvars, i) for i in range(nvars)]
+    return fold_constitutive(expr, variables, ParamPoly.const(nvars, 1))
+
+
+def fold_constitutive(expr: NetworkExpr, values: Sequence, one) -> ConstitutiveEq:
+    """Constitutive equation of a flattened network folding children left
+    to right, with ``values`` (one per parameter in canonical order) and
+    ``one`` from a ring whose elements add, multiply (also by an int) and
+    are falsy exactly when zero."""
+    n = len(params(expr))
+    if len(values) != n:
+        raise ValueError(f"expected {n} parameter values, got {len(values)}")
+    cursor = iter(values)
 
     def walk(node: NetworkExpr) -> ConstitutiveEq:
         if isinstance(node, Leaf):
-            eq = leaf_equation(node.element.kind, cursor[0], nvars)
-            cursor[0] += 1
-            return eq
+            return _leaf(node.element.kind, next(cursor), one)
         combine = combine_series if isinstance(node, Series) else combine_parallel
         acc = walk(node.children[0])
         for child in node.children[1:]:
@@ -439,8 +444,9 @@ def eval_operator(op: DiffOperator, theta: Sequence[Rat]) -> list[Fraction]:
     return op.eval_coeffs(theta)
 
 
-def coefficient_map(eq: ConstitutiveEq) -> list[tuple[ParamPoly, ParamPoly]]:
-    """Normalized non-monic coefficients as (numerator, denominator) pairs.
+def coefficient_map(eq: ConstitutiveEq) -> list[tuple]:
+    """Normalized non-monic coefficients as (numerator, denominator) pairs
+    in the equation's coefficient ring.
 
     The pivot is the leading stress coefficient; every other coefficient
     of both sides is divided by it.  Order: strain side from highest to
@@ -448,9 +454,9 @@ def coefficient_map(eq: ConstitutiveEq) -> list[tuple[ParamPoly, ParamPoly]]:
     entry itself omitted.
     """
     pivot = eq.sig.coeffs[-1]
-    if pivot.is_zero:
+    if not pivot:
         raise InvariantViolation("leading stress coefficient vanished")
-    entries: list[tuple[ParamPoly, ParamPoly]] = []
+    entries = []
     for order in range(eq.eps.high, eq.eps.low - 1, -1):
         entries.append((eq.eps.coeff(order), pivot))
     for order in range(eq.sig.high - 1, -1, -1):

@@ -4,8 +4,9 @@ Two oracles, deliberately separate from the table algebra:
 
 * local identifiability is re-decided from the exact rank of the
   Jacobian of the coefficient map at random positive rational points
-  (symbolic quotient-rule derivatives, exact evaluation, fraction-free
-  elimination; a floating-point SVD path exists only as a cross-check);
+  (a forward-mode pass of exact (value, gradient) duals through the
+  composition fold, then fraction-free elimination; a floating-point
+  SVD path exists only as a cross-check);
 * global identifiability is probed by enumerating the fiber of the
   coefficient map over a base point: permutations of structurally
   identical sibling branches, root exchanges between composition
@@ -28,15 +29,13 @@ from .network import Leaf, NetworkExpr, Series, params
 from .opalg import (
     ConstitutiveEq,
     DiffOperator,
+    InvariantViolation,
     ParamPoly,
     Rat,
     coefficient_map,
     constitutive,
+    fold_constitutive,
 )
-
-
-class DegenerateSampleError(RuntimeError):
-    """A sampled point hit a vanishing denominator; resample."""
 
 
 @dataclass(frozen=True)
@@ -63,29 +62,61 @@ def sample_point(n_params: int, seed: int = 0) -> ParamPoint:
 # exact Jacobian rank
 
 
+class _Dual:
+    """A coefficient's value and gradient (index -> partial) at a point,
+    carried through the composition fold: forward-mode differentiation.
+    Both are integers over ``scale**exp`` (``scale`` clears the point's
+    denominators, ``exp`` is the degree), so the fold reduces no fraction;
+    each side of an equation is homogeneous (its terms share units)."""
+
+    __slots__ = ("value", "grad", "exp")
+
+    def __init__(self, value: int, grad: dict, exp: int):
+        self.value, self.grad, self.exp = value, grad, exp
+
+    def __bool__(self) -> bool:
+        return bool(self.value)
+
+    def __add__(self, other: "_Dual") -> "_Dual":
+        if self.exp != other.exp:
+            raise InvariantViolation("sum of coefficients of different degrees")
+        grad = dict(self.grad)
+        for i, d in other.grad.items():
+            grad[i] = grad.get(i, 0) + d
+        return _Dual(self.value + other.value, grad, self.exp)
+
+    def __mul__(self, other) -> "_Dual":
+        if not isinstance(other, _Dual):  # an integer scalar
+            other = _Dual(other, {}, 0)
+        a, b = self.value, other.value
+        grad = {i: d * b for i, d in self.grad.items()}
+        for i, d in other.grad.items():
+            grad[i] = grad.get(i, 0) + a * d
+        return _Dual(a * b, grad, self.exp + other.exp)
+
+
 def jacobian_matrix(expr: NetworkExpr, theta: Sequence[Rat]) -> list[list[Fraction]]:
-    """Row-scaled exact Jacobian of the coefficient map at theta.
+    """Row-scaled exact Jacobian of the coefficient map at a positive theta.
 
     Each row of d(num/den) is multiplied by den(theta)**2, which cannot
-    vanish at positive theta and does not change the rank.
+    vanish at positive theta and does not change the rank: the row is
+    d(num)*den - num*d(den), all from one pass of duals at theta.
     """
-    entries = coefficient_map(constitutive(expr))
-    nv = len(theta)
+    values = [Fraction(v) for v in theta]
+    if any(v <= 0 for v in values):
+        raise ValueError("parameter values must be strictly positive")
+    scale = math.lcm(*(v.denominator for v in values))
+    duals = [_Dual(int(v * scale), {i: scale}, 1) for i, v in enumerate(values)]
+    entries = coefficient_map(fold_constitutive(expr, duals, _Dual(1, {}, 0)))
     den = entries[0][1]
-    den_value = den.evaluate(theta)
-    if den_value == 0:
-        raise DegenerateSampleError("pivot coefficient vanished at sample point")
-    den_partials = [den.derivative(i).evaluate(theta) for i in range(nv)]
-    rows = []
-    for num, _ in entries:
-        num_value = num.evaluate(theta)
-        rows.append(
-            [
-                num.derivative(i).evaluate(theta) * den_value - num_value * den_partials[i]
-                for i in range(nv)
-            ]
-        )
-    return rows
+    den_partials = [den.grad.get(i, 0) for i in range(len(values))]
+    return [
+        [
+            Fraction(num.grad.get(i, 0) * den.value - num.value * d, scale ** (num.exp + den.exp))
+            for i, d in enumerate(den_partials)
+        ]
+        for num, _ in entries
+    ]
 
 
 def jacobian_rank(expr: NetworkExpr, theta: ParamPoint) -> int:
@@ -109,23 +140,14 @@ def jacobian_rank_float(expr: NetworkExpr, theta: ParamPoint, cutoff: float = 1e
 
 def verify_local(expr: NetworkExpr, trials: int = 3, seed: int = 0) -> bool:
     """True iff rank-based and table-based local verdicts agree at every
-    sampled point (two resamples allowed on degenerate draws)."""
+    sampled point (the pivot is positive at positive points, so no draw
+    is degenerate)."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     verdict = analyze(expr)
     n = verdict.param_count
     for t in range(trials):
-        point = None
-        for attempt in range(3):
-            candidate = sample_point(n, seed=seed + 1000 * t + attempt)
-            try:
-                rank = jacobian_rank(expr, candidate)
-            except DegenerateSampleError:
-                continue
-            point = candidate
-            break
-        if point is None:
-            raise DegenerateSampleError("persistent degenerate sampling")
+        rank = jacobian_rank(expr, sample_point(n, seed=seed + 1000 * t))
         if (rank == n) != verdict.locally_identifiable:
             return False
     return True
@@ -398,11 +420,10 @@ def _root_exchange_candidates(
     # scale (ascending floats)
     factors, powers, others, other_lows = [], [], [], []
     for child, start, n in children:
-        eq = constitutive(child)
+        eq = fold_constitutive(child, base[start : start + n].tolist(), 1.0)
         p_op, q_op = (eq.eps, eq.sig) if series else (eq.sig, eq.eps)
-        theta = base[start : start + n]
-        p_vec = np.array([_float_coeff(c, theta) for c in p_op.coeffs])
-        q_vec = np.array([_float_coeff(c, theta) for c in q_op.coeffs])
+        p_vec = np.array(p_op.coeffs)
+        q_vec = np.array(q_op.coeffs)
         lead = p_vec[-1]
         factors.append(p_vec / lead)
         powers.append(p_op.low)
@@ -455,17 +476,6 @@ def _root_exchange_candidates(
         if assembled:
             candidates.append(point)
     return candidates
-
-
-def _float_coeff(poly: ParamPoly, theta: np.ndarray) -> float:
-    total = 0.0
-    for exp, coeff in poly.terms.items():
-        term = float(coeff)
-        for e, v in zip(exp, theta):
-            if e:
-                term *= float(v) ** e
-        total += term
-    return total
 
 
 def _full_vector(tight: np.ndarray, low: int) -> np.ndarray:

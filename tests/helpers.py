@@ -14,6 +14,7 @@ from sdident import (
     NetworkExpr,
     Parallel,
     Series,
+    coefficient_map,
     constitutive,
     flatten,
     params,
@@ -201,3 +202,24 @@ def poly_from_roots(roots: list[Fraction], lead: Fraction = Fraction(1)) -> list
             nxt[i + 1] += c
         coeffs = nxt
     return coeffs
+
+
+def reference_jacobian_matrix(expr: NetworkExpr, theta) -> list[list[Fraction]]:
+    """Row-scaled exact Jacobian from the symbolic equation: quotient-rule
+    rows d(num)*den - num*d(den) of ParamPoly derivatives evaluated at
+    theta.  The reference for the oracle's forward-mode pass."""
+    entries = coefficient_map(constitutive(expr))
+    nv = len(theta)
+    den = entries[0][1]
+    den_value = den.evaluate(theta)
+    den_partials = [den.derivative(i).evaluate(theta) for i in range(nv)]
+    rows = []
+    for num, _ in entries:
+        num_value = num.evaluate(theta)
+        rows.append(
+            [
+                num.derivative(i).evaluate(theta) * den_value - num_value * den_partials[i]
+                for i in range(nv)
+            ]
+        )
+    return rows

@@ -1,7 +1,9 @@
 """Exhaustive checks over every series-parallel network with up to four
 elements (all shapes, all spring/dashpot assignments): the counting,
-table, and Jacobian-rank routes must agree everywhere, and every derived
-equation must land in a shape class consistent with the tables."""
+table, and Jacobian-rank routes must agree everywhere, every derived
+equation must land in a shape class consistent with the tables, and the
+point-evaluated passes (shapes at theta = 1, forward-mode Jacobian) must
+match the symbolic equation exactly."""
 
 import itertools
 from fractions import Fraction as F
@@ -14,15 +16,20 @@ from sdident import (
     NetType,
     Parallel,
     Series,
+    analyze,
     classify,
     constitutive,
-    jacobian_rank,
+    exact_rank,
+    jacobian_matrix,
     nonmonic_count,
     params,
     predicted_shapes,
     sample_point,
     type_of,
 )
+from sdident.opalg import fold_constitutive
+
+from helpers import reference_jacobian_matrix
 
 
 def _compositions(n):
@@ -78,16 +85,28 @@ def test_every_network_up_to_four_elements():
     seen = 0
     for expr in all_networks(4):
         n = len(params(expr))
-        table_says = type_of(expr) != NetType.U
+        net_type = type_of(expr)
+        table_says = net_type != NetType.U
         eq = constitutive(expr)
         counting_says = n == nonmonic_count(eq)
-        rank = jacobian_rank(expr, sample_point(n, seed=seen))
+        theta = sample_point(n, seed=seen).values
+        matrix = jacobian_matrix(expr, theta)
+        assert matrix == reference_jacobian_matrix(expr, theta), expr
+        rank = exact_rank(matrix)
         assert table_says == counting_says == (rank == n), expr
 
         shape_class, index = classify(eq)
         eps, sig = predicted_shapes(shape_class, index)
         assert eq.eps.shape == eps
         assert eq.sig.shape == sig
+
+        ones = fold_constitutive(expr, [1] * n, 1)
+        assert (ones.eps.shape, ones.sig.shape) == (eq.eps.shape, eq.sig.shape), expr
+        verdict = analyze(expr)
+        assert verdict.nonmonic_count == nonmonic_count(eq)
+        assert verdict.index == index
+        assert verdict.locally_identifiable == counting_says
+        assert verdict.net_type == net_type
         seen += 1
     assert seen == 410  # 2 + 8 + 48 + 352 networks of sizes 1..4
 
