@@ -25,12 +25,7 @@ from .ident import analyze
 from .nettypes import classify, format_tables
 from .network import NetworkExpr, ParseError, parse, params, random_network, render
 from .opalg import ConstitutiveEq, InvariantViolation, constitutive, equation_to_json
-from .oracle import (
-    fiber_solutions,
-    jacobian_rank,
-    sample_point,
-    verify_local,
-)
+from .oracle import fiber_solutions, local_ranks, verify_local
 
 _DERIV_MARKS = {0: "", 1: "̇", 2: "̈"}
 _EPS = "ε"
@@ -154,13 +149,13 @@ def cmd_analyze(args) -> int:
     expr = parse(args.expression)
     report = build_report(expr, args.expression)
     if args.verify:
-        agrees = verify_local(expr, trials=args.trials, seed=args.seed)
-        point = sample_point(len(report["parameters"]), seed=args.seed)
+        ranks = local_ranks(expr, trials=args.trials, seed=args.seed)
+        local = report["local"] == "identifiable"
         report["oracle"] = {
             "trials": args.trials,
             "seed": args.seed,
-            "jacobian_rank": jacobian_rank(expr, point),
-            "agrees": agrees,
+            "jacobian_rank": ranks[0],
+            "agrees": all((rank == report["param_count"]) == local for rank in ranks),
         }
     if args.json:
         print(json.dumps(report, indent=2, sort_keys=True))

@@ -163,15 +163,13 @@ def _bareiss(rows: list[list[int]]) -> tuple[int, int, int]:
 
 
 def _integer_rows(matrix: Sequence[Sequence[Rat]]) -> tuple[list[list[int]], int]:
-    """Scale each row to integers; returns rows and the product of scales."""
+    """Scale each row to integers; returns rows and the product of scales.
+    Integer rows pass through unscaled."""
     out = []
     scale = 1
     for row in matrix:
-        fracs = [Fraction(x) for x in row]
-        mult = 1
-        for f in fracs:
-            mult = mult * f.denominator // math.gcd(mult, f.denominator)
-        out.append([int(f * mult) for f in fracs])
+        mult = math.lcm(*(x.denominator for x in row))
+        out.append([x.numerator * (mult // x.denominator) for x in row])
         scale *= mult
     return out, scale
 

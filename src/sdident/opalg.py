@@ -2,8 +2,8 @@
 
 Three layers:
 
-* ``ParamPoly``     sparse multivariate polynomial in the element
-                    parameters, exponent-vector -> Fraction map.
+* ``ParamPoly``     multilinear polynomial in the element parameters,
+                    parameter-bitmask -> int map.
 * ``DiffOperator``  polynomial in the time-derivative operator; its
                     shape is the pair (highest order, lowest order).
 * ``ConstitutiveEq`` the pair (eps_op, sig_op) meaning
@@ -20,11 +20,13 @@ In operator form, for sub-equations (L1, L2) and (L3, L4):
     parallel:  (L1*L4 + L2*L3, L2*L4), no division needed because
                stress operators always have a constant term.
 
-The rules only add, multiply and shift, so every coefficient is a
-polynomial with non-negative integer coefficients, nonzero at positive
-points unless zero.  So ``fold_constitutive`` gives the same shapes over
-every ring it accepts: ``ParamPoly`` (``constitutive``), ``int`` at
-theta = (1, ..., 1), ``float`` values and the oracle's exact duals.
+Each parameter enters once and the rules only add, shift and multiply
+operators over disjoint parameter sets, so every coefficient is a
+multilinear polynomial with non-negative integer coefficients (all 1
+in every network checked), nonzero at positive points unless zero.
+So ``fold_constitutive`` gives the same shapes over every ring it
+accepts: ``ParamPoly`` (``constitutive``), ``int`` at theta =
+(1, ..., 1), ``float`` values and the oracle's exact duals.
 """
 
 from __future__ import annotations
@@ -57,50 +59,41 @@ class Shape(NamedTuple):
     m: int
 
 
-def _grlex_key(exp: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
-    return (sum(exp), exp)
-
-
 class ParamPoly:
-    """Sparse multivariate polynomial with exact rational coefficients.
+    """Multilinear polynomial in the element parameters, integer
+    coefficients.
 
-    ``terms`` maps exponent tuples (one entry per parameter) to nonzero
-    Fractions; the zero polynomial has an empty map.  Instances are
-    treated as immutable.
+    ``terms`` maps a monomial's parameter bitmask (bit i is parameter i)
+    to its nonzero int coefficient; the zero polynomial has an empty
+    map.  Each parameter enters a constitutive equation once and products
+    join disjoint parameter sets, so no exponent exceeds 1: a product of
+    monomials sharing a parameter raises ``InvariantViolation``.
+    Instances are treated as immutable.
     """
 
     __slots__ = ("nvars", "terms")
 
-    def __init__(self, nvars: int, terms: Mapping[tuple[int, ...], Rat] | None = None):
+    def __init__(self, nvars: int, terms: Mapping[int, int] | None = None):
         self.nvars = nvars
-        clean: dict[tuple[int, ...], Fraction] = {}
-        for exp, coeff in (terms or {}).items():
-            coeff = Fraction(coeff)
-            if coeff == 0:
-                continue
-            exp = tuple(exp)
-            if len(exp) != nvars:
-                raise ValueError(
-                    f"exponent vector of length {len(exp)}, expected {nvars}"
-                )
-            clean[exp] = coeff
-        self.terms = clean
+        self.terms = {mask: coeff for mask, coeff in (terms or {}).items() if coeff}
+        if self.terms and not 0 <= min(self.terms) <= max(self.terms) < 1 << nvars:
+            raise ValueError(f"a monomial mask lies outside {nvars} parameters")
+        if not {int}.issuperset(map(type, self.terms.values())):
+            raise TypeError("coefficients must be integers")
 
     @classmethod
     def zero(cls, nvars: int) -> "ParamPoly":
         return cls(nvars)
 
     @classmethod
-    def const(cls, nvars: int, value: Rat) -> "ParamPoly":
-        return cls(nvars, {(0,) * nvars: Fraction(value)})
+    def const(cls, nvars: int, value: int) -> "ParamPoly":
+        return cls(nvars, {0: value})
 
     @classmethod
     def var(cls, nvars: int, index: int) -> "ParamPoly":
         if not 0 <= index < nvars:
             raise ValueError(f"variable index {index} out of range for {nvars}")
-        exp = [0] * nvars
-        exp[index] = 1
-        return cls(nvars, {tuple(exp): Fraction(1)})
+        return cls(nvars, {1 << index: 1})
 
     @property
     def is_zero(self) -> bool:
@@ -114,7 +107,7 @@ class ParamPoly:
             if other.nvars != self.nvars:
                 raise ValueError("mixing polynomials over different parameter lists")
             return other
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return ParamPoly.const(self.nvars, other)
         return None
 
@@ -131,14 +124,14 @@ class ParamPoly:
         if other is None:
             return NotImplemented
         out = dict(self.terms)
-        for exp, coeff in other.terms.items():
-            out[exp] = out.get(exp, Fraction(0)) + coeff
+        for mask, coeff in other.terms.items():
+            out[mask] = out.get(mask, 0) + coeff
         return ParamPoly(self.nvars, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "ParamPoly":
-        return ParamPoly(self.nvars, {e: -c for e, c in self.terms.items()})
+        return ParamPoly(self.nvars, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other) -> "ParamPoly":
         other = self._coerce(other)
@@ -153,11 +146,12 @@ class ParamPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        out: dict[tuple[int, ...], Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exp = tuple(a + b for a, b in zip(e1, e2))
-                out[exp] = out.get(exp, Fraction(0)) + c1 * c2
+        out: dict[int, int] = {}
+        for m1, c1 in self.terms.items():
+            for m2, c2 in other.terms.items():
+                if m1 & m2:
+                    raise InvariantViolation("product of monomials sharing a parameter")
+                out[m1 | m2] = out.get(m1 | m2, 0) + c1 * c2
         return ParamPoly(self.nvars, out)
 
     __rmul__ = __mul__
@@ -168,79 +162,59 @@ class ParamPoly:
             raise ValueError(f"expected {self.nvars} values, got {len(values)}")
         vals = [Fraction(v) for v in values]
         total = Fraction(0)
-        for exp, coeff in self.terms.items():
+        for mask, coeff in self.terms.items():
             term = coeff
-            for e, v in zip(exp, vals):
-                if e:
-                    term *= v**e
+            for i, v in enumerate(vals):
+                if mask >> i & 1:
+                    term *= v
             total += term
         return total
 
     def derivative(self, index: int) -> "ParamPoly":
-        out: dict[tuple[int, ...], Fraction] = {}
-        for exp, coeff in self.terms.items():
-            e = exp[index]
-            if e == 0:
-                continue
-            new = list(exp)
-            new[index] = e - 1
-            out[tuple(new)] = coeff * e
-        return ParamPoly(self.nvars, out)
-
-    def embed(self, nvars: int, index_map: Sequence[int]) -> "ParamPoly":
-        """Re-express over a larger parameter list; old variable i becomes
-        index_map[i] in the new list."""
-        if len(index_map) != self.nvars:
-            raise ValueError("index_map length must equal nvars")
-        out: dict[tuple[int, ...], Fraction] = {}
-        for exp, coeff in self.terms.items():
-            new = [0] * nvars
-            for i, e in enumerate(exp):
-                new[index_map[i]] += e
-            out[tuple(new)] = out.get(tuple(new), Fraction(0)) + coeff
-        return ParamPoly(nvars, out)
-
-    def leading(self) -> tuple[tuple[int, ...], Fraction]:
-        """Graded-lex leading term; raises on the zero polynomial."""
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading term")
-        exp = max(self.terms, key=_grlex_key)
-        return exp, self.terms[exp]
+        bit = 1 << index
+        return ParamPoly(self.nvars, {m ^ bit: c for m, c in self.terms.items() if m & bit})
 
     def try_divide(self, divisor: "ParamPoly") -> "ParamPoly | None":
-        """Exact quotient self/divisor, or None when division is inexact."""
+        """Exact quotient self/divisor, or None when division is inexact.
+
+        Degrees in each parameter add under products, so a multilinear
+        quotient shares no parameter with the divisor: grouped by their
+        part outside the divisor's support, the dividend's terms must
+        each form one integer multiple of the divisor.
+        """
         if divisor.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        if self.is_zero:
-            return ParamPoly.zero(self.nvars)
-        dexp, dcoeff = divisor.leading()
-        rem = self
-        quot: dict[tuple[int, ...], Fraction] = {}
-        while not rem.is_zero:
-            rexp, rcoeff = rem.leading()
-            qexp = tuple(r - d for r, d in zip(rexp, dexp))
-            if any(e < 0 for e in qexp):
+        support = 0
+        for mask in divisor.terms:
+            support |= mask
+        groups: dict[int, dict[int, int]] = {}
+        for mask, coeff in self.terms.items():
+            groups.setdefault(mask & ~support, {})[mask & support] = coeff
+        dmask, dcoeff = next(iter(divisor.terms.items()))
+        quot: dict[int, int] = {}
+        for outside, group in groups.items():
+            factor, rest = divmod(group.get(dmask, 0), dcoeff)
+            if rest or group != {m: factor * c for m, c in divisor.terms.items()}:
                 return None
-            qcoeff = rcoeff / dcoeff
-            quot[qexp] = quot.get(qexp, Fraction(0)) + qcoeff
-            rem = rem - divisor * ParamPoly(self.nvars, {qexp: qcoeff})
+            quot[outside] = factor
         return ParamPoly(self.nvars, quot)
 
     def to_string(self, names: Sequence[str]) -> str:
-        """Canonical text, terms in descending graded-lex order."""
+        """Canonical text, terms by descending degree, then descending
+        exponent tuple in parameter order."""
         if len(names) != self.nvars:
             raise ValueError("one name per variable required")
         if not self.terms:
             return "0"
         parts = []
-        for exp in sorted(self.terms, key=_grlex_key, reverse=True):
-            coeff = self.terms[exp]
-            factors = []
-            for name, e in zip(names, exp):
-                if e == 1:
-                    factors.append(name)
-                elif e > 1:
-                    factors.append(f"{name}^{e}")
+        order = sorted(
+            self.terms,
+            key=lambda m: (m.bit_count(), f"{m:0{self.nvars}b}"[::-1]),
+            reverse=True,
+        )
+        for mask in order:
+            coeff = self.terms[mask]
+            factors = [name for i, name in enumerate(names) if mask >> i & 1]
             mag = abs(coeff)
             if not factors:
                 body = str(mag)
@@ -335,17 +309,6 @@ class DiffOperator:
         """Coefficient values at theta, orders low..high ascending."""
         return [c.evaluate(theta) for c in self.coeffs]
 
-    def eval_at(self, theta: Sequence[Rat], x0: Rat) -> Fraction:
-        """Value of the operator polynomial at (x0, theta)."""
-        x0 = Fraction(x0)
-        total = Fraction(0)
-        for k, c in enumerate(self.coeffs, start=self.low):
-            total += c.evaluate(theta) * x0**k
-        return total
-
-    def embed(self, nvars: int, index_map: Sequence[int]) -> "DiffOperator":
-        return DiffOperator(self.low, [c.embed(nvars, index_map) for c in self.coeffs])
-
     def __repr__(self) -> str:
         return f"DiffOperator(low={self.low}, orders={self.low}..{self.high})"
 
@@ -367,11 +330,6 @@ class ConstitutiveEq:
     def nvars(self) -> int:
         return self.eps.nvars
 
-    def embed(self, nvars: int, index_map: Sequence[int]) -> "ConstitutiveEq":
-        return ConstitutiveEq(
-            self.eps.embed(nvars, index_map), self.sig.embed(nvars, index_map)
-        )
-
 
 def leaf_equation(kind: str, index: int, nvars: int) -> ConstitutiveEq:
     """Base equation of one element over an ``nvars``-parameter space."""
@@ -390,7 +348,7 @@ def combine_series(eq1: ConstitutiveEq, eq2: ConstitutiveEq) -> ConstitutiveEq:
     """Series connection: equal stresses, strains add.
 
     Both sub-equations must already live in the joint parameter space
-    (see ``ConstitutiveEq.embed``) with disjoint supports.
+    with disjoint supports (see ``fold_constitutive``).
     """
     l1, l2 = eq1.eps, eq1.sig
     l3, l4 = eq2.eps, eq2.sig
@@ -435,13 +393,6 @@ def fold_constitutive(expr: NetworkExpr, values: Sequence, one) -> ConstitutiveE
         return acc
 
     return walk(expr)
-
-
-def eval_operator(op: DiffOperator, theta: Sequence[Rat]) -> list[Fraction]:
-    """Numeric coefficient vector of an operator, orders m..n ascending."""
-    if len(theta) != op.nvars:
-        raise ValueError(f"expected {op.nvars} parameter values, got {len(theta)}")
-    return op.eval_coeffs(theta)
 
 
 def coefficient_map(eq: ConstitutiveEq) -> list[tuple]:

@@ -95,13 +95,9 @@ class _Dual:
         return _Dual(a * b, grad, self.exp + other.exp)
 
 
-def jacobian_matrix(expr: NetworkExpr, theta: Sequence[Rat]) -> list[list[Fraction]]:
-    """Row-scaled exact Jacobian of the coefficient map at a positive theta.
-
-    Each row of d(num/den) is multiplied by den(theta)**2, which cannot
-    vanish at positive theta and does not change the rank: the row is
-    d(num)*den - num*d(den), all from one pass of duals at theta.
-    """
+def _jacobian_rows(expr: NetworkExpr, theta: Sequence[Rat]) -> tuple[list[list[int]], list[int]]:
+    """Row-scaled exact Jacobian at a positive theta as integer rows, each
+    over its own positive denominator (see ``jacobian_matrix``)."""
     values = [Fraction(v) for v in theta]
     if any(v <= 0 for v in values):
         raise ValueError("parameter values must be strictly positive")
@@ -110,19 +106,29 @@ def jacobian_matrix(expr: NetworkExpr, theta: Sequence[Rat]) -> list[list[Fracti
     entries = coefficient_map(fold_constitutive(expr, duals, _Dual(1, {}, 0)))
     den = entries[0][1]
     den_partials = [den.grad.get(i, 0) for i in range(len(values))]
-    return [
-        [
-            Fraction(num.grad.get(i, 0) * den.value - num.value * d, scale ** (num.exp + den.exp))
-            for i, d in enumerate(den_partials)
-        ]
+    rows = [
+        [num.grad.get(i, 0) * den.value - num.value * d for i, d in enumerate(den_partials)]
         for num, _ in entries
     ]
+    return rows, [scale ** (num.exp + den.exp) for num, _ in entries]
+
+
+def jacobian_matrix(expr: NetworkExpr, theta: Sequence[Rat]) -> list[list[Fraction]]:
+    """Row-scaled exact Jacobian of the coefficient map at a positive theta.
+
+    Each row of d(num/den) is multiplied by den(theta)**2, which cannot
+    vanish at positive theta and does not change the rank: the row is
+    d(num)*den - num*d(den), all from one pass of duals at theta.
+    """
+    rows, denominators = _jacobian_rows(expr, theta)
+    return [[Fraction(x, q) for x in row] for row, q in zip(rows, denominators)]
 
 
 def jacobian_rank(expr: NetworkExpr, theta: ParamPoint) -> int:
-    """Exact rank of the coefficient-map Jacobian at a positive point."""
+    """Exact rank of the coefficient-map Jacobian at a positive point,
+    ranked on the integer rows (a positive row scale keeps the rank)."""
     values = theta.values if isinstance(theta, ParamPoint) else tuple(theta)
-    return exact_rank(jacobian_matrix(expr, values))
+    return exact_rank(_jacobian_rows(expr, values)[0])
 
 
 def jacobian_rank_float(expr: NetworkExpr, theta: ParamPoint, cutoff: float = 1e-8) -> int:
@@ -138,19 +144,22 @@ def jacobian_rank_float(expr: NetworkExpr, theta: ParamPoint, cutoff: float = 1e
     return int(np.sum(s > cutoff * s[0]))
 
 
+def local_ranks(expr: NetworkExpr, trials: int = 3, seed: int = 0) -> list[int]:
+    """Exact Jacobian ranks at the ``verify_local`` sample points, trial t
+    at ``sample_point(n, seed + 1000 * t)``."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    n = len(params(expr))
+    return [jacobian_rank(expr, sample_point(n, seed=seed + 1000 * t)) for t in range(trials)]
+
+
 def verify_local(expr: NetworkExpr, trials: int = 3, seed: int = 0) -> bool:
     """True iff rank-based and table-based local verdicts agree at every
     sampled point (the pivot is positive at positive points, so no draw
     is degenerate)."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     verdict = analyze(expr)
-    n = verdict.param_count
-    for t in range(trials):
-        rank = jacobian_rank(expr, sample_point(n, seed=seed + 1000 * t))
-        if (rank == n) != verdict.locally_identifiable:
-            return False
-    return True
+    ranks = local_ranks(expr, trials, seed)
+    return all((rank == verdict.param_count) == verdict.locally_identifiable for rank in ranks)
 
 
 # ---------------------------------------------------------------------------
@@ -193,15 +202,16 @@ def _tight_vector(op: DiffOperator, values: Sequence[Rat]) -> list[Fraction]:
 
 class _PolyStack:
     """Many polynomials evaluated at once: exp(E @ log theta) per term,
-    then per-polynomial segment sums (positive theta only)."""
+    with E the 0/1 exponent matrix of the monomial masks, then
+    per-polynomial segment sums (positive theta only)."""
 
     def __init__(self, polys: Sequence[ParamPoly], nparams: int):
-        exps: list[tuple[int, ...]] = []
+        exps: list[list[int]] = []
         coeffs: list[float] = []
         offsets = [0]
         for p in polys:
-            for e, c in p.terms.items():
-                exps.append(e)
+            for mask, c in p.terms.items():
+                exps.append([mask >> i & 1 for i in range(nparams)])
                 coeffs.append(float(c))
             offsets.append(len(coeffs))
         self.exp_matrix = (
@@ -445,6 +455,7 @@ def _root_exchange_candidates(
     rhs = _combined_other_side(factors, powers, others, other_lows)
 
     candidates: list[np.ndarray] = []
+    cmaps: dict[int, CompiledMap] = {}  # per child, built on first use
     seen = 0
     for groups in _index_partitions(tuple(range(len(all_roots))), sizes):
         if [tuple(sorted(g)) for g in groups] == [tuple(sorted(g)) for g in original]:
@@ -467,8 +478,12 @@ def _root_exchange_candidates(
             continue
         point = np.array(base, dtype=float)
         assembled = True
-        for (child, start, n), p_new, q_new in zip(children, new_factors, new_others):
-            theta = _solve_child(child, p_new, q_new, series, base[start : start + n], rng)
+        for index, ((child, start, n), p_new, q_new) in enumerate(
+            zip(children, new_factors, new_others)
+        ):
+            if index not in cmaps:
+                cmaps[index] = CompiledMap(child)
+            theta = _solve_child(cmaps[index], p_new, q_new, series, base[start : start + n], rng)
             if theta is None:
                 assembled = False
                 break
@@ -533,14 +548,15 @@ def _solve_other_side(factors, powers, other_lows, others, rhs) -> list[np.ndarr
 
 
 def _solve_child(
-    child: NetworkExpr,
+    cmap: CompiledMap,
     p_new: np.ndarray,
     q_new: np.ndarray,
     series: bool,
     start_values: np.ndarray,
     rng: random.Random,
 ) -> np.ndarray | None:
-    """Recover child parameters matching target operators (p_new, q_new)."""
+    """Recover a child's parameters matching target operators (p_new,
+    q_new), by Newton on the child's compiled map."""
     eps_vec, sig_vec = (
         (_pad(p_new), q_new) if series else (q_new, _pad(p_new))
     )
@@ -548,7 +564,6 @@ def _solve_child(
     if pivot == 0:
         return None
     target = np.concatenate([eps_vec[::-1], sig_vec[:-1][::-1]]) / pivot
-    cmap = CompiledMap(child)
     if len(target) != cmap.dim:
         return None
     for attempt in range(8):

@@ -13,12 +13,14 @@ from sdident import (
     Leaf,
     NetworkExpr,
     Parallel,
+    ParamPoly,
     Series,
     coefficient_map,
     constitutive,
     flatten,
     params,
 )
+from sdident.opalg import fold_constitutive
 
 # classic textbook models and the two larger literature networks
 MAXWELL = "E1 & n1"
@@ -171,13 +173,19 @@ def valid_indices(letter: str, top: int = 3) -> list[int]:
     return list(range(1, top + 1)) if letter == "D" else list(range(0, top + 1))
 
 
+def _shifted_equation(expr: NetworkExpr, total: int, start: int) -> ConstitutiveEq:
+    """Equation of ``expr`` over a ``total``-parameter space, its own
+    parameters taking indices ``start``, ``start + 1``, ..."""
+    width = len(params(expr))
+    variables = [ParamPoly.var(total, i) for i in range(start, start + width)]
+    return fold_constitutive(expr, variables, ParamPoly.const(total, 1))
+
+
 def embedded_pair(n1: NetworkExpr, n2: NetworkExpr) -> tuple[ConstitutiveEq, ConstitutiveEq]:
     """Constitutive equations of two networks in their joint parameter space."""
     p1, p2 = len(params(n1)), len(params(n2))
     total = p1 + p2
-    eq1 = constitutive(n1).embed(total, list(range(p1)))
-    eq2 = constitutive(n2).embed(total, list(range(p1, total)))
-    return eq1, eq2
+    return _shifted_equation(n1, total, 0), _shifted_equation(n2, total, p1)
 
 
 def child_equations(expr: NetworkExpr) -> list[ConstitutiveEq]:
@@ -186,9 +194,8 @@ def child_equations(expr: NetworkExpr) -> list[ConstitutiveEq]:
     out = []
     cursor = 0
     for child in expr.children:
-        width = len(params(child))
-        out.append(constitutive(child).embed(total, list(range(cursor, cursor + width))))
-        cursor += width
+        out.append(_shifted_equation(child, total, cursor))
+        cursor += len(params(child))
     return out
 
 

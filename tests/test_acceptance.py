@@ -58,7 +58,10 @@ def _report(number, name, elapsed, budget):
 
 
 def _rf_equal(pair, num, den):
-    return pair[0] * den == pair[1] * num
+    """pair[0]/pair[1] == num/den: pair[1] is an exact polynomial multiple
+    g of den and pair[0] the same multiple of num."""
+    g = pair[1].try_divide(den)
+    return g is not None and pair[0] == num * g
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from sdident import params, parse, sample_point
 from sdident.cli import main
 
 from helpers import BRANCHED_10, BURGERS, GEN_KELVIN_VOIGT, MAXWELL
@@ -69,6 +70,33 @@ class TestAnalyze:
         assert report["oracle"]["agrees"] is True
         assert report["oracle"]["jacobian_rank"] == 2
 
+    def test_verify_ranks_each_trial_point_once(self, capsys, monkeypatch):
+        import sdident.oracle as oracle_mod
+
+        original = oracle_mod.jacobian_rank
+        seeds = []
+
+        def counted(expr, theta):
+            seeds.append(theta.seed)
+            return original(expr, theta)
+
+        monkeypatch.setattr(oracle_mod, "jacobian_rank", counted)
+        for text, trials in ((MAXWELL, 3), (BRANCHED_10, 2)):
+            seeds.clear()
+            code, out, _ = run(
+                capsys, "analyze", text, "--verify", "--json", "--trials", str(trials), "--seed", "5"
+            )
+            assert code == 0
+            assert seeds == [5 + 1000 * t for t in range(trials)]
+            oracle = json.loads(out)["oracle"]
+            n = len(params(parse(text)))
+            assert oracle == {
+                "trials": trials,
+                "seed": 5,
+                "jacobian_rank": original(parse(text), sample_point(n, seed=5)),
+                "agrees": True,
+            }
+
     def test_parse_error_exit_code(self, capsys):
         code, _, err = run(capsys, "analyze", "E1 & & n1")
         assert code == 2
@@ -88,6 +116,16 @@ class TestDerive:
         values = {(i["side"], i["order"]): i["value"] for i in payload["normalized"]}
         assert values[("eps", 1)] == "E1"
         assert values[("sigma", 0)] == "(E1) / (n1)"
+
+    def test_non_monomial_pivot_divides(self, capsys):
+        # pivot n2 + n3; the strain coefficient E1*n2 + E1*n3 divides by it
+        code, out, _ = run(capsys, "derive", "E1 & (n2 | n3)", "--json")
+        payload = json.loads(out)
+        assert code == 0
+        sigma = {i["order"]: i["poly"] for i in payload["constitutive"]["sigma"]}
+        assert sigma[1] == "n2 + n3"
+        values = {(i["side"], i["order"]): i["value"] for i in payload["normalized"]}
+        assert values == {("eps", 1): "E1", ("sigma", 0): "(E1) / (n2 + n3)"}
 
     def test_burgers_coefficients(self, capsys):
         code, out, _ = run(capsys, "derive", BURGERS, "--json")
@@ -173,6 +211,8 @@ class TestVerify:
         monkeypatch.setattr(cli_mod, "verify_local", lambda *a, **k: False)
         code, _, _ = run(capsys, "verify", MAXWELL)
         assert code == 3
+        # analyze --verify reads the per-trial ranks; Maxwell has 2 parameters
+        monkeypatch.setattr(cli_mod, "local_ranks", lambda *a, **k: [1, 2, 2])
         code, _, err = run(capsys, "analyze", MAXWELL, "--verify")
         assert code == 3
         assert "disagrees" in err

@@ -3,7 +3,8 @@ elements (all shapes, all spring/dashpot assignments): the counting,
 table, and Jacobian-rank routes must agree everywhere, every derived
 equation must land in a shape class consistent with the tables, and the
 point-evaluated passes (shapes at theta = 1, forward-mode Jacobian) must
-match the symbolic equation exactly."""
+match the symbolic equation exactly, and every coefficient must be a
+multilinear polynomial whose monomials all have coefficient 1."""
 
 import itertools
 from fractions import Fraction as F
@@ -21,6 +22,7 @@ from sdident import (
     constitutive,
     exact_rank,
     jacobian_matrix,
+    jacobian_rank,
     nonmonic_count,
     params,
     predicted_shapes,
@@ -93,7 +95,13 @@ def test_every_network_up_to_four_elements():
         matrix = jacobian_matrix(expr, theta)
         assert matrix == reference_jacobian_matrix(expr, theta), expr
         rank = exact_rank(matrix)
+        assert jacobian_rank(expr, theta) == rank, expr
         assert table_says == counting_says == (rank == n), expr
+        # every coefficient is multilinear (one bit per parameter) with
+        # every monomial coefficient the int 1
+        for op in (eq.eps, eq.sig):
+            for poly in op.coeffs:
+                assert all(type(c) is int and c == 1 for c in poly.terms.values()), expr
 
         shape_class, index = classify(eq)
         eps, sig = predicted_shapes(shape_class, index)

@@ -17,7 +17,6 @@ from sdident import (
     combine_series,
     constitutive,
     equation_to_json,
-    eval_operator,
     leaf_equation,
     params,
     parse,
@@ -28,18 +27,33 @@ from helpers import BURGERS, LADDER_8, child_equations, embedded_pair
 
 
 def _rational_functions_equal(pair, expected_num, expected_den):
-    """num/den == expected_num/expected_den by cross multiplication."""
+    """num/den == expected_num/expected_den: den is an exact polynomial
+    multiple g of expected_den and num the same multiple of expected_num
+    (cross multiplication would square shared parameters)."""
     num, den = pair
-    return num * expected_den == den * expected_num
+    g = den.try_divide(expected_den)
+    return g is not None and num == expected_num * g
+
+
+def _operator_at(op, theta, x0):
+    """Value of the operator polynomial at (x0, theta)."""
+    return sum(c * x0**k for k, c in enumerate(op.eval_coeffs(theta), start=op.low))
 
 
 class TestParamPoly:
     def test_arithmetic_is_exact(self):
+        x, y, z = (ParamPoly.var(3, i) for i in range(3))
+        p = (x + y) * (z - 1)
+        assert p == x * z + y * z - x - y
+        assert p.evaluate([F(1, 3), F(1, 7), F(1, 5)]) == (F(1, 3) + F(1, 7)) * (F(1, 5) - 1)
+
+    def test_shared_parameter_product_rejected(self):
         x = ParamPoly.var(2, 0)
         y = ParamPoly.var(2, 1)
-        p = (x + y) * (x - y)
-        assert p == x * x - y * y
-        assert p.evaluate([F(1, 3), F(1, 7)]) == F(1, 9) - F(1, 49)
+        with pytest.raises(InvariantViolation):
+            x * x
+        with pytest.raises(InvariantViolation):
+            (x + y) * (y + 1)
 
     def test_no_zero_terms_stored(self):
         x = ParamPoly.var(1, 0)
@@ -48,35 +62,47 @@ class TestParamPoly:
 
     def test_scalar_mix(self):
         x = ParamPoly.var(1, 0)
-        assert 2 * x + 1 == ParamPoly(1, {(1,): 2, (0,): 1})
+        assert 2 * x + 1 == ParamPoly(1, {0b1: 2, 0b0: 1})
 
     def test_derivative(self):
-        x = ParamPoly.var(2, 0)
-        y = ParamPoly.var(2, 1)
-        p = x * x * y + 3 * y
-        assert p.derivative(0) == 2 * x * y
-        assert p.derivative(1) == x * x + 3
+        x, y, z = (ParamPoly.var(3, i) for i in range(3))
+        p = 2 * x * y * z + 3 * y
+        assert p.derivative(0) == 2 * y * z
+        assert p.derivative(1) == 2 * x * z + 3
+        assert p.derivative(2).derivative(2).is_zero
 
     def test_try_divide(self):
-        x = ParamPoly.var(2, 0)
-        y = ParamPoly.var(2, 1)
-        assert (x * y + y * y).try_divide(y) == x + y
+        x, y, z = (ParamPoly.var(3, i) for i in range(3))
+        assert (x * y + y * z).try_divide(y) == x + z
         assert (x * y + 1).try_divide(y) is None
+        # a non-monomial divisor, and an integer multiple of it
+        assert (x * y + x * z).try_divide(y + z) == x
+        assert (2 * x * y + 2 * x * z + 2 * y + 2 * z).try_divide(y + z) == 2 * x + 2
+        assert (x * y + x * z + y).try_divide(y + z) is None
+        assert (3 * x * y + 3 * x * z).try_divide(2 * y + 2 * z) is None
+        assert ParamPoly.zero(3).try_divide(y) == 0
+        with pytest.raises(ZeroDivisionError):
+            x.try_divide(ParamPoly.zero(3))
 
-    def test_embed(self):
-        x = ParamPoly.var(1, 0)
-        wide = x.embed(3, [2])
-        assert wide == ParamPoly.var(3, 2)
+    def test_try_divide_quotient_shares_no_divisor_parameter(self):
+        x, y, z = (ParamPoly.var(3, i) for i in range(3))
+        # the x*z term holds no y, so no quotient free of y yields it
+        assert (x * y + x * z).try_divide(y) is None
 
     def test_to_string_graded_lex(self):
-        x = ParamPoly.var(2, 0)
-        y = ParamPoly.var(2, 1)
-        p = x * x - 2 * y + F(1, 2)
-        assert p.to_string(["a", "b"]) == "a^2 - 2*b + 1/2"
+        x, y, z = (ParamPoly.var(3, i) for i in range(3))
+        p = y + x * z - 2 * x + 3
+        assert p.to_string(["a", "b", "c"]) == "a*c - 2*a + b + 3"
+        assert (-x * y + 1).to_string(["a", "b", "c"]) == "-a*b + 1"
 
     def test_exponent_length_checked(self):
+        # a monomial mask is the 0/1 exponent vector; bits past nvars are rejected
         with pytest.raises(ValueError):
-            ParamPoly(2, {(1,): 1})
+            ParamPoly(2, {0b100: 1})
+        with pytest.raises(ValueError):
+            ParamPoly(2, {-1: 1})
+        with pytest.raises(TypeError):
+            ParamPoly(2, {0b1: F(1, 2)})
 
 
 class TestDiffOperator:
@@ -91,14 +117,15 @@ class TestDiffOperator:
             DiffOperator(0, [ParamPoly.zero(1)])
 
     def test_multiplication_convolves_orders(self):
-        x = ParamPoly.var(1, 0)
-        one = ParamPoly.const(1, 1)
+        x = ParamPoly.var(2, 0)
+        y = ParamPoly.var(2, 1)
+        one = ParamPoly.const(2, 1)
         a = DiffOperator(1, [x])  # x * d/dt
-        b = DiffOperator(0, [one, x])  # 1 + x d/dt
+        b = DiffOperator(0, [one, y])  # 1 + y d/dt
         prod = a * b
         assert prod.shape == Shape(2, 1)
         assert prod.coeff(1) == x
-        assert prod.coeff(2) == x * x
+        assert prod.coeff(2) == x * y
 
     def test_shift_down_requires_exactness(self):
         one = ParamPoly.const(1, 1)
@@ -132,10 +159,7 @@ class TestCombineSeries:
         assert eq.sig == DiffOperator(0, [E, eta])
 
     def test_two_maxwells_cancel_one_derivative(self):
-        m1 = constitutive(parse("E1 & n1"))
-        m2 = constitutive(parse("E1 & n1"))
-        eq1 = m1.embed(4, [0, 1])
-        eq2 = m2.embed(4, [2, 3])
+        eq1, eq2 = embedded_pair(parse("E1 & n1"), parse("E1 & n1"))
         eq = combine_series(eq1, eq2)
         E1, n1, E2, n2 = (ParamPoly.var(4, i) for i in range(4))
         # hand expansion after dividing the common derivative factor out
@@ -145,8 +169,7 @@ class TestCombineSeries:
         assert eq.sig.shape == Shape(1, 0)
 
     def test_voigt_series_maxwell_is_burgers(self):
-        voigt = constitutive(parse("Ev | nv")).embed(4, [0, 1])
-        maxwell = constitutive(parse("Em & nm")).embed(4, [2, 3])
+        voigt, maxwell = embedded_pair(parse("Ev | nv"), parse("Em & nm"))
         direct = combine_series(voigt, maxwell)
         full = constitutive(parse("(Ev | nv) & (Em & nm)"))
         theta = [F(3), F(7), F(2), F(5)]
@@ -210,7 +233,7 @@ class TestConstitutive:
 class TestEvalOperator:
     def test_maxwell_sigma_side(self):
         eq = constitutive(parse("E1 & n1"))
-        assert eval_operator(eq.sig, [F(2), F(3)]) == [F(2), F(3)]
+        assert eq.sig.eval_coeffs([F(2), F(3)]) == [F(2), F(3)]
 
     def test_interior_zero_coefficient(self):
         one = ParamPoly.const(1, 1)
@@ -220,12 +243,12 @@ class TestEvalOperator:
     def test_dimension_mismatch(self):
         eq = constitutive(parse("E1 & n1"))
         with pytest.raises(ValueError):
-            eval_operator(eq.sig, [F(1)])
+            eq.sig.eval_coeffs([F(1)])
 
     def test_burgers_constant_over_leading_ratio(self):
         eq = constitutive(parse(BURGERS))
         theta = [F(3), F(7), F(2), F(5)]  # Ev, nv, Em, nm
-        coeffs = eval_operator(eq.sig, theta)
+        coeffs = eq.sig.eval_coeffs(theta)
         assert coeffs[0] / coeffs[-1] == F(6, 35)  # Em Ev / (nm nv)
 
 
@@ -312,8 +335,8 @@ class TestInvariants:
                 k = min(left.eps.low, eq.eps.low)
                 theta = [F(rng.randint(1, 10**6), 1000) for _ in range(left.nvars)]
                 x0 = F(rng.randint(1, 100), 7)
-                pre = left.eps.eval_at(theta, x0) * eq.eps.eval_at(theta, x0)
-                post = acc.eps.eval_at(theta, x0)
+                pre = _operator_at(left.eps, theta, x0) * _operator_at(eq.eps, theta, x0)
+                post = _operator_at(acc.eps, theta, x0)
                 assert pre == post * x0**k
                 left = acc
 
@@ -321,7 +344,7 @@ class TestInvariants:
         eq = constitutive(parse(BURGERS))
         for op in (eq.eps, eq.sig):
             for poly in op.coeffs:
-                assert all(isinstance(c, F) for c in poly.terms.values())
+                assert all(type(c) is int and c == 1 for c in poly.terms.values())
 
 
 class TestSerialization:

@@ -332,6 +332,24 @@ class TestFiber:
         assert [s.method for s in report.solutions] == methods
 
 
+    def test_root_exchange_builds_each_child_map_once(self, monkeypatch):
+        import sdident.oracle as oracle_mod
+
+        builds = []
+        original = oracle_mod.CompiledMap.__init__
+
+        def counted(self, expr):
+            builds.append(expr)
+            original(self, expr)
+
+        monkeypatch.setattr(oracle_mod.CompiledMap, "__init__", counted)
+        expr = parse(GEN_KELVIN_VOIGT)
+        fiber_solutions(expr, multistarts=40, seed=1)
+        # the whole network's map, then at most one per top-level child
+        assert len(builds) <= 1 + len(expr.children)
+        assert len(builds) == len({id(e) for e in builds})
+
+
 class TestTheoremAgreement:
     def test_triple_agreement_sample(self):
         """Counting, table, and rank verdicts coincide on random networks."""
