@@ -25,7 +25,7 @@ from .ident import analyze
 from .nettypes import classify, format_tables
 from .network import NetworkExpr, ParseError, parse, params, random_network, render
 from .opalg import ConstitutiveEq, InvariantViolation, constitutive, equation_to_json
-from .oracle import fiber_solutions, local_ranks, verify_local
+from .oracle import fiber_solutions, local_ranks, ranks_agree
 
 _DERIV_MARKS = {0: "", 1: "̇", 2: "̈"}
 _EPS = "ε"
@@ -155,7 +155,7 @@ def cmd_analyze(args) -> int:
             "trials": args.trials,
             "seed": args.seed,
             "jacobian_rank": ranks[0],
-            "agrees": all((rank == report["param_count"]) == local for rank in ranks),
+            "agrees": ranks_agree(ranks, report["param_count"], local),
         }
     if args.json:
         print(json.dumps(report, indent=2, sort_keys=True))
@@ -195,11 +195,7 @@ def cmd_tables(args) -> int:
 
 def cmd_fiber(args) -> int:
     expr = parse(args.expression)
-    try:
-        report = fiber_solutions(expr, multistarts=args.starts, seed=args.seed)
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
+    report = fiber_solutions(expr, multistarts=args.starts, seed=args.seed)
     payload = {
         "expression": args.expression,
         "base": [str(v) for v in report.base.values],
@@ -246,7 +242,8 @@ def cmd_gen(args) -> int:
 def cmd_verify(args) -> int:
     expr = parse(args.expression)
     verdict = analyze(expr)
-    agrees = verify_local(expr, trials=args.trials, seed=args.seed)
+    ranks = local_ranks(expr, trials=args.trials, seed=args.seed)
+    agrees = ranks_agree(ranks, verdict.param_count, verdict.locally_identifiable)
     status = "identifiable" if verdict.locally_identifiable else "unidentifiable"
     print(f"symbolic: {status} (type {verdict.net_type})")
     print(f"oracle:   {'agrees' if agrees else 'DISAGREES'} over {args.trials} trials")

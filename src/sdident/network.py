@@ -10,9 +10,11 @@ basic elements: springs (stress proportional to strain) and dashpots
     element := identifier
 
 '&' binds tighter than '|', both are left associative, whitespace is
-insignificant.  The identifier prefix decides the element kind: names
-starting with "E" or "k" are springs, names starting with "n" or "eta"
-are dashpots.  Parameter names must be unique within one network.
+insignificant, and parentheses nest at most ``MAX_NESTING`` levels deep
+(deeper input is a ``ParseError``).  The identifier prefix decides the
+element kind: names starting with "E" or "k" are springs, names starting
+with "n" or "eta" are dashpots.  Parameter names must be unique within
+one network.
 
 The internal representation is an n-ary tree that is always kept
 flattened: a Series node never has a Series child and a Parallel node
@@ -27,6 +29,12 @@ from typing import Union
 
 SPRING = "spring"
 DASHPOT = "dashpot"
+
+# Each parenthesis level can add two tree levels (a parallel inside a
+# series), and the recursive tree walks take two to three interpreter
+# frames per tree level, so this keeps every walk within Python's
+# default recursion limit.
+MAX_NESTING = 100
 
 
 class ParseError(ValueError):
@@ -106,6 +114,7 @@ class _Parser:
         self.pos = 0
         self.length = length
         self.seen: set[str] = set()
+        self.depth = 0  # open parentheses
 
     def peek(self) -> str | None:
         if self.pos < len(self.tokens):
@@ -149,11 +158,15 @@ class _Parser:
             self.seen.add(name)
             return Leaf(Element(element_kind(name), name))
         if kind == "(":
-            self.take()
+            _, _, pos = self.take()
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {MAX_NESTING} levels", pos)
             inner = self.expr()
             if self.peek() != ")":
                 raise ParseError("expected ')'", self.here())
             self.take()
+            self.depth -= 1
             return inner
         raise ParseError("expected an element name or '('", self.here())
 

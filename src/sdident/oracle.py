@@ -11,6 +11,12 @@ Two oracles, deliberately separate from the table algebra:
   coefficient map over a base point: permutations of structurally
   identical sibling branches, root exchanges between composition
   factors, and multistart damped Newton on c(theta) = c(base).
+
+The exact oracle is pure integer/rational Python.  numpy serves only the
+float paths (``ParamPoint.as_floats``, ``jacobian_rank_float``,
+``CompiledMap`` and ``fiber_solutions``); each binds it on first use
+through ``_numpy``, so importing sdident, and every command but
+``fiber``, never loads it.
 """
 
 from __future__ import annotations
@@ -21,8 +27,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
-
-import numpy as np
 
 from .ident import analyze, exact_rank, random_rational, resultant
 from .network import Leaf, NetworkExpr, Series, params
@@ -37,6 +41,17 @@ from .opalg import (
     fold_constitutive,
 )
 
+np = None  # numpy, bound by _numpy() when a float path first runs
+
+
+def _numpy():
+    global np
+    if np is None:
+        import numpy
+
+        np = numpy
+    return np
+
 
 @dataclass(frozen=True)
 class ParamPoint:
@@ -50,7 +65,7 @@ class ParamPoint:
             raise ValueError("parameter values must be strictly positive")
 
     def as_floats(self) -> np.ndarray:
-        return np.array([float(v) for v in self.values])
+        return _numpy().array([float(v) for v in self.values])
 
 
 def sample_point(n_params: int, seed: int = 0) -> ParamPoint:
@@ -133,6 +148,7 @@ def jacobian_rank(expr: NetworkExpr, theta: ParamPoint) -> int:
 
 def jacobian_rank_float(expr: NetworkExpr, theta: ParamPoint, cutoff: float = 1e-8) -> int:
     """Floating-point SVD rank with a relative cutoff; cross-check only."""
+    _numpy()
     values = theta.values if isinstance(theta, ParamPoint) else tuple(theta)
     rows = jacobian_matrix(expr, values)
     mat = np.array([[float(x) for x in row] for row in rows])
@@ -153,13 +169,19 @@ def local_ranks(expr: NetworkExpr, trials: int = 3, seed: int = 0) -> list[int]:
     return [jacobian_rank(expr, sample_point(n, seed=seed + 1000 * t)) for t in range(trials)]
 
 
+def ranks_agree(ranks: Sequence[int], param_count: int, locally_identifiable: bool) -> bool:
+    """True iff every rank gives the symbolic local verdict: full rank
+    exactly when the network is locally identifiable."""
+    return all((rank == param_count) == locally_identifiable for rank in ranks)
+
+
 def verify_local(expr: NetworkExpr, trials: int = 3, seed: int = 0) -> bool:
     """True iff rank-based and table-based local verdicts agree at every
     sampled point (the pivot is positive at positive points, so no draw
     is degenerate)."""
     verdict = analyze(expr)
     ranks = local_ranks(expr, trials, seed)
-    return all((rank == verdict.param_count) == verdict.locally_identifiable for rank in ranks)
+    return ranks_agree(ranks, verdict.param_count, verdict.locally_identifiable)
 
 
 # ---------------------------------------------------------------------------
@@ -232,6 +254,7 @@ class CompiledMap:
     """Float evaluation of a network's coefficient map and its Jacobian."""
 
     def __init__(self, expr: NetworkExpr):
+        _numpy()
         self.expr = expr
         self.names = params(expr)
         self.nparams = len(self.names)
@@ -600,6 +623,7 @@ def fiber_solutions(
     the float tolerance); duplicates within relative distance 1e-6 are
     merged and the base point is always included.
     """
+    _numpy()
     verdict = analyze(expr)
     if not verdict.locally_identifiable:
         raise ValueError("fiber enumeration requires a locally identifiable network")

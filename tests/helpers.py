@@ -35,6 +35,15 @@ BRANCHED_10 = "(((E1&n1)|(E2&n2)) & E3 & n3 | (E4&n4)) & E5 & n5"
 ALL_EXAMPLES = [MAXWELL, VOIGT, BURGERS, GEN_KELVIN_VOIGT, LADDER_8, BRANCHED_10]
 
 
+def nested_chain(levels: int) -> str:
+    """A ladder with ``levels`` nested parentheses, each adding a parallel
+    inside a series: the deepest tree that many parentheses allow."""
+    text = "E0"
+    for k in range(levels, 0, -1):
+        text = f"E{k} | n{k} & ({text})"
+    return text
+
+
 # Expected outcome of combining two identifiable components, keyed by the
 # unordered class pair.  Shapes and counts are functions of the component
 # stress indices n1, n2; "identifiable" says whether parameter and

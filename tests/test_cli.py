@@ -1,17 +1,32 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import sdident
 from sdident import params, parse, sample_point
 from sdident.cli import main
 
-from helpers import BRANCHED_10, BURGERS, GEN_KELVIN_VOIGT, MAXWELL
+from helpers import BRANCHED_10, BURGERS, GEN_KELVIN_VOIGT, MAXWELL, nested_chain
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(sdident.__file__)))
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_python(*argv):
+    """A fresh interpreter that imports sdident from the tested sources."""
+    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run(
+        [sys.executable, *argv], capture_output=True, text=True, env=env, timeout=120
+    )
 
 
 class TestAnalyze:
@@ -102,6 +117,24 @@ class TestAnalyze:
         assert code == 2
         assert "parse error" in err
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "(" * 1200 + "E1" + ")" * 1200,
+            # 700 levels alternating series and parallel
+            "".join(f"{'E' if k % 2 else 'n'}{k} {'&' if k % 2 else '|'} (" for k in range(700))
+            + "E700"
+            + ")" * 700,
+            nested_chain(700),
+        ],
+        ids=["parens_1200", "alternating_700", "ladder_700"],
+    )
+    def test_deep_nesting_is_a_parse_error(self, text):
+        proc = run_python("-m", "sdident.cli", "analyze", text)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("parse error: parentheses nested deeper than")
+        assert "Traceback" not in proc.stderr
+
 
 class TestDerive:
     def test_voigt_equation_text(self, capsys):
@@ -163,7 +196,7 @@ class TestFiber:
     def test_unidentifiable_refused(self, capsys):
         code, _, err = run(capsys, "fiber", BRANCHED_10, "--starts", "5")
         assert code == 1
-        assert "locally identifiable" in err
+        assert err == "error: fiber enumeration requires a locally identifiable network\n"
 
 
 class TestGen:
@@ -208,11 +241,59 @@ class TestVerify:
         # force a disagreement to pin the exit-code contract
         import sdident.cli as cli_mod
 
-        monkeypatch.setattr(cli_mod, "verify_local", lambda *a, **k: False)
+        # both commands read the per-trial ranks; Maxwell has 2 parameters
+        monkeypatch.setattr(cli_mod, "local_ranks", lambda *a, **k: [1, 2, 2])
         code, _, _ = run(capsys, "verify", MAXWELL)
         assert code == 3
-        # analyze --verify reads the per-trial ranks; Maxwell has 2 parameters
-        monkeypatch.setattr(cli_mod, "local_ranks", lambda *a, **k: [1, 2, 2])
         code, _, err = run(capsys, "analyze", MAXWELL, "--verify")
         assert code == 3
         assert "disagrees" in err
+
+    def test_analyzes_once(self, capsys, monkeypatch):
+        import sdident.cli as cli_mod
+        import sdident.oracle as oracle_mod
+
+        original = cli_mod.analyze
+        calls = []
+
+        def counted(expr):
+            calls.append(expr)
+            return original(expr)
+
+        for module in (cli_mod, oracle_mod):
+            monkeypatch.setattr(module, "analyze", counted)
+        code, out, _ = run(capsys, "verify", BURGERS)
+        assert code == 0
+        assert out == "symbolic: identifiable (type D)\noracle:   agrees over 3 trials\n"
+        assert len(calls) == 1
+
+
+# Runs in a fresh interpreter: prints, per step, the argv, its exit code
+# and whether numpy is loaded after it.
+NUMPY_PROBE = """
+import contextlib, io, json, sys
+import sdident, sdident.cli
+steps = [[[], 0, "numpy" in sys.modules]]
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = sdident.cli.main(argv)
+    steps.append([argv, code, "numpy" in sys.modules])
+print(json.dumps(steps))
+"""
+
+
+def test_only_fiber_loads_numpy():
+    exact = [
+        ["tables"],
+        ["derive", BURGERS, "--json"],
+        ["analyze", BURGERS, "--verify", "--json"],
+        ["verify", BURGERS],
+        ["gen", "--elements", "6", "--count", "3"],
+    ]
+    fiber = ["fiber", BURGERS, "--starts", "5", "--json"]
+    proc = run_python("-c", NUMPY_PROBE, json.dumps(exact + [fiber]))
+    assert proc.returncode == 0, proc.stderr
+    steps = json.loads(proc.stdout)
+    # importing sdident and sdident.cli, then each exact command
+    assert steps[:-1] == [[[], 0, False]] + [[argv, 0, False] for argv in exact]
+    assert steps[-1] == [fiber, 0, True]

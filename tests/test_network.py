@@ -9,6 +9,7 @@ from sdident import (
     Parallel,
     ParseError,
     Series,
+    analyze,
     flatten,
     leaves,
     params,
@@ -17,7 +18,9 @@ from sdident import (
     render,
 )
 
-from helpers import BURGERS, GEN_KELVIN_VOIGT, LADDER_8
+from sdident.network import MAX_NESTING
+
+from helpers import BURGERS, GEN_KELVIN_VOIGT, LADDER_8, nested_chain
 
 
 def E(name):
@@ -84,6 +87,25 @@ class TestParse:
     def test_trailing_garbage(self):
         with pytest.raises(ParseError):
             parse("E1 & n1 )")
+
+    def test_nesting_at_limit_parses_renders_and_analyzes(self):
+        expr = parse(nested_chain(MAX_NESTING))
+        text = render(expr)
+        assert render(parse(text)) == text
+        assert analyze(expr).param_count == 2 * MAX_NESTING + 1
+        bare = parse("(" * MAX_NESTING + "E1" + ")" * MAX_NESTING)
+        assert render(bare) == "E1"
+
+    @pytest.mark.parametrize(
+        "text",
+        [nested_chain(MAX_NESTING + 1), "(" * (MAX_NESTING + 1) + "E1" + ")" * (MAX_NESTING + 1)],
+        ids=["ladder", "bare"],
+    )
+    def test_nesting_past_limit_rejected(self, text):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        # the first parenthesis past the limit
+        assert err.value.position == [i for i, ch in enumerate(text) if ch == "("][MAX_NESTING]
 
 
 class TestFlatten:
