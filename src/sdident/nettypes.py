@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .network import Leaf, NetworkExpr, Parallel, Series, render
+from .network import Leaf, NetworkExpr, Series, subtree_texts
 from .opalg import ConstitutiveEq, InvariantViolation, Shape
 
 
@@ -123,6 +123,7 @@ def type_trace(expr: NetworkExpr) -> tuple[NetType, tuple[TraceStep, ...]]:
     a printer indent them like a nested derivation chain.
     """
     steps: list[TraceStep] = []
+    labels = subtree_texts(expr)
 
     def walk(node: NetworkExpr, depth: int) -> NetType:
         if isinstance(node, Leaf):
@@ -131,12 +132,11 @@ def type_trace(expr: NetworkExpr) -> tuple[NetType, tuple[TraceStep, ...]]:
             op, name = table_series, "series"
         else:
             op, name = table_parallel, "parallel"
-        rendered = render(node)
         acc = walk(node.children[0], depth + 1)
         for child in node.children[1:]:
             t = walk(child, depth + 1)
             result = op(acc, t)
-            steps.append(TraceStep(name, acc, t, result, rendered, depth))
+            steps.append(TraceStep(name, acc, t, result, labels[id(node)], depth))
             acc = result
         return acc
 

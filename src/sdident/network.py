@@ -216,16 +216,33 @@ def params(expr: NetworkExpr) -> list[str]:
 
 def render(expr: NetworkExpr) -> str:
     """Canonical text with minimal parentheses; ``parse(render(e)) == e``."""
-    if isinstance(expr, Leaf):
-        return expr.element.name
-    if isinstance(expr, Series):
-        # parallel children bind looser than '&' and need parentheses
-        parts = [
-            f"({render(c)})" if isinstance(c, Parallel) else render(c)
-            for c in expr.children
-        ]
-        return " & ".join(parts)
-    return " | ".join(render(c) for c in expr.children)
+    return subtree_texts(expr)[id(expr)]
+
+
+def subtree_texts(expr: NetworkExpr) -> dict[int, str]:
+    """``render`` of every subtree, keyed by ``id(node)``, from one
+    post-order pass that joins each node once from its children's text."""
+    texts: dict[int, str] = {}
+
+    def walk(node: NetworkExpr) -> str:
+        if isinstance(node, Leaf):
+            text = node.element.name
+        else:
+            text = _joined(node, [walk(c) for c in node.children])
+        texts[id(node)] = text
+        return text
+
+    walk(expr)
+    return texts
+
+
+def _joined(node: Series | Parallel, parts: list[str]) -> str:
+    if isinstance(node, Parallel):
+        return " | ".join(parts)
+    # parallel children bind looser than '&' and need parentheses
+    return " & ".join(
+        f"({p})" if isinstance(c, Parallel) else p for c, p in zip(node.children, parts)
+    )
 
 
 def random_network(seed: int, n_elements: int) -> NetworkExpr:

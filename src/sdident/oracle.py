@@ -12,6 +12,10 @@ Two oracles, deliberately separate from the table algebra:
   identical sibling branches, root exchanges between composition
   factors, and multistart damped Newton on c(theta) = c(base).
 
+Newton runs on ``CompiledMap``, one float stack of the coefficient map's
+monomials: every exponent is 0 or 1, so the same terms give the values
+and the Jacobian, and no derivative polynomial is built.
+
 The exact oracle is pure integer/rational Python.  numpy serves only the
 float paths (``ParamPoint.as_floats``, ``jacobian_rank_float``,
 ``CompiledMap`` and ``fiber_solutions``); each binds it on first use
@@ -29,12 +33,11 @@ from fractions import Fraction
 from typing import Sequence
 
 from .ident import analyze, exact_rank, random_rational, resultant
-from .network import Leaf, NetworkExpr, Series, params
+from .network import Leaf, NetworkExpr, Series, leaves, params
 from .opalg import (
     ConstitutiveEq,
     DiffOperator,
     InvariantViolation,
-    ParamPoly,
     Rat,
     coefficient_map,
     constitutive,
@@ -222,69 +225,47 @@ def _tight_vector(op: DiffOperator, values: Sequence[Rat]) -> list[Fraction]:
 # compiled float evaluation of the coefficient map
 
 
-class _PolyStack:
-    """Many polynomials evaluated at once: exp(E @ log theta) per term,
-    with E the 0/1 exponent matrix of the monomial masks, then
-    per-polynomial segment sums (positive theta only)."""
-
-    def __init__(self, polys: Sequence[ParamPoly], nparams: int):
-        exps: list[list[int]] = []
-        coeffs: list[float] = []
-        offsets = [0]
-        for p in polys:
-            for mask, c in p.terms.items():
-                exps.append([mask >> i & 1 for i in range(nparams)])
-                coeffs.append(float(c))
-            offsets.append(len(coeffs))
-        self.exp_matrix = (
-            np.array(exps, dtype=float) if exps else np.zeros((0, nparams))
-        )
-        self.coeffs = np.array(coeffs)
-        self.offsets = np.array(offsets)
-
-    def evaluate(self, theta: np.ndarray) -> np.ndarray:
-        if self.exp_matrix.shape[0] == 0:
-            return np.zeros(len(self.offsets) - 1)
-        terms = self.coeffs * np.exp(self.exp_matrix @ np.log(theta))
-        cums = np.concatenate(([0.0], np.cumsum(terms)))
-        return cums[self.offsets[1:]] - cums[self.offsets[:-1]]
-
-
 class CompiledMap:
-    """Float evaluation of a network's coefficient map and its Jacobian."""
+    """Float evaluation of a network's coefficient map and its Jacobian
+    (positive theta only).
+
+    One stack of terms t = exp(E @ log theta), E the 0/1 exponent matrix
+    of the monomial masks, summed per polynomial (the ``dim`` numerators,
+    then the pivot) by a matrix S holding each term's coefficient in its
+    polynomial's row.  A multilinear term has dt/dtheta_i = t*E_i/theta_i,
+    so the gradients are ((S*t) @ E)/theta from the same terms.
+    """
 
     def __init__(self, expr: NetworkExpr):
         _numpy()
         self.expr = expr
         self.names = params(expr)
         self.nparams = len(self.names)
-        eq = constitutive(expr)
-        entries = coefficient_map(eq)
+        entries = coefficient_map(constitutive(expr))
         self.dim = len(entries)
         self._entries = entries
-        nums = [num for num, _ in entries]
-        den = entries[0][1]
-        self._values = _PolyStack(nums + [den], self.nparams)
-        jac_polys: list[ParamPoly] = []
-        for num in nums:
-            jac_polys.extend(num.derivative(i) for i in range(self.nparams))
-        jac_polys.extend(den.derivative(i) for i in range(self.nparams))
-        self._partials = _PolyStack(jac_polys, self.nparams)
+        polys = [num for num, _ in entries] + [entries[0][1]]
+        terms = [(row, mask, c) for row, p in enumerate(polys) for mask, c in p.terms.items()]
+        self._exps = np.array(
+            [[mask >> i & 1 for i in range(self.nparams)] for _, mask, _ in terms], dtype=float
+        )
+        self._sums = np.zeros((len(polys), len(terms)))
+        for col, (row, _, c) in enumerate(terms):
+            self._sums[row, col] = c
 
     def value(self, theta: np.ndarray) -> np.ndarray:
-        vals = self._values.evaluate(theta)
-        return vals[: self.dim] / vals[self.dim]
+        sums = self._sums @ np.exp(self._exps @ np.log(theta))
+        return sums[: self.dim] / sums[self.dim]
 
     def value_exact(self, theta: Sequence[Rat]) -> list[Fraction]:
         return [num.evaluate(theta) / den.evaluate(theta) for num, den in self._entries]
 
     def jacobian(self, theta: np.ndarray) -> np.ndarray:
-        vals = self._values.evaluate(theta)
-        nums, den = vals[: self.dim], vals[self.dim]
-        parts = self._partials.evaluate(theta)
-        dnum = parts[: self.dim * self.nparams].reshape(self.dim, self.nparams)
-        dden = parts[self.dim * self.nparams :]
-        return (dnum * den - np.outer(nums, dden)) / den**2
+        weighted = self._sums * np.exp(self._exps @ np.log(theta))
+        sums = weighted.sum(axis=1)
+        grads = weighted @ self._exps / theta
+        nums, den = sums[: self.dim], sums[self.dim]
+        return (grads[: self.dim] * den - np.outer(nums, grads[self.dim])) / den**2
 
 
 def _newton(
@@ -355,12 +336,6 @@ def _structure_sig(node: NetworkExpr):
     return (kind, tuple(_structure_sig(c) for c in node.children))
 
 
-def _leaf_count(node: NetworkExpr) -> int:
-    if isinstance(node, Leaf):
-        return 1
-    return sum(_leaf_count(c) for c in node.children)
-
-
 def sibling_groups(expr: NetworkExpr) -> list[list[tuple[int, int]]]:
     """Groups of (start, length) leaf spans of structurally identical
     siblings under one internal node; only groups of size >= 2."""
@@ -413,7 +388,7 @@ def _child_slices(expr: NetworkExpr) -> list[tuple[NetworkExpr, int, int]]:
     out = []
     cursor = 0
     for child in expr.children:  # type: ignore[union-attr]
-        n = _leaf_count(child)
+        n = len(leaves(child))
         out.append((child, cursor, n))
         cursor += n
     return out
@@ -475,7 +450,8 @@ def _root_exchange_candidates(
         original.append(tuple(range(cursor, cursor + s)))
         cursor += s
 
-    rhs = _combined_other_side(factors, powers, others, other_lows)
+    widths = [len(q) for q in others]
+    rhs = _other_side_matrix(factors, powers, other_lows, widths) @ np.concatenate(others)
 
     candidates: list[np.ndarray] = []
     cmaps: dict[int, CompiledMap] = {}  # per child, built on first use
@@ -496,7 +472,8 @@ def _root_exchange_candidates(
             new_factors.append(vec)
         if not ok:
             continue
-        new_others = _solve_other_side(new_factors, powers, other_lows, others, rhs)
+        matrix = _other_side_matrix(new_factors, powers, other_lows, widths)
+        new_others = _solve_other_side(matrix, rhs, widths)
         if new_others is None:
             continue
         point = np.array(base, dtype=float)
@@ -516,58 +493,30 @@ def _root_exchange_candidates(
     return candidates
 
 
-def _full_vector(tight: np.ndarray, low: int) -> np.ndarray:
-    return np.concatenate([np.zeros(low), tight])
-
-
-def _combined_other_side(factors, powers, others, other_lows) -> np.ndarray:
-    """Ascending coefficients of sum_i (prod_{j != i} full_j) * other_i."""
-    fulls = [_full_vector(f, p) for f, p in zip(factors, powers)]
-    total = None
-    for i, (other, low) in enumerate(zip(others, other_lows)):
-        prod = np.array([1.0])
-        for j, full in enumerate(fulls):
-            if j != i:
-                prod = np.convolve(prod, full)
-        term = np.convolve(prod, _full_vector(other, low))
-        if total is None:
-            total = term
-        elif len(term) > len(total):
-            term[: len(total)] += total
-            total = term
-        else:
-            total[: len(term)] += term
-    return total
-
-
-def _solve_other_side(factors, powers, other_lows, others, rhs) -> list[np.ndarray] | None:
-    """Solve the linear system for the non-exchanged operator coefficients."""
-    fulls = [_full_vector(f, p) for f, p in zip(factors, powers)]
+def _other_side_matrix(factors, powers, other_lows, widths) -> np.ndarray:
+    """The solved side is sum_i (prod_{j != i} full factor_j) * other_i:
+    linear in the other-side coefficients (child i's orders other_lows[i]
+    onward, widths[i] of them), one column each."""
+    fulls = [np.concatenate([np.zeros(p), f]) for f, p in zip(factors, powers)]
     columns = []
-    slots = []
-    n_rows = len(rhs)
-    for i, (other, low) in enumerate(zip(others, other_lows)):
+    for i, (low, width) in enumerate(zip(other_lows, widths)):
         prod = np.array([1.0])
         for j, full in enumerate(fulls):
             if j != i:
                 prod = np.convolve(prod, full)
-        width = len(other)
-        slots.append(width)
-        for k in range(low, low + width):
-            col = np.zeros(n_rows)
-            top = min(n_rows, len(prod) + k)
-            col[k:top] = prod[: top - k]
-            columns.append(col)
-    matrix = np.column_stack(columns)
+        columns.extend((k, prod) for k in range(low, low + width))
+    matrix = np.zeros((max(k + len(prod) for k, prod in columns), len(columns)))
+    for col, (k, prod) in enumerate(columns):
+        matrix[k : k + len(prod), col] = prod
+    return matrix
+
+
+def _solve_other_side(matrix: np.ndarray, rhs: np.ndarray, widths) -> list[np.ndarray] | None:
+    """Solve the linear system for the non-exchanged operator coefficients."""
     solution, *_ = np.linalg.lstsq(matrix, rhs, rcond=None)
     if np.max(np.abs(matrix @ solution - rhs)) > 1e-8 * (1.0 + np.max(np.abs(rhs))):
         return None
-    out = []
-    pos = 0
-    for width in slots:
-        out.append(solution[pos : pos + width])
-        pos += width
-    return out
+    return np.split(solution, np.cumsum(widths)[:-1])
 
 
 def _solve_child(

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -134,6 +135,24 @@ class TestAnalyze:
         assert proc.returncode == 2
         assert proc.stderr.startswith("parse error: parentheses nested deeper than")
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("argv", [["analyze", "--json"], ["derive"]])
+    def test_term_budget_refuses_deep_ladder(self, argv):
+        # nested_chain(100) parses, but its equation would have about 1e42
+        # terms; the term budget stops it before any derivation starts
+        start = time.perf_counter()
+        proc = run_python("-m", "sdident.cli", *argv, nested_chain(100))
+        assert time.perf_counter() - start < 20
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: the constitutive equation would have")
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("argv", [["analyze", "--json"], ["derive"]])
+    def test_term_budget_admits_ladder_of_ten(self, argv):
+        proc = run_python("-m", "sdident.cli", *argv, nested_chain(10))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
 
 
 class TestDerive:

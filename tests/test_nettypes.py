@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sdident import (
+    Leaf,
     NetType,
     Shape,
     classify,
@@ -17,8 +18,9 @@ from sdident import (
     type_of,
     type_trace,
 )
+from sdident import network
 
-from helpers import BRANCHED_10, BURGERS, GEN_KELVIN_VOIGT, LADDER_8, MAXWELL, VOIGT
+from helpers import BRANCHED_10, BURGERS, GEN_KELVIN_VOIGT, LADDER_8, MAXWELL, VOIGT, nested_chain
 
 A, B, C, D, U = NetType.A, NetType.B, NetType.C, NetType.D, NetType.U
 
@@ -111,6 +113,37 @@ class TestTypeOf:
         assert t == D
         results = [(s.connection, s.left.value, s.right.value, s.result.value) for s in steps]
         assert ("parallel", "A", "B", "C") in results
+
+    def test_trace_labels_render_each_node_once(self, monkeypatch):
+        expr = parse(nested_chain(100))
+
+        def nodes(node):
+            yield node
+            for child in getattr(node, "children", ()):
+                yield from nodes(child)
+
+        def labels(node):
+            # the step labels in evaluation order: render(node) once per
+            # table application at that node
+            if isinstance(node, Leaf):
+                return []
+            out = labels(node.children[0])
+            for child in node.children[1:]:
+                out += labels(child) + [network.render(node)]
+            return out
+
+        expected = labels(expr)
+        joined = []
+        original = network._joined
+
+        def counted(node, parts):
+            joined.append(id(node))
+            return original(node, parts)
+
+        monkeypatch.setattr(network, "_joined", counted)
+        _, steps = type_trace(expr)
+        assert sorted(joined) == sorted(id(n) for n in nodes(expr) if not isinstance(n, Leaf))
+        assert [step.node for step in steps] == expected
 
     def test_child_order_invariance(self):
         for seed in range(40):

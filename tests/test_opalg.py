@@ -23,7 +23,7 @@ from sdident import (
     random_network,
 )
 
-from helpers import BURGERS, LADDER_8, child_equations, embedded_pair
+from helpers import BURGERS, LADDER_8, child_equations, embedded_pair, nested_chain
 
 
 def _rational_functions_equal(pair, expected_num, expected_den):
@@ -228,6 +228,22 @@ class TestConstitutive:
         n = eq.sig.high
         assert eq.eps.shape == Shape(n, 1)
         assert eq.sig.shape == Shape(n, 0)
+
+    @pytest.mark.parametrize(
+        "text", [LADDER_8, nested_chain(6), " | ".join(f"(E{i} & n{i})" for i in range(6))]
+    )
+    def test_term_budget_is_exact(self, text, monkeypatch):
+        # the theta = 1 pass counts the terms exactly, so a budget of
+        # exactly that many admits the equation and one fewer refuses it
+        from sdident import opalg
+
+        eq = constitutive(parse(text))
+        terms = sum(len(c.terms) for op in (eq.eps, eq.sig) for c in op.coeffs)
+        monkeypatch.setattr(opalg, "MAX_TERMS", terms)
+        assert constitutive(parse(text)).eps == eq.eps
+        monkeypatch.setattr(opalg, "MAX_TERMS", terms - 1)
+        with pytest.raises(ValueError, match=f"would have {terms} terms"):
+            constitutive(parse(text))
 
 
 class TestEvalOperator:

@@ -209,19 +209,36 @@ class TestCoprimality:
                 assert ok
 
 
+def _identifiable_random_networks(count: int, top: int = 10) -> list:
+    rng = random.Random(314)
+    out = []
+    while len(out) < count:
+        expr = random_network(rng.randint(0, 10**9), rng.randint(2, top))
+        if analyze(expr).locally_identifiable:
+            out.append(expr)
+    return out
+
+
+COMPILED_MAP_CASES = [
+    pytest.param(parse(LADDER_8), id="LADDER_8"),
+    pytest.param(parse(GEN_KELVIN_VOIGT), id="GEN_KELVIN_VOIGT"),
+    pytest.param(parse(BURGERS), id="BURGERS"),
+] + [pytest.param(e, id=f"random-{k}") for k, e in enumerate(_identifiable_random_networks(20))]
+
+
 class TestCompiledMap:
-    def test_float_matches_exact(self):
-        expr = parse(BURGERS)
+    @pytest.mark.parametrize("expr", COMPILED_MAP_CASES)
+    def test_float_matches_exact(self, expr):
         cmap = CompiledMap(expr)
-        pt = sample_point(4, seed=6)
+        pt = sample_point(cmap.nparams, seed=6)
         exact = [float(v) for v in cmap.value_exact(pt.values)]
         floats = cmap.value(pt.as_floats())
         assert np.allclose(floats, exact, rtol=1e-12)
 
-    def test_jacobian_matches_exact(self):
-        expr = parse(BURGERS)
+    @pytest.mark.parametrize("expr", COMPILED_MAP_CASES)
+    def test_jacobian_matches_exact(self, expr):
         cmap = CompiledMap(expr)
-        pt = sample_point(4, seed=7)
+        pt = sample_point(cmap.nparams, seed=7)
         dense = cmap.jacobian(pt.as_floats())
         exact_rows = jacobian_matrix(expr, pt.values)
         eq = constitutive(expr)
@@ -229,6 +246,22 @@ class TestCompiledMap:
         scaled = np.array([[float(x / den**2) for x in row] for row in exact_rows])
         assert np.allclose(dense, scaled, rtol=1e-9)
 
+    @pytest.mark.parametrize("expr", COMPILED_MAP_CASES)
+    def test_accurate_at_spread_points(self, expr):
+        # parameters over eight decades, as Newton's iterates can roam:
+        # terms then span many magnitudes, and the sums must not cancel
+        cmap = CompiledMap(expr)
+        rng = random.Random(cmap.nparams)
+        theta = np.array([10 ** rng.uniform(-4, 4) for _ in range(cmap.nparams)])
+        point = [F(float(v)) for v in theta]
+        exact = np.array([float(v) for v in cmap.value_exact(point)])
+        assert np.allclose(cmap.value(theta), exact, rtol=1e-12, atol=0)
+        den = coefficient_map(constitutive(expr))[0][1].evaluate(point)
+        rows = jacobian_matrix(expr, point)
+        dense = np.array([[float(x / den**2) for x in row] for row in rows])
+        # d/dlog(theta), relative to each coefficient's value
+        error = np.abs((cmap.jacobian(theta) - dense) * theta) / np.abs(exact)[:, None]
+        assert np.max(error) <= 1e-12
 
 class TestSiblingGroups:
     def test_gen_kelvin_voigt_voigt_triplet(self):
