@@ -11,13 +11,16 @@ Subcommands:
     verify EXPR    symbolic verdict against the rank oracle
 
 Exit codes: 0 success, 1 usage/domain error, 2 parse error, 3 internal
-inconsistency (symbolic verdict and numeric oracle disagree).
+inconsistency (symbolic verdict and numeric oracle disagree), 141 the
+reader closed standard output early (128 + SIGPIPE, as a shell reports
+a writer the signal ended).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Sequence
 
@@ -26,6 +29,8 @@ from .nettypes import classify, format_tables
 from .network import NetworkExpr, ParseError, parse, params, random_network, render
 from .opalg import ConstitutiveEq, InvariantViolation, constitutive, equation_to_json
 from .oracle import fiber_solutions, local_ranks, ranks_agree
+
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE
 
 _DERIV_MARKS = {0: "", 1: "̇", 2: "̈"}
 _EPS = "ε"
@@ -206,12 +211,14 @@ def cmd_fiber(args) -> int:
         "count": len(report.solutions),
         "truncated": report.truncated,
         "multistarts": report.multistarts,
+        "converged": report.converged,
     }
     if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         print(f"base point: {', '.join(payload['base'])}")
         print(f"solutions found: {payload['count']}" + (" (truncated)" if report.truncated else ""))
+        print(f"multistarts converged: {report.converged} of {report.multistarts}")
         for sol in report.solutions:
             values = ", ".join(f"{v:.9g}" for v in sol.values)
             print(f"  [{sol.method}] {values}")
@@ -297,7 +304,13 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed reader shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # the interpreter flushes stdout again on exit: let it hit devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except ParseError as err:
         print(f"parse error: {err}", file=sys.stderr)
         return 2

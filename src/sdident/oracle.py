@@ -14,7 +14,11 @@ Two oracles, deliberately separate from the table algebra:
 
 Newton runs on ``CompiledMap``, one float stack of the coefficient map's
 monomials: every exponent is 0 or 1, so the same terms give the values
-and the Jacobian, and no derivative polynomial is built.
+and the Jacobian, and no derivative polynomial is built.  All the
+multistarts run as one batch (``_newton_batch``): one stacked solve per
+iteration, and a backtracking line search that evaluates its step
+lengths in blocks of ``_LADDER_BLOCK`` per ``value`` call.  Each start
+takes the same iterates it would take alone, bit for bit.
 
 The exact oracle is pure integer/rational Python.  numpy serves only the
 float paths (``ParamPoint.as_floats``, ``jacobian_rank_float``,
@@ -25,6 +29,7 @@ through ``_numpy``, so importing sdident, and every command but
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -227,13 +232,16 @@ def _tight_vector(op: DiffOperator, values: Sequence[Rat]) -> list[Fraction]:
 
 class CompiledMap:
     """Float evaluation of a network's coefficient map and its Jacobian
-    (positive theta only).
+    (positive theta only), at one point ``(n,)`` or a batch ``(k, n)``.
 
     One stack of terms t = exp(E @ log theta), E the 0/1 exponent matrix
     of the monomial masks, summed per polynomial (the ``dim`` numerators,
     then the pivot) by a matrix S holding each term's coefficient in its
     polynomial's row.  A multilinear term has dt/dtheta_i = t*E_i/theta_i,
-    so the gradients are ((S*t) @ E)/theta from the same terms.
+    so the gradients are ((S*t) @ E)/theta from the same terms.  Each
+    point of a batch is a matrix product of its own, so a row's result
+    is bitwise that of the point alone and never depends on its
+    neighbours.
     """
 
     def __init__(self, expr: NetworkExpr):
@@ -253,59 +261,124 @@ class CompiledMap:
         for col, (row, _, c) in enumerate(terms):
             self._sums[row, col] = c
 
+    def _terms(self, theta: np.ndarray) -> np.ndarray:
+        """Term values, shape (..., 1, terms): one row per point."""
+        exponents = np.log(theta)[..., None, :] @ self._exps.T
+        return np.exp(exponents, out=exponents)
+
     def value(self, theta: np.ndarray) -> np.ndarray:
-        sums = self._sums @ np.exp(self._exps @ np.log(theta))
-        return sums[: self.dim] / sums[self.dim]
+        sums = (self._terms(theta) @ self._sums.T)[..., 0, :]
+        return sums[..., : self.dim] / sums[..., self.dim, None]
 
     def value_exact(self, theta: Sequence[Rat]) -> list[Fraction]:
         return [num.evaluate(theta) / den.evaluate(theta) for num, den in self._entries]
 
     def jacobian(self, theta: np.ndarray) -> np.ndarray:
-        weighted = self._sums * np.exp(self._exps @ np.log(theta))
-        sums = weighted.sum(axis=1)
-        grads = weighted @ self._exps / theta
-        nums, den = sums[: self.dim], sums[self.dim]
-        return (grads[: self.dim] * den - np.outer(nums, grads[self.dim])) / den**2
+        weighted = self._sums * self._terms(theta)
+        sums = weighted.sum(axis=-1)
+        grads = weighted @ self._exps / theta[..., None, :]
+        nums, den = sums[..., : self.dim, None], sums[..., self.dim, None, None]
+        return (grads[..., : self.dim, :] * den - nums * grads[..., self.dim, None, :]) / den**2
 
 
-def _newton(
+# Newton's backtracking ladder: the step lengths 1, 1/2, ..., 2**-39 (the
+# last one >= 1e-12), tried in blocks of _LADDER_BLOCK per value call
+_STEP_LENGTHS = tuple(2.0**-k for k in range(40))
+_LADDER_BLOCK = 8
+
+
+def _newton_batch(
     cmap: CompiledMap,
     target: np.ndarray,
-    start: np.ndarray,
+    starts: np.ndarray,
     max_iter: int = 60,
     tol: float = 1e-12,
-) -> np.ndarray | None:
-    theta = np.array(start, dtype=float)
-    if np.any(theta <= 0) or not np.all(np.isfinite(theta)):
-        return None
+) -> list[np.ndarray | None]:
+    """Damped Newton on c(theta) = target from each row of ``starts``
+    ``(k, n)``, all rows as one array; returns each row's converged point
+    or None.
+
+    A row's residual norm is max |c(theta) - target| / (1 + |target|).
+    Each iteration moves every active row by its Newton step times the
+    first ladder length that keeps theta positive and lowers the norm,
+    so a row follows exactly the iterates it would follow alone.  A row
+    stops when its norm reaches ``tol``, when its step is not finite, or
+    when no length lowers the norm; a start that is not positive and
+    finite gives None.  Diverging rows overflow quietly and die on their
+    non-finite step.
+    """
+    theta = np.array(starts, dtype=float).reshape(-1, cmap.nparams)
     scale = 1.0 + np.abs(target)
-    residual = cmap.value(theta) - target
-    best = np.max(np.abs(residual) / scale)
-    for _ in range(max_iter):
-        if best <= tol:
-            return theta
-        jac = cmap.jacobian(theta)
-        try:
-            step = np.linalg.solve(jac, -residual)
-        except np.linalg.LinAlgError:
-            step, *_ = np.linalg.lstsq(jac, -residual, rcond=None)
-        if not np.all(np.isfinite(step)):
-            return None
-        alpha = 1.0
-        moved = False
-        while alpha >= 1e-12:
-            cand = theta + alpha * step
-            if np.all(cand > 0):
-                cand_res = cmap.value(cand) - target
-                cand_norm = np.max(np.abs(cand_res) / scale)
-                if cand_norm < best:
-                    theta, residual, best = cand, cand_res, cand_norm
-                    moved = True
-                    break
-            alpha /= 2
-        if not moved:
+    best = np.full(len(theta), np.inf)
+    residual = np.zeros((len(theta), cmap.dim))
+    with np.errstate(all="ignore"):
+        active = np.all(theta > 0, axis=1) & np.all(np.isfinite(theta), axis=1)
+        residual[active] = cmap.value(theta[active]) - target
+        best[active] = _norms(residual[active], scale)
+        for _ in range(max_iter):
+            active &= ~(best <= tol)
+            rows = np.flatnonzero(active)
+            if not len(rows):
+                break
+            step = _newton_steps(cmap.jacobian(theta[rows]), -residual[rows])
+            finite = np.all(np.isfinite(step), axis=1)
+            active[rows[~finite]] = False
+            rows, step = rows[finite], step[finite]
+            moved = _line_search(cmap, target, scale, theta, residual, best, rows, step)
+            active[rows[~moved]] = False
+    return [point if norm <= tol else None for point, norm in zip(theta, best)]
+
+
+def _norms(residual: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """max |residual| / scale over the last axis; NaN if any entry is.
+    Column by column: a reduction over a short last axis is slow."""
+    return functools.reduce(np.maximum, np.moveaxis(np.abs(residual) / scale, -1, 0))
+
+
+def _newton_steps(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Newton steps for a stack of Jacobians, one stacked solve; on a
+    singular or non-square matrix, row by row with a least-squares
+    fallback.  A row whose Jacobian or residual is not finite gets a NaN
+    step."""
+    finite = np.all(np.isfinite(jac), axis=(1, 2)) & np.all(np.isfinite(rhs), axis=1)
+    steps = np.full(rhs.shape[:1] + jac.shape[2:], np.nan)
+    try:
+        steps[finite] = np.linalg.solve(jac[finite], rhs[finite, :, None])[..., 0]
+    except np.linalg.LinAlgError:
+        for i in np.flatnonzero(finite):
+            try:
+                steps[i] = np.linalg.solve(jac[i], rhs[i])
+            except np.linalg.LinAlgError:
+                steps[i] = np.linalg.lstsq(jac[i], rhs[i], rcond=None)[0]
+    return steps
+
+
+def _line_search(cmap, target, scale, theta, residual, best, rows, step) -> np.ndarray:
+    """Backtrack each of ``rows`` along its ``step``: move it, in place, to
+    the first ladder length whose point is positive and lowers ``best``.
+    Returns which rows moved."""
+    searching = np.ones(len(rows), dtype=bool)
+    for first in range(0, len(_STEP_LENGTHS), _LADDER_BLOCK):
+        index = np.flatnonzero(searching)
+        if not len(index):
             break
-    return theta if best <= tol else None
+        lengths = np.array(_STEP_LENGTHS[first : first + _LADDER_BLOCK])
+        at = rows[index]
+        cand = theta[at, None, :] + lengths[:, None] * step[index, None, :]
+        cand = cand.reshape(-1, theta.shape[1])  # each row's lengths in ladder order
+        positive = np.flatnonzero(functools.reduce(np.minimum, cand.T) > 0)
+        cand_res = cmap.value(cand[positive]) - target
+        cand_norm = _norms(cand_res, scale)
+        owner = positive // len(lengths)
+        lowered = np.flatnonzero(cand_norm < best[at[owner]])
+        # lowered ascends, so each row's first index is its longest good step
+        hit, first_hit = np.unique(owner[lowered], return_index=True)
+        pick = lowered[first_hit]
+        theta[at[hit]] = cand[positive[pick]]
+        residual[at[hit]] = cand_res[pick]
+        best[at[hit]] = cand_norm[pick]
+        searching[index[hit]] = False
+    return ~searching
 
 
 # ---------------------------------------------------------------------------
@@ -324,6 +397,7 @@ class FiberReport:
     solutions: tuple[FiberSolution, ...]
     truncated: bool
     multistarts: int
+    converged: int  # multistarts whose Newton converged to a verified point
 
     def __len__(self) -> int:
         return len(self.solutions)
@@ -546,7 +620,7 @@ def _solve_child(
                 [math.exp(rng.uniform(math.log(0.2), math.log(5.0))) for _ in start_values]
             )
             start = np.array(start_values, dtype=float) * jitter
-        found = _newton(cmap, target, start)
+        found = _newton_batch(cmap, target, start[None])[0]
         if found is not None:
             return found
     return None
@@ -589,10 +663,13 @@ def fiber_solutions(
     scale = 1.0 + np.abs(target)
     base_exact = cmap.value_exact(base.values)
 
-    def verifies(values: np.ndarray) -> bool:
-        if np.any(values <= 0) or not np.all(np.isfinite(values)):
-            return False
-        return bool(np.max(np.abs(cmap.value(values) - target) / scale) <= tol)
+    def verified(points) -> np.ndarray:
+        """Which rows of ``points`` are positive and map within ``tol``
+        of the target, in one ``value`` call."""
+        points = np.reshape(points, (-1, n))
+        ok = np.all(points > 0, axis=1) & np.all(np.isfinite(points), axis=1)
+        ok[ok] = _norms(cmap.value(points[ok]) - target, scale) <= tol
+        return ok
 
     candidates: list[tuple[np.ndarray, str]] = [(base_floats, "base")]
 
@@ -603,17 +680,18 @@ def fiber_solutions(
             if cmap.value_exact(values) == base_exact:
                 candidates.append((np.array([float(v) for v in values]), "permutation"))
 
-    for point in _root_exchange_candidates(expr, base_floats, rng):
-        if verifies(point):
-            candidates.append((point, "root-exchange"))
+    exchanged = _root_exchange_candidates(expr, base_floats, rng)
+    candidates += [(p, "root-exchange") for p, ok in zip(exchanged, verified(exchanged)) if ok]
 
-    for _ in range(multistarts):
-        jitter = np.array(
+    jitters = np.array(
+        [
             [math.exp(rng.uniform(math.log(0.1), math.log(10.0))) for _ in range(n)]
-        )
-        found = _newton(cmap, target, base_floats * jitter)
-        if found is not None and verifies(found):
-            candidates.append((found, "multistart"))
+            for _ in range(multistarts)
+        ]
+    ).reshape(-1, n)
+    found = [p for p in _newton_batch(cmap, target, base_floats * jitters) if p is not None]
+    converged = [p for p, ok in zip(found, verified(found)) if ok]
+    candidates += [(p, "multistart") for p in converged]
 
     order = {"base": 0, "permutation": 1, "root-exchange": 2, "multistart": 3}
     candidates.sort(key=lambda item: (order[item[1]], tuple(item[0])))
@@ -632,4 +710,10 @@ def fiber_solutions(
             truncated = True
             break
         kept.append(FiberSolution(tuple(float(v) for v in values), method))
-    return FiberReport(base=base, solutions=tuple(kept), truncated=truncated, multistarts=multistarts)
+    return FiberReport(
+        base=base,
+        solutions=tuple(kept),
+        truncated=truncated,
+        multistarts=multistarts,
+        converged=len(converged),
+    )

@@ -8,7 +8,7 @@ import pytest
 
 import sdident
 from sdident import params, parse, sample_point
-from sdident.cli import main
+from sdident.cli import EXIT_BROKEN_PIPE, main
 
 from helpers import BRANCHED_10, BURGERS, GEN_KELVIN_VOIGT, MAXWELL, nested_chain
 
@@ -21,13 +21,29 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_python(*argv):
-    """A fresh interpreter that imports sdident from the tested sources."""
+def python_env() -> dict:
+    """Environment for a fresh interpreter that imports sdident from the
+    tested sources."""
     path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
-    env = dict(os.environ, PYTHONPATH=path)
+    return dict(os.environ, PYTHONPATH=path)
+
+
+def run_python(*argv):
     return subprocess.run(
-        [sys.executable, *argv], capture_output=True, text=True, env=env, timeout=120
+        [sys.executable, *argv], capture_output=True, text=True, env=python_env(), timeout=120
     )
+
+
+def test_closed_reader_exits_quietly():
+    # the reader goes away before any output, as `| head -1` can
+    argv = [sys.executable, "-m", "sdident.cli", "analyze", MAXWELL, "--verify", "--json"]
+    with subprocess.Popen(
+        argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=python_env()
+    ) as proc:
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == EXIT_BROKEN_PIPE
+    assert "Traceback" not in err and "Exception ignored" not in err
 
 
 class TestAnalyze:
@@ -211,6 +227,14 @@ class TestFiber:
         assert payload["count"] >= 6
         methods = {s["method"] for s in payload["solutions"]}
         assert "permutation" in methods
+
+    def test_reports_converged_starts(self, capsys):
+        code, out, _ = run(capsys, "fiber", MAXWELL, "--starts", "12")
+        assert code == 0
+        assert "multistarts converged: 12 of 12" in out
+        code, out, _ = run(capsys, "fiber", MAXWELL, "--starts", "12", "--json")
+        payload = json.loads(out)
+        assert (payload["converged"], payload["multistarts"]) == (12, 12)
 
     def test_unidentifiable_refused(self, capsys):
         code, _, err = run(capsys, "fiber", BRANCHED_10, "--starts", "5")

@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 from fractions import Fraction as F
 
 import numpy as np
@@ -29,6 +30,7 @@ from sdident import (
     verify_local,
 )
 from sdident.opalg import fold_constitutive
+from sdident.oracle import _newton_batch
 
 from helpers import (
     BRANCHED_10,
@@ -263,6 +265,50 @@ class TestCompiledMap:
         error = np.abs((cmap.jacobian(theta) - dense) * theta) / np.abs(exact)[:, None]
         assert np.max(error) <= 1e-12
 
+    @pytest.mark.parametrize("expr", COMPILED_MAP_CASES)
+    def test_batch_rows_are_lone_points(self, expr):
+        cmap = CompiledMap(expr)
+        rng = random.Random(cmap.nparams)
+        batch = np.array([[10 ** rng.uniform(-3, 3) for _ in cmap.names] for _ in range(9)])
+        values, jacobians = cmap.value(batch), cmap.jacobian(batch)
+        assert values.shape == (9, cmap.dim)
+        assert jacobians.shape == (9, cmap.dim, cmap.nparams)
+        for theta, value, jacobian in zip(batch, values, jacobians):
+            assert np.array_equal(cmap.value(theta), value)
+            assert np.array_equal(cmap.jacobian(theta), jacobian)
+
+
+class TestNewtonBatch:
+    @pytest.mark.parametrize("expr", COMPILED_MAP_CASES)
+    def test_rows_match_lone_starts(self, expr):
+        # every row follows the iterates of its start run alone, whatever
+        # its neighbours do: a start that is not positive, not finite or
+        # overflows the map dies quietly, and the base converges at once
+        cmap = CompiledMap(expr)
+        n = cmap.nparams
+        base = sample_point(n, seed=11).as_floats()
+        target = cmap.value(base)
+        rng = random.Random(n)
+        starts = [base * np.array([10 ** rng.uniform(-1, 1) for _ in range(n)]) for _ in range(12)]
+        negative, infinite = base.copy(), base.copy()
+        negative[0], infinite[-1] = -negative[0], np.inf
+        doomed = {2: negative, 6: infinite, 9: base * 1e300}
+        for index, start in doomed.items():
+            starts.insert(index, start)
+        starts.append(base)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            batch = _newton_batch(cmap, target, np.array(starts))
+            lone = [_newton_batch(cmap, target, start[None])[0] for start in starts]
+        assert len(batch) == len(starts)
+        assert [p is None for p in batch] == [p is None for p in lone]
+        assert all(batch[index] is None for index in doomed)
+        assert np.array_equal(batch[-1], base)
+        for point, alone in zip(batch, lone):
+            if alone is not None:
+                assert np.allclose(point, alone, rtol=1e-12, atol=0)
+
+
 class TestSiblingGroups:
     def test_gen_kelvin_voigt_voigt_triplet(self):
         groups = sibling_groups(parse(GEN_KELVIN_VOIGT))
@@ -356,14 +402,33 @@ class TestFiber:
             (GEN_KELVIN_VOIGT, 40, 1, ["base"] + ["permutation"] * 5),
             (BURGERS, 40, 1, ["base"]),
             (LADDER_8, 40, 1, ["base"]),
+            (GEN_KELVIN_VOIGT, 200, 3, ["base"] + ["permutation"] * 5),
+            ("(E1 & n1) | (E2 & n2)", 40, 5, ["base", "permutation"]),
+            (LADDER_8, 200, 0, ["base"]),
         ],
     )
     def test_reports_at_fixed_seeds(self, text, multistarts, seed, methods):
-        # frozen from the reports of the symbolic root exchange, before its
-        # operator vectors came from the float point pass
+        # the first three frozen from the reports of the symbolic root
+        # exchange, before its operator vectors came from the float point
+        # pass; the last three from the Newton that ran one start at a time
         report = fiber_solutions(parse(text), multistarts=multistarts, seed=seed)
         assert [s.method for s in report.solutions] == methods
 
+
+    def test_converged_counts_verified_starts_before_dedupe(self):
+        # every start reaches Maxwell's one preimage, which merges into the base
+        report = fiber_solutions(parse(MAXWELL), multistarts=30, seed=12)
+        assert (report.converged, report.multistarts, len(report)) == (30, 30, 1)
+        report = fiber_solutions(parse(GEN_KELVIN_VOIGT), multistarts=40, seed=3)
+        found = sum(s.method == "multistart" for s in report.solutions)
+        assert found <= report.converged <= 40
+        assert fiber_solutions(parse(MAXWELL), multistarts=0).converged == 0
+
+    def test_diverging_starts_stay_quiet(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = fiber_solutions(parse(GEN_KELVIN_VOIGT), multistarts=200, seed=3)
+        assert len(report) >= 6
 
     def test_root_exchange_builds_each_child_map_once(self, monkeypatch):
         import sdident.oracle as oracle_mod
