@@ -8,9 +8,10 @@ Two oracles, deliberately separate from the table algebra:
   composition fold, then fraction-free elimination; a floating-point
   SVD path exists only as a cross-check);
 * global identifiability is probed by enumerating the fiber of the
-  coefficient map over a base point: permutations of structurally
-  identical sibling branches, root exchanges between composition
-  factors, and multistart damped Newton on c(theta) = c(base).
+  coefficient map over a base point: root exchanges between the
+  composition factors at every node with two or more internal children
+  (swapping twin branches is one such exchange), and multistart damped
+  Newton on c(theta) = c(base).
 
 Newton runs on ``CompiledMap``, one float stack of the coefficient map's
 monomials: every exponent is 0 or 1, so the same terms give the values
@@ -388,7 +389,7 @@ def _line_search(cmap, target, scale, theta, residual, best, rows, step) -> np.n
 @dataclass(frozen=True)
 class FiberSolution:
     values: tuple[float, ...]
-    method: str  # "base" | "permutation" | "root-exchange" | "multistart"
+    method: str  # "base" | "root-exchange" | "multistart"
 
 
 @dataclass(frozen=True)
@@ -401,61 +402,6 @@ class FiberReport:
 
     def __len__(self) -> int:
         return len(self.solutions)
-
-
-def _structure_sig(node: NetworkExpr):
-    if isinstance(node, Leaf):
-        return ("leaf", node.element.kind)
-    kind = "series" if isinstance(node, Series) else "parallel"
-    return (kind, tuple(_structure_sig(c) for c in node.children))
-
-
-def sibling_groups(expr: NetworkExpr) -> list[list[tuple[int, int]]]:
-    """Groups of (start, length) leaf spans of structurally identical
-    siblings under one internal node; only groups of size >= 2."""
-    groups: list[list[tuple[int, int]]] = []
-
-    def walk(node: NetworkExpr, start: int) -> int:
-        if isinstance(node, Leaf):
-            return start + 1
-        spans: list[tuple[int, int]] = []
-        sigs = []
-        cursor = start
-        for child in node.children:
-            end = walk(child, cursor)
-            spans.append((cursor, end - cursor))
-            sigs.append(_structure_sig(child))
-            cursor = end
-        by_sig: dict[object, list[tuple[int, int]]] = {}
-        for sig, span in zip(sigs, spans):
-            by_sig.setdefault(sig, []).append(span)
-        for members in by_sig.values():
-            if len(members) >= 2:
-                groups.append(members)
-        return cursor
-
-    walk(expr, 0)
-    return groups
-
-
-def _permuted_points(base: Sequence[float], groups, cap: int):
-    """Distinct parameter vectors from permuting identical sibling spans."""
-    per_group = [list(itertools.permutations(range(len(g)))) for g in groups]
-    count = 0
-    for choice in itertools.product(*per_group):
-        if all(perm == tuple(range(len(perm))) for perm in choice):
-            continue
-        values = list(base)
-        for group, perm in zip(groups, choice):
-            snapshot = list(values)
-            for dest_idx, src_idx in enumerate(perm):
-                dstart, dlen = group[dest_idx]
-                sstart, _ = group[src_idx]
-                values[dstart : dstart + dlen] = snapshot[sstart : sstart + dlen]
-        yield values
-        count += 1
-        if count >= cap:
-            return
 
 
 def _child_slices(expr: NetworkExpr) -> list[tuple[NetworkExpr, int, int]]:
@@ -491,9 +437,8 @@ def _root_exchange_candidates(
     expr: NetworkExpr, base: np.ndarray, rng: random.Random, cap: int = 48
 ) -> list[np.ndarray]:
     """Alternative fiber points from redistributing the roots of the
-    composition factors at the top-level node among its children."""
-    if isinstance(expr, Leaf):
-        return []
+    composition factors at one node among its children, as values of
+    that node's parameters."""
     series = isinstance(expr, Series)
     children = _child_slices(expr)
 
@@ -641,11 +586,14 @@ def fiber_solutions(
     """All found preimages of c(base) under the coefficient map.
 
     The network must be locally identifiable (finite fiber).  Candidates
-    come from sibling permutations (verified exactly), root exchanges at
-    the top node, and multistart damped Newton (both verified against
-    the float tolerance); duplicates within relative distance 1e-6 are
-    merged and the base point is always included.
+    come from root exchanges at every node that has two or more internal
+    children (the paper's local-only criterion) and from multistart
+    damped Newton, both verified against the float tolerance; duplicates
+    within relative distance 1e-6 are merged and the base point is
+    always included.
     """
+    if multistarts < 0:
+        raise ValueError(f"multistarts must be non-negative, got {multistarts}")
     _numpy()
     verdict = analyze(expr)
     if not verdict.locally_identifiable:
@@ -661,7 +609,6 @@ def fiber_solutions(
     base_floats = base.as_floats()
     target = cmap.value(base_floats)
     scale = 1.0 + np.abs(target)
-    base_exact = cmap.value_exact(base.values)
 
     def verified(points) -> np.ndarray:
         """Which rows of ``points`` are positive and map within ``tol``
@@ -673,14 +620,25 @@ def fiber_solutions(
 
     candidates: list[tuple[np.ndarray, str]] = [(base_floats, "base")]
 
-    groups = sibling_groups(expr)
-    if groups:
-        for values in _permuted_points(list(base.values), groups, cap=4 * max_solutions):
-            # structurally identical branches: check exact map equality
-            if cmap.value_exact(values) == base_exact:
-                candidates.append((np.array([float(v) for v in values]), "permutation"))
+    # A subtree's equation enters the fold homogeneously and normalization
+    # drops the scalar, so a preimage of one node's map lifts to a
+    # preimage of the whole network's.
+    exchanged: list[np.ndarray] = []
 
-    exchanged = _root_exchange_candidates(expr, base_floats, rng)
+    def walk(node: NetworkExpr, start: int) -> None:
+        if isinstance(node, Leaf):
+            return
+        slices = _child_slices(node)
+        if sum(not isinstance(child, Leaf) for child, _, _ in slices) >= 2:
+            end = start + sum(size for _, _, size in slices)
+            for sub in _root_exchange_candidates(node, base_floats[start:end], rng):
+                point = base_floats.copy()
+                point[start:end] = sub
+                exchanged.append(point)
+        for child, offset, _ in slices:
+            walk(child, start + offset)
+
+    walk(expr, 0)
     candidates += [(p, "root-exchange") for p, ok in zip(exchanged, verified(exchanged)) if ok]
 
     jitters = np.array(
@@ -693,7 +651,7 @@ def fiber_solutions(
     converged = [p for p, ok in zip(found, verified(found)) if ok]
     candidates += [(p, "multistart") for p in converged]
 
-    order = {"base": 0, "permutation": 1, "root-exchange": 2, "multistart": 3}
+    order = {"base": 0, "root-exchange": 1, "multistart": 2}
     candidates.sort(key=lambda item: (order[item[1]], tuple(item[0])))
     kept: list[FiberSolution] = []
     truncated = False

@@ -285,7 +285,7 @@ def test_criterion_6_fiber_evidence():
 
     elapsed = time.perf_counter() - t0
     assert elapsed < 120.0
-    _report(6, "fiber evidence (>= 6 permuted, 4 singletons)", elapsed, 120)
+    _report(6, "fiber evidence (>= 6 exchanged, 4 singletons)", elapsed, 120)
 
 
 # ---------------------------------------------------------------------------

@@ -226,7 +226,7 @@ class TestFiber:
         payload = json.loads(out)
         assert payload["count"] >= 6
         methods = {s["method"] for s in payload["solutions"]}
-        assert "permutation" in methods
+        assert "root-exchange" in methods
 
     def test_reports_converged_starts(self, capsys):
         code, out, _ = run(capsys, "fiber", MAXWELL, "--starts", "12")
@@ -240,6 +240,12 @@ class TestFiber:
         code, _, err = run(capsys, "fiber", BRANCHED_10, "--starts", "5")
         assert code == 1
         assert err == "error: fiber enumeration requires a locally identifiable network\n"
+
+    def test_negative_starts_refused(self, capsys):
+        code, out, err = run(capsys, "fiber", "E1&n1", "--starts", "-5")
+        assert code == 1
+        assert out == ""
+        assert err == "error: multistarts must be non-negative, got -5\n"
 
 
 class TestGen:

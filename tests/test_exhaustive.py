@@ -4,7 +4,9 @@ table, and Jacobian-rank routes must agree everywhere, every derived
 equation must land in a shape class consistent with the tables, and the
 point-evaluated passes (shapes at theta = 1, forward-mode Jacobian) must
 match the symbolic equation exactly, and every coefficient must be a
-multilinear polynomial whose monomials all have coefficient 1."""
+multilinear polynomial whose monomials all have coefficient 1.  Up to
+five elements, every local-only network's fiber search finds a second
+preimage by root exchange alone."""
 
 import itertools
 from fractions import Fraction as F
@@ -13,6 +15,7 @@ from sdident import (
     DASHPOT,
     SPRING,
     Element,
+    GlobalStatus,
     Leaf,
     NetType,
     Parallel,
@@ -21,6 +24,7 @@ from sdident import (
     classify,
     constitutive,
     exact_rank,
+    fiber_solutions,
     jacobian_matrix,
     jacobian_rank,
     nonmonic_count,
@@ -125,3 +129,16 @@ def test_structure_counts():
         shapes = list(_structures(n))
         assert len(shapes) == expected
         assert all(_leaf_total(s) == n for s in shapes)
+
+
+def test_every_local_only_network_up_to_five_elements_has_a_witness():
+    # the paper: local-only exactly when some node has two or more
+    # internal children, and a root exchange at that node is a witness
+    local_only = 0
+    for expr in all_networks(5):
+        if analyze(expr).global_status != GlobalStatus.LOCAL_ONLY:
+            continue
+        local_only += 1
+        report = fiber_solutions(expr, multistarts=0)
+        assert len(report) >= 2, expr
+    assert local_only == 120

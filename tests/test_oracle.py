@@ -25,7 +25,6 @@ from sdident import (
     parse,
     random_network,
     sample_point,
-    sibling_groups,
     type_of,
     verify_local,
 )
@@ -309,17 +308,6 @@ class TestNewtonBatch:
                 assert np.allclose(point, alone, rtol=1e-12, atol=0)
 
 
-class TestSiblingGroups:
-    def test_gen_kelvin_voigt_voigt_triplet(self):
-        groups = sibling_groups(parse(GEN_KELVIN_VOIGT))
-        assert any(len(g) == 3 for g in groups)
-        triplet = next(g for g in groups if len(g) == 3)
-        assert triplet == [(1, 2), (3, 2), (5, 2)]
-
-    def test_no_groups_in_ladder(self):
-        assert sibling_groups(parse(LADDER_8)) == []
-
-
 class TestFiber:
     def test_maxwell_singleton(self):
         report = fiber_solutions(parse(MAXWELL), multistarts=60, seed=2)
@@ -334,11 +322,11 @@ class TestFiber:
         report = fiber_solutions(parse(BURGERS), multistarts=60, seed=2)
         assert len(report) == 1
 
-    def test_gen_kelvin_voigt_permutations(self):
+    def test_gen_kelvin_voigt_root_exchanges(self):
         report = fiber_solutions(parse(GEN_KELVIN_VOIGT), multistarts=40, seed=2)
         assert len(report) >= 6
         methods = {s.method for s in report.solutions}
-        assert "permutation" in methods
+        assert "root-exchange" in methods
 
     def test_twin_maxwell_branches_not_global(self):
         expr = parse("(E1 & n1) | (E2 & n2)")
@@ -355,6 +343,7 @@ class TestFiber:
             ("(E1 | n1) & (E2 | n2)", 2),
             ("(E1 | n1) & (E2 | n2) & (E3 | n3)", 3),
             ("(E1 & n1) | (E2 & n2) | (E3 & n3)", 3),
+            ("E1 & (n2 | E3 & n4 | E5 & n6)", 2),
         ],
     )
     def test_identical_branches_give_factorial_fibers(self, text, k):
@@ -371,6 +360,13 @@ class TestFiber:
         expr = parse("(E1|n1) & (E2|n2|(E3&n3))")
         report = fiber_solutions(expr, multistarts=120, seed=4)
         assert [s.method for s in report.solutions] == ["base", "root-exchange", "root-exchange"]
+
+    def test_nested_twins_found_without_multistarts(self):
+        # twin Maxwells below the root, their children in swapped order
+        expr = parse("E1 & (n2 | E3 & n4 | n5 & E6)")
+        assert analyze(expr).global_status == GlobalStatus.LOCAL_ONLY
+        report = fiber_solutions(expr, multistarts=0)
+        assert [s.method for s in report.solutions] == ["base", "root-exchange"]
 
     def test_solutions_verify_against_base(self):
         expr = parse(GEN_KELVIN_VOIGT)
@@ -399,11 +395,11 @@ class TestFiber:
     @pytest.mark.parametrize(
         "text,multistarts,seed,methods",
         [
-            (GEN_KELVIN_VOIGT, 40, 1, ["base"] + ["permutation"] * 5),
+            (GEN_KELVIN_VOIGT, 40, 1, ["base"] + ["root-exchange"] * 5),
             (BURGERS, 40, 1, ["base"]),
             (LADDER_8, 40, 1, ["base"]),
-            (GEN_KELVIN_VOIGT, 200, 3, ["base"] + ["permutation"] * 5),
-            ("(E1 & n1) | (E2 & n2)", 40, 5, ["base", "permutation"]),
+            (GEN_KELVIN_VOIGT, 200, 3, ["base"] + ["root-exchange"] * 5),
+            ("(E1 & n1) | (E2 & n2)", 40, 5, ["base", "root-exchange"]),
             (LADDER_8, 200, 0, ["base"]),
         ],
     )
