@@ -25,7 +25,7 @@ import sys
 from typing import Sequence
 
 from .ident import analyze
-from .nettypes import classify, format_tables
+from .nettypes import format_tables
 from .network import NetworkExpr, ParseError, parse, params, random_network, render
 from .opalg import ConstitutiveEq, InvariantViolation, constitutive, equation_to_json
 from .oracle import fiber_solutions, local_ranks, ranks_agree
@@ -85,19 +85,18 @@ def normalized_coefficients(eq: ConstitutiveEq, names: Sequence[str]) -> list[di
 
 def build_report(expr: NetworkExpr, text: str) -> dict:
     verdict = analyze(expr)
-    eq = constitutive(expr)
+    eq = constitutive(expr, verdict.ones)
     names = params(expr)
-    shape_type, index = classify(eq)
     return {
         "expression": text,
         "canonical": render(expr),
         "parameters": names,
         "net_type": verdict.net_type.value,
-        "shape_type": shape_type.value,
-        "index": index,
+        "shape_type": verdict.shape_type.value,
+        "index": verdict.index,
         "shapes": {
-            "eps": [eq.eps.high, eq.eps.low],
-            "sigma": [eq.sig.high, eq.sig.low],
+            "eps": list(verdict.ones.eps.shape),
+            "sigma": list(verdict.ones.sig.shape),
         },
         "param_count": verdict.param_count,
         "nonmonic_count": verdict.nonmonic_count,

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from typing import Sequence
@@ -51,9 +51,13 @@ class Verdict:
     param_count: int
     nonmonic_count: int
     net_type: NetType
+    shape_type: NetType  # shape class of the derived equation
     index: int  # highest stress order n of the derived equation
     constructible: bool
     trace: tuple[TraceStep, ...]
+    # the equation at theta = 1: exact shapes, term count; derived from the
+    # network like the fields above, so left out of == and hash
+    ones: ConstitutiveEq = field(compare=False)
 
 
 def nonmonic_count(eq: ConstitutiveEq) -> int:
@@ -84,12 +88,13 @@ def constructible_one_at_a_time(expr: NetworkExpr) -> bool:
 
 def analyze(expr: NetworkExpr) -> Verdict:
     """Full verdict: both local routes (count and table), plus global.
-    Counting reads the exact shapes from the integer pass at theta = 1."""
+    Counting reads the exact shapes from the integer pass at theta = 1,
+    which the verdict keeps for the term budget (``constitutive``)."""
     n_params = len(params(expr))
-    eq = fold_constitutive(expr, [1] * n_params, 1)
-    n_coeffs = nonmonic_count(eq)
+    ones = fold_constitutive(expr, [1] * n_params, 1)
+    n_coeffs = nonmonic_count(ones)
     net_type, trace = type_trace(expr)
-    _, index = classify(eq)
+    shape_type, index = classify(ones)
     local = n_params == n_coeffs
     if local != (net_type is not NetType.U):
         raise InvariantViolation(
@@ -109,9 +114,11 @@ def analyze(expr: NetworkExpr) -> Verdict:
         param_count=n_params,
         nonmonic_count=n_coeffs,
         net_type=net_type,
+        shape_type=shape_type,
         index=index,
         constructible=constructible,
         trace=trace,
+        ones=ones,
     )
 
 

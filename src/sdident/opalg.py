@@ -53,6 +53,13 @@ Rat = Union[int, Fraction]
 # on a 2-vCPU Xeon.
 MAX_TERMS = 10**6
 
+# Most float cells in the fiber search's largest batch array: rows (starts)
+# x max(coefficients + 1, line-search block) x terms.  ``fiber_solutions``
+# raises ValueError past it before deriving anything.  A 9-mode Maxwell
+# bank at 200 starts (1.3e7 cells) took 10 s and 150 MB peak RSS on a
+# 2-vCPU Xeon; the 14-mode bank (8.8e8 cells) would need a 6.6 GiB array.
+MAX_BATCH_CELLS = 2 * 10**7
+
 
 class InvariantViolation(RuntimeError):
     """An internal algebraic invariant failed; a bug, not bad input."""
@@ -371,17 +378,19 @@ def combine_parallel(eq1: ConstitutiveEq, eq2: ConstitutiveEq) -> ConstitutiveEq
     return ConstitutiveEq(l1 * l4 + l2 * l3, l2 * l4)
 
 
-def constitutive(expr: NetworkExpr) -> ConstitutiveEq:
+def constitutive(expr: NetworkExpr, ones: ConstitutiveEq | None = None) -> ConstitutiveEq:
     """Symbolic constitutive equation of a flattened network over its
     canonical parameter ordering.
 
     Every coefficient has positive integer coefficients, so its value at
     theta = (1, ..., 1) bounds its term count (exactly, with all of them
     1); past ``MAX_TERMS`` in total this raises ``ValueError`` up front.
+    ``ones`` is that integer pass when the caller has it (``Verdict.ones``).
     """
     nvars = len(params(expr))
-    ones = fold_constitutive(expr, [1] * nvars, 1)
-    terms = sum(ones.eps.coeffs) + sum(ones.sig.coeffs)
+    if ones is None:
+        ones = fold_constitutive(expr, [1] * nvars, 1)
+    terms = sum(ones.eps.coeffs + ones.sig.coeffs)
     if terms > MAX_TERMS:
         raise ValueError(
             f"the constitutive equation would have {terms} terms, over the budget of {MAX_TERMS}"

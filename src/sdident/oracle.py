@@ -5,8 +5,7 @@ Two oracles, deliberately separate from the table algebra:
 * local identifiability is re-decided from the exact rank of the
   Jacobian of the coefficient map at random positive rational points
   (a forward-mode pass of exact (value, gradient) duals through the
-  composition fold, then fraction-free elimination; a floating-point
-  SVD path exists only as a cross-check);
+  composition fold, then fraction-free elimination);
 * global identifiability is probed by enumerating the fiber of the
   coefficient map over a base point: root exchanges between the
   composition factors at every node with two or more internal children
@@ -22,10 +21,9 @@ lengths in blocks of ``_LADDER_BLOCK`` per ``value`` call.  Each start
 takes the same iterates it would take alone, bit for bit.
 
 The exact oracle is pure integer/rational Python.  numpy serves only the
-float paths (``ParamPoint.as_floats``, ``jacobian_rank_float``,
-``CompiledMap`` and ``fiber_solutions``); each binds it on first use
-through ``_numpy``, so importing sdident, and every command but
-``fiber``, never loads it.
+float paths (``ParamPoint.as_floats``, ``CompiledMap`` and
+``fiber_solutions``); each binds it on first use through ``_numpy``, so
+importing sdident, and every command but ``fiber``, never loads it.
 """
 
 from __future__ import annotations
@@ -41,6 +39,7 @@ from typing import Sequence
 from .ident import analyze, exact_rank, random_rational, resultant
 from .network import Leaf, NetworkExpr, Series, leaves, params
 from .opalg import (
+    MAX_BATCH_CELLS,
     ConstitutiveEq,
     DiffOperator,
     InvariantViolation,
@@ -155,20 +154,6 @@ def jacobian_rank(expr: NetworkExpr, theta: ParamPoint) -> int:
     return exact_rank(_jacobian_rows(expr, values)[0])
 
 
-def jacobian_rank_float(expr: NetworkExpr, theta: ParamPoint, cutoff: float = 1e-8) -> int:
-    """Floating-point SVD rank with a relative cutoff; cross-check only."""
-    _numpy()
-    values = theta.values if isinstance(theta, ParamPoint) else tuple(theta)
-    rows = jacobian_matrix(expr, values)
-    mat = np.array([[float(x) for x in row] for row in rows])
-    if mat.size == 0:
-        return 0
-    s = np.linalg.svd(mat, compute_uv=False)
-    if s.size == 0 or s[0] == 0:
-        return 0
-    return int(np.sum(s > cutoff * s[0]))
-
-
 def local_ranks(expr: NetworkExpr, trials: int = 3, seed: int = 0) -> list[int]:
     """Exact Jacobian ranks at the ``verify_local`` sample points, trial t
     at ``sample_point(n, seed + 1000 * t)``."""
@@ -232,8 +217,9 @@ def _tight_vector(op: DiffOperator, values: Sequence[Rat]) -> list[Fraction]:
 
 
 class CompiledMap:
-    """Float evaluation of a network's coefficient map and its Jacobian
-    (positive theta only), at one point ``(n,)`` or a batch ``(k, n)``.
+    """Float evaluation of a derived equation's coefficient map and its
+    Jacobian (positive theta only), at one point ``(n,)`` or a batch
+    ``(k, n)``.
 
     One stack of terms t = exp(E @ log theta), E the 0/1 exponent matrix
     of the monomial masks, summed per polynomial (the ``dim`` numerators,
@@ -245,12 +231,10 @@ class CompiledMap:
     neighbours.
     """
 
-    def __init__(self, expr: NetworkExpr):
+    def __init__(self, eq: ConstitutiveEq):
         _numpy()
-        self.expr = expr
-        self.names = params(expr)
-        self.nparams = len(self.names)
-        entries = coefficient_map(constitutive(expr))
+        self.nparams = eq.nvars
+        entries = coefficient_map(eq)
         self.dim = len(entries)
         self._entries = entries
         polys = [num for num, _ in entries] + [entries[0][1]]
@@ -501,7 +485,7 @@ def _root_exchange_candidates(
             zip(children, new_factors, new_others)
         ):
             if index not in cmaps:
-                cmaps[index] = CompiledMap(child)
+                cmaps[index] = CompiledMap(constitutive(child))
             theta = _solve_child(cmaps[index], p_new, q_new, series, base[start : start + n], rng)
             if theta is None:
                 assembled = False
@@ -590,21 +574,33 @@ def fiber_solutions(
     children (the paper's local-only criterion) and from multistart
     damped Newton, both verified against the float tolerance; duplicates
     within relative distance 1e-6 are merged and the base point is
-    always included.
+    always included.  A search whose largest batch array would pass
+    ``MAX_BATCH_CELLS`` raises ValueError before deriving anything.
     """
     if multistarts < 0:
         raise ValueError(f"multistarts must be non-negative, got {multistarts}")
+    if max_solutions < 1:
+        raise ValueError(f"max_solutions must be positive, got {max_solutions}")
     _numpy()
     verdict = analyze(expr)
     if not verdict.locally_identifiable:
         raise ValueError("fiber enumeration requires a locally identifiable network")
     n = verdict.param_count
+    # the Jacobian's (rows, n + 1, terms) products and the line search's
+    # (rows * _LADDER_BLOCK, 1, terms) term values
+    terms = sum(verdict.ones.eps.coeffs + verdict.ones.sig.coeffs)
+    cells = max(multistarts, 1) * max(n + 1, _LADDER_BLOCK) * terms
+    if cells > MAX_BATCH_CELLS:
+        raise ValueError(
+            f"the fiber search would hold {cells} floats in one array with {multistarts}"
+            f" starts, over the budget of {MAX_BATCH_CELLS}"
+        )
     if base is None:
         base = sample_point(n, seed)
     if len(base.values) != n:
         raise ValueError(f"base point has {len(base.values)} values, expected {n}")
 
-    cmap = CompiledMap(expr)
+    cmap = CompiledMap(constitutive(expr, verdict.ones))
     rng = random.Random(seed)
     base_floats = base.as_floats()
     target = cmap.value(base_floats)

@@ -44,6 +44,13 @@ def nested_chain(levels: int) -> str:
     return text
 
 
+def maxwell_bank(modes: int) -> str:
+    """Generalized Maxwell model: a spring parallel to ``modes`` Maxwell
+    arms, E0 | (E1 & n1) | ...; locally identifiable, local-only from
+    two modes on."""
+    return " | ".join(["E0"] + [f"(E{i} & n{i})" for i in range(1, modes + 1)])
+
+
 # Expected outcome of combining two identifiable components, keyed by the
 # unordered class pair.  Shapes and counts are functions of the component
 # stress indices n1, n2; "identifiable" says whether parameter and

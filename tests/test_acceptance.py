@@ -271,7 +271,7 @@ def test_criterion_6_fiber_evidence():
     assert len(report.solutions) >= 6
     from sdident import CompiledMap
 
-    cmap = CompiledMap(expr)
+    cmap = CompiledMap(constitutive(expr))
     target = cmap.value(report.base.as_floats())
     for sol in report.solutions:
         values = np.array(sol.values)

@@ -1,3 +1,4 @@
+import collections
 import json
 import os
 import subprocess
@@ -7,10 +8,10 @@ import time
 import pytest
 
 import sdident
-from sdident import params, parse, sample_point
+from sdident import fiber_solutions, params, parse, render, sample_point
 from sdident.cli import EXIT_BROKEN_PIPE, main
 
-from helpers import BRANCHED_10, BURGERS, GEN_KELVIN_VOIGT, MAXWELL, nested_chain
+from helpers import BRANCHED_10, BURGERS, GEN_KELVIN_VOIGT, MAXWELL, maxwell_bank, nested_chain
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(sdident.__file__)))
 
@@ -247,6 +248,12 @@ class TestFiber:
         assert out == ""
         assert err == "error: multistarts must be non-negative, got -5\n"
 
+    def test_batch_budget_refused(self, capsys):
+        code, out, err = run(capsys, "fiber", maxwell_bank(14))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: the fiber search would hold 884736000 floats in one array")
+
 
 class TestGen:
     def test_deterministic(self, capsys):
@@ -315,6 +322,58 @@ class TestVerify:
         assert code == 0
         assert out == "symbolic: identifiable (type D)\noracle:   agrees over 3 trials\n"
         assert len(calls) == 1
+
+
+@pytest.fixture
+def folds(monkeypatch):
+    """Counts ``fold_constitutive`` calls by (ring, rendered network),
+    through every module binding of the fold."""
+    from sdident import ident, opalg, oracle
+
+    counts = collections.Counter()
+    original = opalg.fold_constitutive
+
+    def counted(expr, values, one):
+        counts[type(one).__name__, render(expr)] += 1
+        return original(expr, values, one)
+
+    for module in (opalg, ident, oracle):
+        monkeypatch.setattr(module, "fold_constitutive", counted)
+    return counts
+
+
+class TestOnePassPerRequest:
+    """The theta = 1 pass of ``analyze`` also serves the term budget, so a
+    request folds each network at most once per exact ring."""
+
+    def test_analyze_json(self, capsys, folds):
+        bank = maxwell_bank(3)
+        assert run(capsys, "analyze", bank, "--json")[0] == 0
+        key = render(parse(bank))
+        assert folds == {("int", key): 1, ("ParamPoly", key): 1}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", BURGERS],
+            ["analyze", BURGERS, "--json", "--verify"],
+            ["analyze", BRANCHED_10, "--verify"],
+            ["derive", GEN_KELVIN_VOIGT, "--json"],
+            ["verify", BURGERS],
+            ["gen", "--elements", "9", "--count", "4", "--seed", "3"],
+            ["fiber", GEN_KELVIN_VOIGT, "--starts", "5", "--json"],
+        ],
+    )
+    def test_every_command(self, capsys, folds, argv):
+        assert run(capsys, *argv)[0] == 0
+        exact = [n for (ring, _), n in folds.items() if ring in ("int", "ParamPoly")]
+        assert exact and max(exact) == 1
+
+    def test_fiber_folds_the_tree_once_at_theta_one(self, folds):
+        expr = parse(GEN_KELVIN_VOIGT)
+        fiber_solutions(expr, multistarts=0)
+        assert folds["int", render(expr)] == 1
+        assert folds["ParamPoly", render(expr)] == 1
 
 
 # Runs in a fresh interpreter: prints, per step, the argv, its exit code

@@ -80,6 +80,7 @@ class TestLocalVerdicts:
     def test_trace_present(self):
         verdict = analyze(parse(BURGERS))
         assert len(verdict.trace) == 3
+        assert hash(verdict) == hash(analyze(parse(BURGERS)))
 
 
 class TestConstructibility:

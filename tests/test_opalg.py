@@ -12,6 +12,7 @@ from sdident import (
     Parallel,
     Series,
     Shape,
+    analyze,
     coefficient_map,
     combine_parallel,
     combine_series,
@@ -230,20 +231,27 @@ class TestConstitutive:
         assert eq.sig.shape == Shape(n, 0)
 
     @pytest.mark.parametrize(
-        "text", [LADDER_8, nested_chain(6), " | ".join(f"(E{i} & n{i})" for i in range(6))]
+        "text,passed",
+        [
+            pytest.param(text, False, id=text)
+            for text in (LADDER_8, nested_chain(6), " | ".join(f"(E{i} & n{i})" for i in range(6)))
+        ]
+        + [pytest.param(nested_chain(6), True, id="ones-from-the-verdict")],
     )
-    def test_term_budget_is_exact(self, text, monkeypatch):
+    def test_term_budget_is_exact(self, text, passed, monkeypatch):
         # the theta = 1 pass counts the terms exactly, so a budget of
-        # exactly that many admits the equation and one fewer refuses it
+        # exactly that many admits the equation and one fewer refuses it,
+        # whether constitutive folds it or takes the verdict's
         from sdident import opalg
 
         eq = constitutive(parse(text))
+        ones = analyze(parse(text)).ones if passed else None
         terms = sum(len(c.terms) for op in (eq.eps, eq.sig) for c in op.coeffs)
         monkeypatch.setattr(opalg, "MAX_TERMS", terms)
-        assert constitutive(parse(text)).eps == eq.eps
+        assert constitutive(parse(text), ones) == eq
         monkeypatch.setattr(opalg, "MAX_TERMS", terms - 1)
         with pytest.raises(ValueError, match=f"would have {terms} terms"):
-            constitutive(parse(text))
+            constitutive(parse(text), ones)
 
 
 class TestEvalOperator:

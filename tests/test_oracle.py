@@ -1,5 +1,6 @@
 import math
 import random
+import time
 import warnings
 from fractions import Fraction as F
 
@@ -19,7 +20,6 @@ from sdident import (
     fiber_solutions,
     jacobian_matrix,
     jacobian_rank,
-    jacobian_rank_float,
     nonmonic_count,
     params,
     parse,
@@ -39,6 +39,7 @@ from helpers import (
     MAXWELL,
     VOIGT,
     embedded_pair,
+    maxwell_bank,
     reference_jacobian_matrix,
 )
 
@@ -73,12 +74,6 @@ class TestJacobianRank:
 
     def test_spring(self):
         assert jacobian_rank(parse("E1"), sample_point(1, seed=2)) == 1
-
-    def test_float_path_agrees(self):
-        for text in (MAXWELL, VOIGT, BURGERS, LADDER_8, BRANCHED_10):
-            expr = parse(text)
-            pt = sample_point(len(params(expr)), seed=17)
-            assert jacobian_rank(expr, pt) == jacobian_rank_float(expr, pt)
 
     def test_rank_monotonicity(self):
         rng = random.Random(5)
@@ -230,7 +225,7 @@ COMPILED_MAP_CASES = [
 class TestCompiledMap:
     @pytest.mark.parametrize("expr", COMPILED_MAP_CASES)
     def test_float_matches_exact(self, expr):
-        cmap = CompiledMap(expr)
+        cmap = CompiledMap(constitutive(expr))
         pt = sample_point(cmap.nparams, seed=6)
         exact = [float(v) for v in cmap.value_exact(pt.values)]
         floats = cmap.value(pt.as_floats())
@@ -238,7 +233,7 @@ class TestCompiledMap:
 
     @pytest.mark.parametrize("expr", COMPILED_MAP_CASES)
     def test_jacobian_matches_exact(self, expr):
-        cmap = CompiledMap(expr)
+        cmap = CompiledMap(constitutive(expr))
         pt = sample_point(cmap.nparams, seed=7)
         dense = cmap.jacobian(pt.as_floats())
         exact_rows = jacobian_matrix(expr, pt.values)
@@ -251,7 +246,7 @@ class TestCompiledMap:
     def test_accurate_at_spread_points(self, expr):
         # parameters over eight decades, as Newton's iterates can roam:
         # terms then span many magnitudes, and the sums must not cancel
-        cmap = CompiledMap(expr)
+        cmap = CompiledMap(constitutive(expr))
         rng = random.Random(cmap.nparams)
         theta = np.array([10 ** rng.uniform(-4, 4) for _ in range(cmap.nparams)])
         point = [F(float(v)) for v in theta]
@@ -266,9 +261,9 @@ class TestCompiledMap:
 
     @pytest.mark.parametrize("expr", COMPILED_MAP_CASES)
     def test_batch_rows_are_lone_points(self, expr):
-        cmap = CompiledMap(expr)
+        cmap = CompiledMap(constitutive(expr))
         rng = random.Random(cmap.nparams)
-        batch = np.array([[10 ** rng.uniform(-3, 3) for _ in cmap.names] for _ in range(9)])
+        batch = np.array([[10 ** rng.uniform(-3, 3) for _ in range(cmap.nparams)] for _ in range(9)])
         values, jacobians = cmap.value(batch), cmap.jacobian(batch)
         assert values.shape == (9, cmap.dim)
         assert jacobians.shape == (9, cmap.dim, cmap.nparams)
@@ -283,7 +278,7 @@ class TestNewtonBatch:
         # every row follows the iterates of its start run alone, whatever
         # its neighbours do: a start that is not positive, not finite or
         # overflows the map dies quietly, and the base converges at once
-        cmap = CompiledMap(expr)
+        cmap = CompiledMap(constitutive(expr))
         n = cmap.nparams
         base = sample_point(n, seed=11).as_floats()
         target = cmap.value(base)
@@ -371,7 +366,7 @@ class TestFiber:
     def test_solutions_verify_against_base(self):
         expr = parse(GEN_KELVIN_VOIGT)
         report = fiber_solutions(expr, multistarts=40, seed=3)
-        cmap = CompiledMap(expr)
+        cmap = CompiledMap(constitutive(expr))
         target = cmap.value(report.base.as_floats())
         for sol in report.solutions:
             values = np.array(sol.values)
@@ -386,6 +381,32 @@ class TestFiber:
     def test_base_dimension_checked(self):
         with pytest.raises(ValueError):
             fiber_solutions(parse(MAXWELL), base=sample_point(3, seed=1))
+
+    def test_max_solutions_must_hold_the_base(self):
+        with pytest.raises(ValueError, match="max_solutions must be positive, got 0"):
+            fiber_solutions(parse(MAXWELL), multistarts=0, max_solutions=0)
+        report = fiber_solutions(parse(GEN_KELVIN_VOIGT), multistarts=0, max_solutions=1)
+        assert [s.method for s in report.solutions] == ["base"] and report.truncated
+
+    @pytest.mark.parametrize("modes,refused", [(8, False), (12, True), (14, True)])
+    def test_batch_budget(self, modes, refused, monkeypatch):
+        # at 200 starts the largest batch array holds 5.5e6 floats for 8
+        # modes, 1.7e8 for 12 and 8.8e8 (6.6 GiB) for 14; a search the
+        # budget admits goes on to derive the equation, which stops it here
+        import sdident.oracle as oracle_mod
+
+        class Derived(Exception):
+            pass
+
+        def derive(*args):
+            raise Derived
+
+        monkeypatch.setattr(oracle_mod, "constitutive", derive)
+        start = time.perf_counter()
+        refusal = "floats in one array" if refused else None
+        with pytest.raises(ValueError if refused else Derived, match=refusal):
+            fiber_solutions(parse(maxwell_bank(modes)), multistarts=200)
+        assert time.perf_counter() - start < 1.0
 
     def test_deterministic(self):
         a = fiber_solutions(parse(MAXWELL), multistarts=30, seed=12)
@@ -429,19 +450,26 @@ class TestFiber:
     def test_root_exchange_builds_each_child_map_once(self, monkeypatch):
         import sdident.oracle as oracle_mod
 
-        builds = []
+        builds, derived = [], []
         original = oracle_mod.CompiledMap.__init__
+        derive = oracle_mod.constitutive
 
-        def counted(self, expr):
-            builds.append(expr)
-            original(self, expr)
+        def counted(self, eq):
+            builds.append(eq)
+            original(self, eq)
+
+        def counted_derive(expr, *args):
+            derived.append(expr)
+            return derive(expr, *args)
 
         monkeypatch.setattr(oracle_mod.CompiledMap, "__init__", counted)
+        monkeypatch.setattr(oracle_mod, "constitutive", counted_derive)
         expr = parse(GEN_KELVIN_VOIGT)
         fiber_solutions(expr, multistarts=40, seed=1)
-        # the whole network's map, then at most one per top-level child
+        # the whole network's map, then at most one per top-level child,
+        # each from its own network's derivation
         assert len(builds) <= 1 + len(expr.children)
-        assert len(builds) == len({id(e) for e in builds})
+        assert len(builds) == len(derived) == len({id(e) for e in derived})
 
 
 class TestTheoremAgreement:
