@@ -211,6 +211,7 @@ def cmd_fiber(args) -> int:
         "truncated": report.truncated,
         "multistarts": report.multistarts,
         "converged": report.converged,
+        "stalled": report.stalled,
     }
     if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -218,6 +219,7 @@ def cmd_fiber(args) -> int:
         print(f"base point: {', '.join(payload['base'])}")
         print(f"solutions found: {payload['count']}" + (" (truncated)" if report.truncated else ""))
         print(f"multistarts converged: {report.converged} of {report.multistarts}")
+        print(f"multistarts stalled: {report.stalled} of {report.multistarts}")
         for sol in report.solutions:
             values = ", ".join(f"{v:.9g}" for v in sol.values)
             print(f"  [{sol.method}] {values}")

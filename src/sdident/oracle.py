@@ -17,8 +17,11 @@ monomials: every exponent is 0 or 1, so the same terms give the values
 and the Jacobian, and no derivative polynomial is built.  All the
 multistarts run as one batch (``_newton_batch``): one stacked solve per
 iteration, and a backtracking line search that evaluates its step
-lengths in blocks of ``_LADDER_BLOCK`` per ``value`` call.  Each start
-takes the same iterates it would take alone, bit for bit.
+lengths, 1 down to 2**-15, in blocks of ``_LADDER_BLOCK`` per ``value``
+call.  A start stops when no length lowers its residual, and a
+multistart also stops when its residual has not halved in
+``_STALL_WINDOW`` iterations; the report counts both as ``stalled``.
+Each start takes the same iterates it would take alone, bit for bit.
 
 The exact oracle is pure integer/rational Python.  numpy serves only the
 float paths (``ParamPoint.as_floats``, ``CompiledMap`` and
@@ -266,10 +269,15 @@ class CompiledMap:
         return (grads[..., : self.dim, :] * den - nums * grads[..., self.dim, None, :]) / den**2
 
 
-# Newton's backtracking ladder: the step lengths 1, 1/2, ..., 2**-39 (the
-# last one >= 1e-12), tried in blocks of _LADDER_BLOCK per value call
-_STEP_LENGTHS = tuple(2.0**-k for k in range(40))
+# Newton's backtracking ladder: the step lengths 1, 1/2, ..., 2**-15, tried
+# in blocks of _LADDER_BLOCK per value call; a step that needs a shorter
+# length is a failed line search
+_STEP_LENGTHS = tuple(2.0**-k for k in range(16))
 _LADDER_BLOCK = 8
+# the stall window: a multistart stops when its best norm has not fallen
+# below _STALL_FACTOR times its value _STALL_WINDOW iterations earlier
+_STALL_WINDOW = 20
+_STALL_FACTOR = 0.5
 
 
 def _newton_batch(
@@ -278,6 +286,8 @@ def _newton_batch(
     starts: np.ndarray,
     max_iter: int = 60,
     tol: float = 1e-12,
+    *,
+    stalled: np.ndarray | None = None,
 ) -> list[np.ndarray | None]:
     """Damped Newton on c(theta) = target from each row of ``starts``
     ``(k, n)``, all rows as one array; returns each row's converged point
@@ -288,9 +298,15 @@ def _newton_batch(
     first ladder length that keeps theta positive and lowers the norm,
     so a row follows exactly the iterates it would follow alone.  A row
     stops when its norm reaches ``tol``, when its step is not finite, or
-    when no length lowers the norm; a start that is not positive and
-    finite gives None.  Diverging rows overflow quietly and die on their
-    non-finite step.
+    when no length lowers the norm (a failed line search); a start that
+    is not positive and finite gives None.  Diverging rows overflow
+    quietly and die on their non-finite step.
+
+    Given ``stalled``, a boolean array with one entry per start, the
+    stall window applies as well: a row whose best norm has not halved
+    in ``_STALL_WINDOW`` iterations stops.  Every row stopped by either
+    rule is then marked True in ``stalled``.  Both rules read only the
+    row's own history, so batching still changes no row's iterates.
     """
     theta = np.array(starts, dtype=float).reshape(-1, cmap.nparams)
     scale = 1.0 + np.abs(target)
@@ -300,6 +316,7 @@ def _newton_batch(
         active = np.all(theta > 0, axis=1) & np.all(np.isfinite(theta), axis=1)
         residual[active] = cmap.value(theta[active]) - target
         best[active] = _norms(residual[active], scale)
+        history = [best.copy()]  # best before each iteration, for the stall window
         for _ in range(max_iter):
             active &= ~(best <= tol)
             rows = np.flatnonzero(active)
@@ -311,6 +328,16 @@ def _newton_batch(
             rows, step = rows[finite], step[finite]
             moved = _line_search(cmap, target, scale, theta, residual, best, rows, step)
             active[rows[~moved]] = False
+            if stalled is None:
+                continue
+            stalled[rows[~moved]] = True
+            history.append(best.copy())
+            if len(history) > _STALL_WINDOW:
+                rows = rows[moved]
+                halved = best[rows] < _STALL_FACTOR * history[-1 - _STALL_WINDOW][rows]
+                stuck = rows[~halved & (best[rows] > tol)]
+                active[stuck] = False
+                stalled[stuck] = True
     return [point if norm <= tol else None for point, norm in zip(theta, best)]
 
 
@@ -383,6 +410,7 @@ class FiberReport:
     truncated: bool
     multistarts: int
     converged: int  # multistarts whose Newton converged to a verified point
+    stalled: int  # multistarts stopped by a failed line search or the stall window
 
     def __len__(self) -> int:
         return len(self.solutions)
@@ -643,7 +671,9 @@ def fiber_solutions(
             for _ in range(multistarts)
         ]
     ).reshape(-1, n)
-    found = [p for p in _newton_batch(cmap, target, base_floats * jitters) if p is not None]
+    stalled = np.zeros(multistarts, dtype=bool)
+    found = _newton_batch(cmap, target, base_floats * jitters, stalled=stalled)
+    found = [p for p in found if p is not None]
     converged = [p for p, ok in zip(found, verified(found)) if ok]
     candidates += [(p, "multistart") for p in converged]
 
@@ -670,4 +700,5 @@ def fiber_solutions(
         truncated=truncated,
         multistarts=multistarts,
         converged=len(converged),
+        stalled=int(stalled.sum()),
     )

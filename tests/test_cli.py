@@ -11,7 +11,15 @@ import sdident
 from sdident import fiber_solutions, params, parse, render, sample_point
 from sdident.cli import EXIT_BROKEN_PIPE, main
 
-from helpers import BRANCHED_10, BURGERS, GEN_KELVIN_VOIGT, MAXWELL, maxwell_bank, nested_chain
+from helpers import (
+    BRANCHED_10,
+    BURGERS,
+    GEN_KELVIN_VOIGT,
+    LADDER_8,
+    MAXWELL,
+    maxwell_bank,
+    nested_chain,
+)
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(sdident.__file__)))
 
@@ -236,6 +244,15 @@ class TestFiber:
         code, out, _ = run(capsys, "fiber", MAXWELL, "--starts", "12", "--json")
         payload = json.loads(out)
         assert (payload["converged"], payload["multistarts"]) == (12, 12)
+
+    def test_reports_stalled_starts(self, capsys):
+        code, out, _ = run(capsys, "fiber", MAXWELL, "--starts", "12")
+        assert code == 0
+        assert "multistarts stalled: 0 of 12" in out
+        code, out, _ = run(capsys, "fiber", LADDER_8, "--starts", "40", "--seed", "1", "--json")
+        payload = json.loads(out)
+        assert payload["stalled"] > 0
+        assert payload["converged"] + payload["stalled"] <= payload["multistarts"] == 40
 
     def test_unidentifiable_refused(self, capsys):
         code, _, err = run(capsys, "fiber", BRANCHED_10, "--starts", "5")

@@ -6,9 +6,11 @@ point-evaluated passes (shapes at theta = 1, forward-mode Jacobian) must
 match the symbolic equation exactly, and every coefficient must be a
 multilinear polynomial whose monomials all have coefficient 1.  Up to
 five elements, every local-only network's fiber search finds a second
-preimage by root exchange alone."""
+preimage by root exchange alone, and the multistarts find nothing the
+root exchanges miss."""
 
 import itertools
+from collections import Counter
 from fractions import Fraction as F
 
 from sdident import (
@@ -142,3 +144,14 @@ def test_every_local_only_network_up_to_five_elements_has_a_witness():
         report = fiber_solutions(expr, multistarts=0)
         assert len(report) >= 2, expr
     assert local_only == 120
+
+
+def test_fiber_methods_up_to_five_elements():
+    # pinned totals: stopping stalled multistarts must not change which
+    # preimages the search reports
+    methods = Counter()
+    for expr in all_networks(5):
+        if analyze(expr).locally_identifiable:
+            report = fiber_solutions(expr, multistarts=40, seed=3)
+            methods.update(s.method for s in report.solutions)
+    assert methods == Counter({"base": 422, "root-exchange": 120, "multistart": 0})

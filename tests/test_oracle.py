@@ -302,6 +302,45 @@ class TestNewtonBatch:
             if alone is not None:
                 assert np.allclose(point, alone, rtol=1e-12, atol=0)
 
+    @pytest.mark.parametrize("expr", COMPILED_MAP_CASES)
+    def test_stall_window_reads_each_row_alone(self, expr):
+        # with the stall window on, a row still stops, converges and is
+        # marked stalled exactly as when it runs alone
+        cmap = CompiledMap(constitutive(expr))
+        n = cmap.nparams
+        base = sample_point(n, seed=5).as_floats()
+        target = cmap.value(base)
+        rng = random.Random(n)
+        starts = np.array([base * [10 ** rng.uniform(-1, 1) for _ in range(n)] for _ in range(16)])
+        stalled = np.zeros(len(starts), dtype=bool)
+        batch = _newton_batch(cmap, target, starts, stalled=stalled)
+        for index, start in enumerate(starts):
+            alone = np.zeros(1, dtype=bool)
+            point = _newton_batch(cmap, target, start[None], stalled=alone)[0]
+            assert stalled[index] == alone[0]
+            assert (point is None) == (batch[index] is None)
+            if point is not None:
+                assert np.allclose(batch[index], point, rtol=1e-12, atol=0)
+                assert not stalled[index]
+
+    @pytest.mark.parametrize("text", [LADDER_8, GEN_KELVIN_VOIGT])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_stopped_starts_spend_few_evaluations(self, text, seed, monkeypatch):
+        # starts that creep on tiny steps used to take all 60 iterations
+        # and evaluate 15,000-26,000 points per request
+        import sdident.oracle as oracle_mod
+
+        points = []
+        value = oracle_mod.CompiledMap.value
+
+        def counted(self, theta):
+            points.append(len(np.reshape(theta, (-1, self.nparams))))
+            return value(self, theta)
+
+        monkeypatch.setattr(oracle_mod.CompiledMap, "value", counted)
+        fiber_solutions(parse(text), multistarts=40, seed=seed)
+        assert sum(points) < 8000
+
 
 class TestFiber:
     def test_maxwell_singleton(self):
@@ -440,6 +479,16 @@ class TestFiber:
         found = sum(s.method == "multistart" for s in report.solutions)
         assert found <= report.converged <= 40
         assert fiber_solutions(parse(MAXWELL), multistarts=0).converged == 0
+
+    def test_stalled_counts_abandoned_starts(self):
+        # Maxwell's starts all converge; most of LADDER_8's stall
+        maxwell = fiber_solutions(parse(MAXWELL), multistarts=30, seed=12)
+        assert maxwell.stalled == 0
+        ladder = fiber_solutions(parse(LADDER_8), multistarts=40, seed=1)
+        assert ladder.stalled > 0
+        for report in (maxwell, ladder):
+            assert report.converged + report.stalled <= report.multistarts
+        assert fiber_solutions(parse(MAXWELL), multistarts=0).stalled == 0
 
     def test_diverging_starts_stay_quiet(self):
         with warnings.catch_warnings():
