@@ -56,7 +56,7 @@ def equation_text(eq: ConstitutiveEq, names: Sequence[str]) -> str:
             sym = _symbol(base, order)
             if text == "1":
                 parts.append(sym)
-            elif "+" in text or "- " in text:
+            elif "+" in text:
                 parts.append(f"({text})·{sym}")
             else:
                 parts.append(f"{text}·{sym}")
@@ -227,6 +227,8 @@ def cmd_fiber(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    if args.count < 0:
+        raise ValueError(f"count must be non-negative, got {args.count}")
     out = []
     for i in range(args.count):
         expr = random_network(args.seed + i, args.elements)

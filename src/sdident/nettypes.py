@@ -62,6 +62,15 @@ def table_series(t1: NetType, t2: NetType) -> NetType:
     return NetType(_SERIES_TABLE[t1.value][t2.value])
 
 
+# Strain shape of each class over stress shape [n, 0]: (n + offset, low).
+_STRAIN_SHAPES = {
+    NetType.A: (0, 0),
+    NetType.B: (1, 1),
+    NetType.C: (1, 0),
+    NetType.D: (0, 1),
+}
+
+
 def classify(eq: ConstitutiveEq) -> tuple[NetType, int]:
     """Shape class and stress index n of a derived equation.
 
@@ -71,14 +80,9 @@ def classify(eq: ConstitutiveEq) -> tuple[NetType, int]:
     """
     n = eq.sig.high
     eps = eq.eps.shape
-    if eps == Shape(n, 0):
-        return NetType.A, n
-    if eps == Shape(n + 1, 1):
-        return NetType.B, n
-    if eps == Shape(n + 1, 0):
-        return NetType.C, n
-    if eps == Shape(n, 1):
-        return NetType.D, n
+    for t, (offset, low) in _STRAIN_SHAPES.items():
+        if eps == Shape(n + offset, low):
+            return t, n
     raise InvariantViolation(
         f"strain shape {eps} does not match any class for stress shape {eq.sig.shape}"
     )
@@ -88,16 +92,10 @@ def predicted_shapes(t: NetType, n: int) -> tuple[Shape, Shape]:
     """(strain shape, stress shape) for a class and stress index."""
     if t is NetType.U:
         raise ValueError("the unidentifiable marker has no shape")
-    if n < 0 or (t is NetType.D and n < 1):
+    offset, low = _STRAIN_SHAPES[t]
+    if n < 0 or n + offset < low:
         raise ValueError(f"invalid index {n} for class {t}")
-    stress = Shape(n, 0)
-    strain = {
-        NetType.A: Shape(n, 0),
-        NetType.B: Shape(n + 1, 1),
-        NetType.C: Shape(n + 1, 0),
-        NetType.D: Shape(n, 1),
-    }[t]
-    return strain, stress
+    return Shape(n + offset, low), Shape(n, 0)
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,9 @@
 
 Three layers:
 
-* ``ParamPoly``     multilinear polynomial in the element parameters,
-                    parameter-bitmask -> int map.
+* ``ParamPoly``     multilinear polynomial in the element parameters
+                    with every coefficient 1, a set of parameter
+                    bitmasks.
 * ``DiffOperator``  polynomial in the time-derivative operator; its
                     shape is the pair (highest order, lowest order).
 * ``ConstitutiveEq`` the pair (eps_op, sig_op) meaning
@@ -22,18 +23,25 @@ In operator form, for sub-equations (L1, L2) and (L3, L4):
 
 Each parameter enters once and the rules only add, shift and multiply
 operators over disjoint parameter sets, so every coefficient is a
-multilinear polynomial with non-negative integer coefficients (all 1
-in every network checked), nonzero at positive points unless zero.
-So ``fold_constitutive`` gives the same shapes over every ring it
-accepts: ``ParamPoly`` (``constitutive``), ``int`` at theta =
-(1, ..., 1), ``float`` values and the oracle's exact duals.
+multilinear polynomial, and each of its monomials has coefficient 1.
+By induction over the two rules, each operator is homogeneous with
+strain degree one above stress degree, which keeps the two products of
+a sum apart (their parts in one child's parameters differ in degree),
+and each monomial of an order-k coefficient holds k + c dashpots for
+one c per equation, which keeps the terms of an operator product apart
+(their parts in one child's parameters differ in dashpots).  So no sum
+or product in the fold meets a monomial twice.  A coefficient is
+therefore nonzero at positive points unless zero, and
+``fold_constitutive`` gives the same shapes over every ring it accepts:
+``ParamPoly`` (``constitutive``), ``int`` at theta = (1, ..., 1),
+``float`` values and the oracle's exact duals.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 from .network import (
     DASHPOT,
@@ -49,8 +57,8 @@ Rat = Union[int, Fraction]
 
 # Most monomials ``constitutive`` derives; past it, it raises ValueError
 # before deriving anything.  Terms grow exponentially with depth and width:
-# ``analyze --json`` on a 514,229-term ladder took 2.1 s and 113 MB peak RSS
-# on a 2-vCPU Xeon.
+# ``analyze --json`` on a 514,229-term ladder took 4.0-4.7 s and 123 MB peak
+# RSS on a 2-vCPU Xeon.
 MAX_TERMS = 10**6
 
 # Most float cells in the fiber search's largest batch array: rows (starts)
@@ -73,26 +81,24 @@ class Shape(NamedTuple):
 
 
 class ParamPoly:
-    """Multilinear polynomial in the element parameters, integer
-    coefficients.
+    """Multilinear polynomial in the element parameters with every
+    coefficient 1.
 
-    ``terms`` maps a monomial's parameter bitmask (bit i is parameter i)
-    to its nonzero int coefficient; the zero polynomial has an empty
-    map.  Each parameter enters a constitutive equation once and products
-    join disjoint parameter sets, so no exponent exceeds 1: a product of
-    monomials sharing a parameter raises ``InvariantViolation``.
-    Instances are treated as immutable.
+    ``terms`` is the frozenset of its monomials' parameter bitmasks (bit
+    i is parameter i); the zero polynomial has none.  Products join
+    disjoint parameter sets and sums join disjoint monomial sets, so no
+    exponent or coefficient exceeds 1: a product of polynomials sharing
+    a parameter, or a sum of polynomials sharing a monomial, raises
+    ``InvariantViolation``.  Instances are treated as immutable.
     """
 
     __slots__ = ("nvars", "terms")
 
-    def __init__(self, nvars: int, terms: Mapping[int, int] | None = None):
+    def __init__(self, nvars: int, terms: Iterable[int] = ()):
         self.nvars = nvars
-        self.terms = {mask: coeff for mask, coeff in (terms or {}).items() if coeff}
+        self.terms = frozenset(terms)
         if self.terms and not 0 <= min(self.terms) <= max(self.terms) < 1 << nvars:
             raise ValueError(f"a monomial mask lies outside {nvars} parameters")
-        if not {int}.issuperset(map(type, self.terms.values())):
-            raise TypeError("coefficients must be integers")
 
     @classmethod
     def zero(cls, nvars: int) -> "ParamPoly":
@@ -100,13 +106,15 @@ class ParamPoly:
 
     @classmethod
     def const(cls, nvars: int, value: int) -> "ParamPoly":
-        return cls(nvars, {0: value})
+        if value not in (0, 1):
+            raise ValueError(f"a 0/1 polynomial has no constant {value}")
+        return cls(nvars, [0] if value else ())
 
     @classmethod
     def var(cls, nvars: int, index: int) -> "ParamPoly":
         if not 0 <= index < nvars:
             raise ValueError(f"variable index {index} out of range for {nvars}")
-        return cls(nvars, {1 << index: 1})
+        return cls(nvars, [1 << index])
 
     @property
     def is_zero(self) -> bool:
@@ -120,8 +128,8 @@ class ParamPoly:
             if other.nvars != self.nvars:
                 raise ValueError("mixing polynomials over different parameter lists")
             return other
-        if isinstance(other, int):
-            return ParamPoly.const(self.nvars, other)
+        if type(other) is int and other == 0:
+            return ParamPoly(self.nvars)
         return None
 
     def __eq__(self, other) -> bool:
@@ -136,38 +144,17 @@ class ParamPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        out = dict(self.terms)
-        for mask, coeff in other.terms.items():
-            out[mask] = out.get(mask, 0) + coeff
-        return ParamPoly(self.nvars, out)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "ParamPoly":
-        return ParamPoly(self.nvars, {m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other) -> "ParamPoly":
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other) -> "ParamPoly":
-        return -(self - other)
+        if not self.terms.isdisjoint(other.terms):
+            raise InvariantViolation("sum of polynomials sharing a monomial")
+        return ParamPoly(self.nvars, self.terms | other.terms)
 
     def __mul__(self, other) -> "ParamPoly":
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        out: dict[int, int] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                if m1 & m2:
-                    raise InvariantViolation("product of monomials sharing a parameter")
-                out[m1 | m2] = out.get(m1 | m2, 0) + c1 * c2
-        return ParamPoly(self.nvars, out)
-
-    __rmul__ = __mul__
+        if _support(self) & _support(other):
+            raise InvariantViolation("product of monomials sharing a parameter")
+        return ParamPoly(self.nvars, [a | b for a in self.terms for b in other.terms])
 
     def evaluate(self, values: Sequence[Rat]) -> Fraction:
         """Exact value at a point (one value per parameter)."""
@@ -175,8 +162,8 @@ class ParamPoly:
             raise ValueError(f"expected {self.nvars} values, got {len(values)}")
         vals = [Fraction(v) for v in values]
         total = Fraction(0)
-        for mask, coeff in self.terms.items():
-            term = coeff
+        for mask in self.terms:
+            term = 1
             for i, v in enumerate(vals):
                 if mask >> i & 1:
                     term *= v
@@ -185,32 +172,21 @@ class ParamPoly:
 
     def derivative(self, index: int) -> "ParamPoly":
         bit = 1 << index
-        return ParamPoly(self.nvars, {m ^ bit: c for m, c in self.terms.items() if m & bit})
+        return ParamPoly(self.nvars, [m ^ bit for m in self.terms if m & bit])
 
     def try_divide(self, divisor: "ParamPoly") -> "ParamPoly | None":
         """Exact quotient self/divisor, or None when division is inexact.
 
         Degrees in each parameter add under products, so a multilinear
-        quotient shares no parameter with the divisor: grouped by their
-        part outside the divisor's support, the dividend's terms must
-        each form one integer multiple of the divisor.
+        quotient shares no parameter with the divisor, and each of its
+        monomials is a dividend monomial's part outside the divisor's
+        support.
         """
         if divisor.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        support = 0
-        for mask in divisor.terms:
-            support |= mask
-        groups: dict[int, dict[int, int]] = {}
-        for mask, coeff in self.terms.items():
-            groups.setdefault(mask & ~support, {})[mask & support] = coeff
-        dmask, dcoeff = next(iter(divisor.terms.items()))
-        quot: dict[int, int] = {}
-        for outside, group in groups.items():
-            factor, rest = divmod(group.get(dmask, 0), dcoeff)
-            if rest or group != {m: factor * c for m, c in divisor.terms.items()}:
-                return None
-            quot[outside] = factor
-        return ParamPoly(self.nvars, quot)
+        outside = ~_support(divisor)
+        quot = ParamPoly(self.nvars, [mask & outside for mask in self.terms])
+        return quot if quot * divisor == self else None
 
     def to_string(self, names: Sequence[str]) -> str:
         """Canonical text, terms by descending degree, then descending
@@ -219,30 +195,25 @@ class ParamPoly:
             raise ValueError("one name per variable required")
         if not self.terms:
             return "0"
-        parts = []
         order = sorted(
             self.terms,
             key=lambda m: (m.bit_count(), f"{m:0{self.nvars}b}"[::-1]),
             reverse=True,
         )
-        for mask in order:
-            coeff = self.terms[mask]
-            factors = [name for i, name in enumerate(names) if mask >> i & 1]
-            mag = abs(coeff)
-            if not factors:
-                body = str(mag)
-            elif mag == 1:
-                body = "*".join(factors)
-            else:
-                body = "*".join([str(mag)] + factors)
-            if not parts:
-                parts.append(body if coeff > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if coeff > 0 else f"- {body}")
-        return " ".join(parts)
+        return " + ".join(
+            ["*".join([n for i, n in enumerate(names) if mask >> i & 1]) or "1" for mask in order]
+        )
 
     def __repr__(self) -> str:
-        return f"ParamPoly({self.nvars}, {self.terms!r})"
+        return f"ParamPoly({self.nvars}, {sorted(self.terms)!r})"
+
+
+def _support(poly: ParamPoly) -> int:
+    """Bitmask of the parameters a polynomial holds."""
+    out = 0
+    for mask in poly.terms:
+        out |= mask
+    return out
 
 
 class DiffOperator:
@@ -382,9 +353,9 @@ def constitutive(expr: NetworkExpr, ones: ConstitutiveEq | None = None) -> Const
     """Symbolic constitutive equation of a flattened network over its
     canonical parameter ordering.
 
-    Every coefficient has positive integer coefficients, so its value at
-    theta = (1, ..., 1) bounds its term count (exactly, with all of them
-    1); past ``MAX_TERMS`` in total this raises ``ValueError`` up front.
+    Every coefficient is a sum of distinct monomials, so its value at
+    theta = (1, ..., 1) is its term count; past ``MAX_TERMS`` in total
+    this raises ``ValueError`` up front.
     ``ones`` is that integer pass when the caller has it (``Verdict.ones``).
     """
     nvars = len(params(expr))
@@ -402,8 +373,8 @@ def constitutive(expr: NetworkExpr, ones: ConstitutiveEq | None = None) -> Const
 def fold_constitutive(expr: NetworkExpr, values: Sequence, one) -> ConstitutiveEq:
     """Constitutive equation of a flattened network folding children left
     to right, with ``values`` (one per parameter in canonical order) and
-    ``one`` from a ring whose elements add, multiply (also by an int) and
-    are falsy exactly when zero."""
+    ``one`` from a ring whose elements add, multiply (also by the int 0)
+    and are falsy exactly when zero."""
     n = len(params(expr))
     if len(values) != n:
         raise ValueError(f"expected {n} parameter values, got {len(values)}")

@@ -226,7 +226,7 @@ class CompiledMap:
 
     One stack of terms t = exp(E @ log theta), E the 0/1 exponent matrix
     of the monomial masks, summed per polynomial (the ``dim`` numerators,
-    then the pivot) by a matrix S holding each term's coefficient in its
+    then the pivot) by a 0/1 matrix S holding a 1 for each term in its
     polynomial's row.  A multilinear term has dt/dtheta_i = t*E_i/theta_i,
     so the gradients are ((S*t) @ E)/theta from the same terms.  Each
     point of a batch is a matrix product of its own, so a row's result
@@ -241,13 +241,13 @@ class CompiledMap:
         self.dim = len(entries)
         self._entries = entries
         polys = [num for num, _ in entries] + [entries[0][1]]
-        terms = [(row, mask, c) for row, p in enumerate(polys) for mask, c in p.terms.items()]
+        terms = [(row, mask) for row, p in enumerate(polys) for mask in p.terms]
         self._exps = np.array(
-            [[mask >> i & 1 for i in range(self.nparams)] for _, mask, _ in terms], dtype=float
+            [[mask >> i & 1 for i in range(self.nparams)] for _, mask in terms], dtype=float
         )
         self._sums = np.zeros((len(polys), len(terms)))
-        for col, (row, _, c) in enumerate(terms):
-            self._sums[row, col] = c
+        for col, (row, _) in enumerate(terms):
+            self._sums[row, col] = 1
 
     def _terms(self, theta: np.ndarray) -> np.ndarray:
         """Term values, shape (..., 1, terms): one row per point."""
@@ -445,8 +445,14 @@ def _poly_from_roots(roots: Sequence[complex]) -> np.ndarray | None:
     return coeffs.real[::-1]
 
 
+# root exchange at one node tries at most _EXCHANGE_PARTITIONS root
+# partitions and keeps at most _EXCHANGE_CANDIDATES points
+_EXCHANGE_PARTITIONS = 120
+_EXCHANGE_CANDIDATES = 48
+
+
 def _root_exchange_candidates(
-    expr: NetworkExpr, base: np.ndarray, rng: random.Random, cap: int = 48
+    expr: NetworkExpr, base: np.ndarray, rng: random.Random
 ) -> list[np.ndarray]:
     """Alternative fiber points from redistributing the roots of the
     composition factors at one node among its children, as values of
@@ -491,7 +497,7 @@ def _root_exchange_candidates(
         if [tuple(sorted(g)) for g in groups] == [tuple(sorted(g)) for g in original]:
             continue
         seen += 1
-        if seen > 120 or len(candidates) >= cap:
+        if seen > _EXCHANGE_PARTITIONS or len(candidates) >= _EXCHANGE_CANDIDATES:
             break
         new_factors = []
         ok = True

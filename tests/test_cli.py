@@ -273,6 +273,12 @@ class TestFiber:
 
 
 class TestGen:
+    def test_negative_count_refused(self, capsys):
+        code, out, err = run(capsys, "gen", "--elements", "3", "--count", "-2", "--json")
+        assert code == 1
+        assert out == ""
+        assert err == "error: count must be non-negative, got -2\n"
+
     def test_deterministic(self, capsys):
         code, first, _ = run(capsys, "gen", "--elements", "4", "--count", "3", "--seed", "7")
         assert code == 0

@@ -103,19 +103,17 @@ def test_every_network_up_to_four_elements():
         rank = exact_rank(matrix)
         assert jacobian_rank(expr, theta) == rank, expr
         assert table_says == counting_says == (rank == n), expr
-        # every coefficient is multilinear (one bit per parameter) with
-        # every monomial coefficient the int 1
-        for op in (eq.eps, eq.sig):
-            for poly in op.coeffs:
-                assert all(type(c) is int and c == 1 for c in poly.terms.values()), expr
+        # the integer fold at theta = 1 counts each coefficient's terms,
+        # so it met no monomial twice: every coefficient is 1
+        ones = fold_constitutive(expr, [1] * n, 1)
+        assert (ones.eps.shape, ones.sig.shape) == (eq.eps.shape, eq.sig.shape), expr
+        for op, counts in ((eq.eps, ones.eps), (eq.sig, ones.sig)):
+            assert [len(poly.terms) for poly in op.coeffs] == list(counts.coeffs), expr
 
         shape_class, index = classify(eq)
         eps, sig = predicted_shapes(shape_class, index)
         assert eq.eps.shape == eps
         assert eq.sig.shape == sig
-
-        ones = fold_constitutive(expr, [1] * n, 1)
-        assert (ones.eps.shape, ones.sig.shape) == (eq.eps.shape, eq.sig.shape), expr
         verdict = analyze(expr)
         assert verdict.nonmonic_count == nonmonic_count(eq)
         assert verdict.index == index

@@ -23,6 +23,8 @@ from sdident import (
     parse,
     random_network,
 )
+from sdident.network import DASHPOT, leaves
+from sdident.opalg import fold_constitutive
 
 from helpers import BURGERS, LADDER_8, child_equations, embedded_pair, nested_chain
 
@@ -44,9 +46,10 @@ def _operator_at(op, theta, x0):
 class TestParamPoly:
     def test_arithmetic_is_exact(self):
         x, y, z = (ParamPoly.var(3, i) for i in range(3))
-        p = (x + y) * (z - 1)
-        assert p == x * z + y * z - x - y
-        assert p.evaluate([F(1, 3), F(1, 7), F(1, 5)]) == (F(1, 3) + F(1, 7)) * (F(1, 5) - 1)
+        one = ParamPoly.const(3, 1)
+        p = (x + y) * (z + one)
+        assert p == x * z + y * z + x + y
+        assert p.evaluate([F(1, 3), F(1, 7), F(1, 5)]) == (F(1, 3) + F(1, 7)) * (F(1, 5) + 1)
 
     def test_shared_parameter_product_rejected(self):
         x = ParamPoly.var(2, 0)
@@ -54,33 +57,55 @@ class TestParamPoly:
         with pytest.raises(InvariantViolation):
             x * x
         with pytest.raises(InvariantViolation):
-            (x + y) * (y + 1)
+            (x + y) * (y + ParamPoly.const(2, 1))
+
+    def test_repeated_monomial_sum_rejected(self):
+        # a coefficient of 2 has no 0/1 form
+        x = ParamPoly.var(2, 0)
+        with pytest.raises(InvariantViolation):
+            x + x
+        with pytest.raises(InvariantViolation):
+            (x + ParamPoly.var(2, 1)) + x
 
     def test_no_zero_terms_stored(self):
         x = ParamPoly.var(1, 0)
-        assert (x - x).terms == {}
-        assert (x - x).is_zero
+        assert (x * 0).terms == frozenset()
+        assert (x * 0).is_zero
+        assert ParamPoly.const(1, 0).is_zero
+        assert x + 0 == x
 
     def test_scalar_mix(self):
+        # the int 0 is the only scalar a polynomial takes
         x = ParamPoly.var(1, 0)
-        assert 2 * x + 1 == ParamPoly(1, {0b1: 2, 0b0: 1})
+        assert x + ParamPoly.const(1, 1) == ParamPoly(1, {0b1, 0b0})
+        assert x * 0 == 0
+        with pytest.raises(TypeError):
+            x + 1
+        with pytest.raises(TypeError):
+            2 * x
+
+    def test_const_is_zero_or_one(self):
+        with pytest.raises(ValueError):
+            ParamPoly.const(2, 2)
+        with pytest.raises(ValueError):
+            ParamPoly.const(2, -1)
 
     def test_derivative(self):
         x, y, z = (ParamPoly.var(3, i) for i in range(3))
-        p = 2 * x * y * z + 3 * y
-        assert p.derivative(0) == 2 * y * z
-        assert p.derivative(1) == 2 * x * z + 3
+        p = x * y * z + y
+        assert p.derivative(0) == y * z
+        assert p.derivative(1) == x * z + ParamPoly.const(3, 1)
         assert p.derivative(2).derivative(2).is_zero
 
     def test_try_divide(self):
         x, y, z = (ParamPoly.var(3, i) for i in range(3))
+        one = ParamPoly.const(3, 1)
         assert (x * y + y * z).try_divide(y) == x + z
-        assert (x * y + 1).try_divide(y) is None
-        # a non-monomial divisor, and an integer multiple of it
+        assert (x * y + one).try_divide(y) is None
+        # a non-monomial divisor, with a monomial and a binomial quotient
         assert (x * y + x * z).try_divide(y + z) == x
-        assert (2 * x * y + 2 * x * z + 2 * y + 2 * z).try_divide(y + z) == 2 * x + 2
+        assert (x * y + x * z + y + z).try_divide(y + z) == x + one
         assert (x * y + x * z + y).try_divide(y + z) is None
-        assert (3 * x * y + 3 * x * z).try_divide(2 * y + 2 * z) is None
         assert ParamPoly.zero(3).try_divide(y) == 0
         with pytest.raises(ZeroDivisionError):
             x.try_divide(ParamPoly.zero(3))
@@ -92,18 +117,17 @@ class TestParamPoly:
 
     def test_to_string_graded_lex(self):
         x, y, z = (ParamPoly.var(3, i) for i in range(3))
-        p = y + x * z - 2 * x + 3
-        assert p.to_string(["a", "b", "c"]) == "a*c - 2*a + b + 3"
-        assert (-x * y + 1).to_string(["a", "b", "c"]) == "-a*b + 1"
+        p = y + x * z + x + ParamPoly.const(3, 1)
+        assert p.to_string(["a", "b", "c"]) == "a*c + a + b + 1"
+        assert (y * z + x * y + z).to_string(["a", "b", "c"]) == "a*b + b*c + c"
+        assert ParamPoly.zero(3).to_string(["a", "b", "c"]) == "0"
 
     def test_exponent_length_checked(self):
         # a monomial mask is the 0/1 exponent vector; bits past nvars are rejected
         with pytest.raises(ValueError):
-            ParamPoly(2, {0b100: 1})
+            ParamPoly(2, {0b100})
         with pytest.raises(ValueError):
-            ParamPoly(2, {-1: 1})
-        with pytest.raises(TypeError):
-            ParamPoly(2, {0b1: F(1, 2)})
+            ParamPoly(2, {-1})
 
 
 class TestDiffOperator:
@@ -365,10 +389,13 @@ class TestInvariants:
                 left = acc
 
     def test_exactness_all_rational(self):
-        eq = constitutive(parse(BURGERS))
-        for op in (eq.eps, eq.sig):
-            for poly in op.coeffs:
-                assert all(type(c) is int and c == 1 for c in poly.terms.values())
+        # the integer fold at theta = 1 counts each coefficient's terms:
+        # it meets no monomial twice
+        expr = parse(BURGERS)
+        eq = constitutive(expr)
+        ones = fold_constitutive(expr, [1] * len(params(expr)), 1)
+        for op, counts in ((eq.eps, ones.eps), (eq.sig, ones.sig)):
+            assert [len(poly.terms) for poly in op.coeffs] == list(counts.coeffs)
 
 
 class TestSerialization:
@@ -396,3 +423,25 @@ def test_sigma_side_always_has_constant_term(seed, n):
     eq = constitutive(random_network(seed, n))
     assert eq.sig.low == 0
     assert isinstance(eq, ConstitutiveEq)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6), st.integers(4, 20))
+def test_every_coefficient_is_graded(seed, n):
+    # the theorem behind 0/1 coefficients: strain monomials all have one
+    # degree, one above that of the stress monomials, and one offset c
+    # makes every order-k monomial hold k + c dashpots
+    expr = random_network(seed, n)
+    eq = constitutive(expr)
+    dashpots = sum(1 << i for i, el in enumerate(leaves(expr)) if el.kind == DASHPOT)
+
+    def grades(op):
+        # (degree, dashpots - order) of every monomial
+        return {
+            (mask.bit_count(), (mask & dashpots).bit_count() - order)
+            for order in range(op.low, op.high + 1)
+            for mask in op.coeff(order).terms
+        }
+
+    [(strain_degree, c)] = grades(eq.eps)
+    assert grades(eq.sig) == {(strain_degree - 1, c)}
