@@ -33,6 +33,7 @@ from .nettypes import NetType, TraceStep, classify, type_trace
 from .opalg import ConstitutiveEq, InvariantViolation, Rat, Shape, fold_constitutive
 
 Quadruple = tuple[Shape, Shape, Shape, Shape]
+_MODULUS = 2**61 - 1  # a Mersenne prime, for ``exact_rank``
 
 
 class GlobalStatus(str, Enum):
@@ -139,10 +140,35 @@ def exact_det(matrix: Sequence[Sequence[Rat]]) -> Fraction:
 
 
 def exact_rank(matrix: Sequence[Sequence[Rat]]) -> int:
-    """Exact rank by fraction-free elimination with column pivot search."""
+    """Exact rank.  A nonzero r x r minor mod the prime ``_MODULUS`` is a
+    nonzero integer minor, so rank mod p <= rank <= min(rows, columns):
+    a rank mod p at that bound is the rank, and only a shorter one falls
+    back to fraction-free elimination (``_bareiss``)."""
     if not matrix:
         return 0
-    return _bareiss(_integer_rows(matrix)[0])[0]
+    rows = _integer_rows(matrix)[0]
+    bound = min(len(rows), len(rows[0]))
+    return bound if _rank_mod_p(rows) == bound else _bareiss(rows)[0]
+
+
+def _rank_mod_p(rows: list[list[int]]) -> int:
+    """Rank of integer rows mod ``_MODULUS`` by Gaussian elimination that
+    replaces rows and reduces an entry only when a pivot or factor reads it."""
+    p = _MODULUS
+    rows = list(rows)
+    rank = 0
+    for col in range(len(rows[0])):
+        pivot_row = next((i for i in range(rank, len(rows)) if rows[i][col] % p), None)
+        if pivot_row is None:
+            continue
+        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
+        pivot = [x % p for x in rows[rank]]
+        inverse = pow(pivot[col], -1, p)
+        for i in range(rank + 1, len(rows)):
+            factor = rows[i][col] * inverse % p
+            rows[i] = [x - factor * y for x, y in zip(rows[i], pivot)]
+        rank += 1
+    return rank
 
 
 def _bareiss(rows: list[list[int]]) -> tuple[int, int, int]:

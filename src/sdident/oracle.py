@@ -4,8 +4,9 @@ Two oracles, deliberately separate from the table algebra:
 
 * local identifiability is re-decided from the exact rank of the
   Jacobian of the coefficient map at random positive rational points
-  (a forward-mode pass of exact (value, gradient) duals through the
-  composition fold, then fraction-free elimination);
+  (a forward-mode pass of integer duals, each gradient packed into one
+  int, through the composition fold, then ``exact_rank``: a rank mod
+  2**61 - 1, certified when full, Bareiss only when it falls short);
 * global identifiability is probed by enumerating the fiber of the
   coefficient map over a base point: root exchanges between the
   composition factors at every node with two or more internal children
@@ -39,12 +40,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .ident import analyze, exact_rank, random_rational, resultant
+from .ident import analyze, exact_rank, random_rational
 from .network import Leaf, NetworkExpr, Series, leaves, params
 from .opalg import (
     MAX_BATCH_CELLS,
     ConstitutiveEq,
-    DiffOperator,
     InvariantViolation,
     Rat,
     coefficient_map,
@@ -89,15 +89,22 @@ def sample_point(n_params: int, seed: int = 0) -> ParamPoint:
 
 
 class _Dual:
-    """A coefficient's value and gradient (index -> partial) at a point,
-    carried through the composition fold: forward-mode differentiation.
-    Both are integers over ``scale**exp`` (``scale`` clears the point's
-    denominators, ``exp`` is the degree), so the fold reduces no fraction;
-    each side of an equation is homogeneous (its terms share units)."""
+    """A coefficient's value and gradient at a point, carried through the
+    composition fold: forward-mode differentiation.  Both are integers
+    over ``scale**exp`` (``scale`` clears the point's denominators, ``exp``
+    is the degree), so the fold reduces no fraction; each side of an
+    equation is homogeneous (its terms share units).  The gradient packs
+    the partial in parameter i into bytes [width*i, width*(i+1)) of one
+    int, so a product is three big-int multiplies for any parameter count.
+    No slot overflows: at the integer point V = scale*theta, every
+    coefficient and every partial sum the fold forms is a 0/1 multilinear
+    P, so each partial scale*dP/dV_i lies in [0, scale*prod_j (1 + V_j)),
+    below 2**(bit lengths of scale and of each 1 + V_j, summed): the slot
+    size that ``_jacobian_rows`` rounds up to ``width`` bytes."""
 
     __slots__ = ("value", "grad", "exp")
 
-    def __init__(self, value: int, grad: dict, exp: int):
+    def __init__(self, value: int, grad: int, exp: int):
         self.value, self.grad, self.exp = value, grad, exp
 
     def __bool__(self) -> bool:
@@ -106,19 +113,13 @@ class _Dual:
     def __add__(self, other: "_Dual") -> "_Dual":
         if self.exp != other.exp:
             raise InvariantViolation("sum of coefficients of different degrees")
-        grad = dict(self.grad)
-        for i, d in other.grad.items():
-            grad[i] = grad.get(i, 0) + d
-        return _Dual(self.value + other.value, grad, self.exp)
+        return _Dual(self.value + other.value, self.grad + other.grad, self.exp)
 
     def __mul__(self, other) -> "_Dual":
         if not isinstance(other, _Dual):  # an integer scalar
-            other = _Dual(other, {}, 0)
+            return _Dual(self.value * other, self.grad * other, self.exp)
         a, b = self.value, other.value
-        grad = {i: d * b for i, d in self.grad.items()}
-        for i, d in other.grad.items():
-            grad[i] = grad.get(i, 0) + a * d
-        return _Dual(a * b, grad, self.exp + other.exp)
+        return _Dual(a * b, a * other.grad + b * self.grad, self.exp + other.exp)
 
 
 def _jacobian_rows(expr: NetworkExpr, theta: Sequence[Rat]) -> tuple[list[list[int]], list[int]]:
@@ -128,12 +129,21 @@ def _jacobian_rows(expr: NetworkExpr, theta: Sequence[Rat]) -> tuple[list[list[i
     if any(v <= 0 for v in values):
         raise ValueError("parameter values must be strictly positive")
     scale = math.lcm(*(v.denominator for v in values))
-    duals = [_Dual(int(v * scale), {i: scale}, 1) for i, v in enumerate(values)]
-    entries = coefficient_map(fold_constitutive(expr, duals, _Dual(1, {}, 0)))
+    ints = [v.numerator * (scale // v.denominator) for v in values]
+    # slot width in whole bytes, so the slots unpack by slicing bytes
+    width = -(-(scale.bit_length() + sum((v + 1).bit_length() for v in ints)) // 8)
+    duals = [_Dual(v, scale << (8 * width * i), 1) for i, v in enumerate(ints)]
+    entries = coefficient_map(fold_constitutive(expr, duals, _Dual(1, 0, 0)))
+
+    def partials(dual: _Dual) -> list[int]:
+        packed = dual.grad.to_bytes(width * len(ints), "little")
+        slots = range(0, len(packed), width)
+        return [int.from_bytes(packed[k : k + width], "little") for k in slots]
+
     den = entries[0][1]
-    den_partials = [den.grad.get(i, 0) for i in range(len(values))]
+    den_partials = partials(den)
     rows = [
-        [num.grad.get(i, 0) * den.value - num.value * d for i, d in enumerate(den_partials)]
+        [g * den.value - num.value * d for g, d in zip(partials(num), den_partials)]
         for num, _ in entries
     ]
     return rows, [scale ** (num.exp + den.exp) for num, _ in entries]
@@ -179,40 +189,6 @@ def verify_local(expr: NetworkExpr, trials: int = 3, seed: int = 0) -> bool:
     verdict = analyze(expr)
     ranks = local_ranks(expr, trials, seed)
     return ranks_agree(ranks, verdict.param_count, verdict.locally_identifiable)
-
-
-# ---------------------------------------------------------------------------
-# coprimality spot checks for the composition rules
-
-
-def check_coprimality(
-    eq1: ConstitutiveEq,
-    eq2: ConstitutiveEq,
-    op: str,
-    theta: ParamPoint,
-) -> bool:
-    """Nonzero resultant of the pair of operators whose product rule the
-    given connection uses (strain pair for series, stress pair for
-    parallel), after shifting away trailing derivative powers."""
-    if op == "series":
-        p_op, q_op = eq1.eps, eq2.eps
-    elif op == "parallel":
-        p_op, q_op = eq1.sig, eq2.sig
-    else:
-        raise ValueError("op must be 'series' or 'parallel'")
-    values = theta.values if isinstance(theta, ParamPoint) else tuple(theta)
-    p = _tight_vector(p_op, values)
-    q = _tight_vector(q_op, values)
-    return resultant(p, q) != 0
-
-
-def _tight_vector(op: DiffOperator, values: Sequence[Rat]) -> list[Fraction]:
-    vec = op.eval_coeffs(values)
-    while len(vec) > 1 and vec[-1] == 0:
-        vec.pop()
-    while len(vec) > 1 and vec[0] == 0:
-        vec.pop(0)
-    return vec
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Shared test machinery: named example networks, the frozen composition
-row data, and builders for random identifiable components of a given
-shape class and stress index."""
+row data, builders for random identifiable components of a given shape
+class and stress index, the symbolic reference Jacobian, and the
+coprimality spot check for the composition rules."""
 
 from __future__ import annotations
 
@@ -9,16 +10,19 @@ from fractions import Fraction
 
 from sdident import (
     ConstitutiveEq,
+    DiffOperator,
     Element,
     Leaf,
     NetworkExpr,
     Parallel,
+    ParamPoint,
     ParamPoly,
     Series,
     coefficient_map,
     constitutive,
     flatten,
     params,
+    resultant,
 )
 from sdident.opalg import fold_constitutive
 
@@ -246,3 +250,33 @@ def reference_jacobian_matrix(expr: NetworkExpr, theta) -> list[list[Fraction]]:
             ]
         )
     return rows
+
+
+def check_coprimality(
+    eq1: ConstitutiveEq,
+    eq2: ConstitutiveEq,
+    op: str,
+    theta: ParamPoint,
+) -> bool:
+    """Nonzero resultant of the pair of operators whose product rule the
+    given connection uses (strain pair for series, stress pair for
+    parallel), after shifting away trailing derivative powers."""
+    if op == "series":
+        p_op, q_op = eq1.eps, eq2.eps
+    elif op == "parallel":
+        p_op, q_op = eq1.sig, eq2.sig
+    else:
+        raise ValueError("op must be 'series' or 'parallel'")
+    values = theta.values if isinstance(theta, ParamPoint) else tuple(theta)
+    p = _tight_vector(p_op, values)
+    q = _tight_vector(q_op, values)
+    return resultant(p, q) != 0
+
+
+def _tight_vector(op: DiffOperator, values) -> list[Fraction]:
+    vec = op.eval_coeffs(values)
+    while len(vec) > 1 and vec[-1] == 0:
+        vec.pop()
+    while len(vec) > 1 and vec[0] == 0:
+        vec.pop(0)
+    return vec

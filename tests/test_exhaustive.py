@@ -1,6 +1,7 @@
 """Exhaustive checks over every series-parallel network with up to four
 elements (all shapes, all spring/dashpot assignments): the counting,
-table, and Jacobian-rank routes must agree everywhere, every derived
+table, and Jacobian-rank routes must agree everywhere, the rank must
+equal the number of non-monic coefficients, every derived
 equation must land in a shape class consistent with the tables, and the
 point-evaluated passes (shapes at theta = 1, forward-mode Jacobian) must
 match the symbolic equation exactly, and every coefficient must be a
@@ -103,6 +104,7 @@ def test_every_network_up_to_four_elements():
         rank = exact_rank(matrix)
         assert jacobian_rank(expr, theta) == rank, expr
         assert table_says == counting_says == (rank == n), expr
+        assert rank == nonmonic_count(eq), expr
         # the integer fold at theta = 1 counts each coefficient's terms,
         # so it met no monomial twice: every coefficient is 1
         ones = fold_constitutive(expr, [1] * n, 1)

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sdident import (
     GlobalStatus,
@@ -23,6 +24,7 @@ from sdident import (
     resultant,
     sylvester,
 )
+from sdident.ident import _MODULUS, _integer_rows, _rank_mod_p
 
 from helpers import (
     BRANCHED_10,
@@ -150,6 +152,37 @@ class TestExactLinearAlgebra:
 
     def test_empty_det(self):
         assert exact_det([]) == 1
+
+    @pytest.mark.parametrize(
+        "mat, short, rank",
+        [
+            ([[_MODULUS]], 0, 1),
+            ([[_MODULUS, 0], [0, 1]], 1, 2),
+            ([[1, 1], [1, 1 + _MODULUS]], 1, 2),
+            ([[F(_MODULUS, 3), 1], [0, 2 * _MODULUS]], 1, 2),
+            ([[_MODULUS, 2 * _MODULUS], [1, 2]], 1, 1),
+        ],
+    )
+    def test_rank_short_mod_p_falls_back(self, mat, short, rank):
+        # the rank mod p is below min(rows, columns), so Bareiss decides
+        assert _rank_mod_p(_integer_rows(mat)[0]) == short
+        assert exact_rank(mat) == rank == _fraction_rank(mat)
+
+
+# small integers plus multiples of the modulus, so ranks mod p often fall short
+_NEAR_MULTIPLES = st.builds(lambda a, k: a + k * _MODULUS, st.integers(-3, 3), st.integers(-2, 2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda cols: st.lists(
+            st.lists(_NEAR_MULTIPLES, min_size=cols, max_size=cols), min_size=1, max_size=4
+        )
+    )
+)
+def test_rank_matches_fraction_rank_near_multiples_of_p(mat):
+    assert exact_rank(mat) == _fraction_rank(mat)
 
 
 def _fraction_rank(mat):
