@@ -50,7 +50,7 @@ def equation_text(eq: ConstitutiveEq, names: Sequence[str]) -> str:
         parts = []
         for order in range(op.high, op.low - 1, -1):
             poly = op.coeff(order)
-            if poly.is_zero:
+            if not poly:
                 continue
             text = poly.to_string(names)
             sym = _symbol(base, order)
@@ -154,12 +154,11 @@ def cmd_analyze(args) -> int:
     report = build_report(expr, args.expression)
     if args.verify:
         ranks = local_ranks(expr, trials=args.trials, seed=args.seed)
-        local = report["local"] == "identifiable"
         report["oracle"] = {
             "trials": args.trials,
             "seed": args.seed,
             "jacobian_rank": ranks[0],
-            "agrees": ranks_agree(ranks, report["param_count"], local),
+            "agrees": ranks_agree(ranks, report["nonmonic_count"]),
         }
     if args.json:
         print(json.dumps(report, indent=2, sort_keys=True))
@@ -253,7 +252,7 @@ def cmd_verify(args) -> int:
     expr = parse(args.expression)
     verdict = analyze(expr)
     ranks = local_ranks(expr, trials=args.trials, seed=args.seed)
-    agrees = ranks_agree(ranks, verdict.param_count, verdict.locally_identifiable)
+    agrees = ranks_agree(ranks, verdict.nonmonic_count)
     status = "identifiable" if verdict.locally_identifiable else "unidentifiable"
     print(f"symbolic: {status} (type {verdict.net_type})")
     print(f"oracle:   {'agrees' if agrees else 'DISAGREES'} over {args.trials} trials")

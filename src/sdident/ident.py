@@ -22,7 +22,6 @@ Sylvester matrix of L1 and L3 between two triangular blocks.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -139,16 +138,17 @@ def exact_det(matrix: Sequence[Sequence[Rat]]) -> Fraction:
     return Fraction(sign * last_pivot, scale) if rank == n else Fraction(0)
 
 
-def exact_rank(matrix: Sequence[Sequence[Rat]]) -> int:
-    """Exact rank.  A nonzero r x r minor mod the prime ``_MODULUS`` is a
-    nonzero integer minor, so rank mod p <= rank <= min(rows, columns):
-    a rank mod p at that bound is the rank, and only a shorter one falls
-    back to fraction-free elimination (``_bareiss``)."""
-    if not matrix:
+def exact_rank(rows: list[list[int]]) -> int:
+    """Exact rank of integer rows (scale rational rows to integers first;
+    a positive row scale keeps the rank).  A nonzero r x r minor mod the
+    prime ``_MODULUS`` is a nonzero integer minor, so rank mod p <= rank
+    <= min(rows, columns): a rank mod p at that bound is the rank, and
+    only a shorter one falls back to fraction-free elimination
+    (``_bareiss``, on a copy)."""
+    if not rows:
         return 0
-    rows = _integer_rows(matrix)[0]
     bound = min(len(rows), len(rows[0]))
-    return bound if _rank_mod_p(rows) == bound else _bareiss(rows)[0]
+    return bound if _rank_mod_p(rows) == bound else _bareiss([list(r) for r in rows])[0]
 
 
 def _rank_mod_p(rows: list[list[int]]) -> int:
@@ -325,35 +325,3 @@ def block_determinant(
     elif m2 + m3 < m1 + m4:
         det *= l3[0] ** (m1 + m4 - m2 - m3)
     return abs(det)
-
-
-def random_rational(rng: random.Random) -> Fraction:
-    """Positive rational from the 1..10**6 grid scaled by 1/1000."""
-    return Fraction(rng.randint(1, 10**6), 1000)
-
-
-def random_operator_vector(shape: Shape, rng: random.Random, monic: bool = True) -> list[Fraction]:
-    """Random tight coefficient vector for a shape (ascending orders)."""
-    n, m = shape
-    vec = [random_rational(rng) for _ in range(n - m + 1)]
-    if monic:
-        vec[-1] = Fraction(1)
-    return vec
-
-
-def good_quadruple(quad: Quadruple, samples: int = 3, seed: int = 0) -> bool:
-    """Does the factorization problem for these shapes have finitely many
-    solutions?  Non-square systems say no; square ones are probed with
-    random exact instantiations of L1 and L3."""
-    rows, cols = factor_matrix_size(quad)
-    if rows != cols:
-        return False
-    shape1, shape2, shape3, shape4 = quad
-    rng = random.Random(seed)
-    for _ in range(max(1, samples)):
-        l1 = random_operator_vector(shape1, rng)
-        l3 = random_operator_vector(shape3, rng)
-        mat = factor_matrix(l1, shape1, l3, shape3, shape2, shape4)
-        if exact_det(mat) != 0:
-            return True
-    return False

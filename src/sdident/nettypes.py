@@ -88,16 +88,6 @@ def classify(eq: ConstitutiveEq) -> tuple[NetType, int]:
     )
 
 
-def predicted_shapes(t: NetType, n: int) -> tuple[Shape, Shape]:
-    """(strain shape, stress shape) for a class and stress index."""
-    if t is NetType.U:
-        raise ValueError("the unidentifiable marker has no shape")
-    offset, low = _STRAIN_SHAPES[t]
-    if n < 0 or n + offset < low:
-        raise ValueError(f"invalid index {n} for class {t}")
-    return Shape(n + offset, low), Shape(n, 0)
-
-
 @dataclass(frozen=True)
 class TraceStep:
     """One table application while folding an expression."""
@@ -139,11 +129,6 @@ def type_trace(expr: NetworkExpr) -> tuple[NetType, tuple[TraceStep, ...]]:
         return acc
 
     return walk(expr, 0), tuple(steps)
-
-
-def type_of(expr: NetworkExpr) -> NetType:
-    """Type of a network by table evaluation alone (no equation derived)."""
-    return type_trace(expr)[0]
 
 
 def format_tables() -> str:

@@ -101,10 +101,6 @@ class ParamPoly:
             raise ValueError(f"a monomial mask lies outside {nvars} parameters")
 
     @classmethod
-    def zero(cls, nvars: int) -> "ParamPoly":
-        return cls(nvars)
-
-    @classmethod
     def const(cls, nvars: int, value: int) -> "ParamPoly":
         if value not in (0, 1):
             raise ValueError(f"a 0/1 polynomial has no constant {value}")
@@ -115,10 +111,6 @@ class ParamPoly:
         if not 0 <= index < nvars:
             raise ValueError(f"variable index {index} out of range for {nvars}")
         return cls(nvars, [1 << index])
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -156,24 +148,6 @@ class ParamPoly:
             raise InvariantViolation("product of monomials sharing a parameter")
         return ParamPoly(self.nvars, [a | b for a in self.terms for b in other.terms])
 
-    def evaluate(self, values: Sequence[Rat]) -> Fraction:
-        """Exact value at a point (one value per parameter)."""
-        if len(values) != self.nvars:
-            raise ValueError(f"expected {self.nvars} values, got {len(values)}")
-        vals = [Fraction(v) for v in values]
-        total = Fraction(0)
-        for mask in self.terms:
-            term = 1
-            for i, v in enumerate(vals):
-                if mask >> i & 1:
-                    term *= v
-            total += term
-        return total
-
-    def derivative(self, index: int) -> "ParamPoly":
-        bit = 1 << index
-        return ParamPoly(self.nvars, [m ^ bit for m in self.terms if m & bit])
-
     def try_divide(self, divisor: "ParamPoly") -> "ParamPoly | None":
         """Exact quotient self/divisor, or None when division is inexact.
 
@@ -182,24 +156,21 @@ class ParamPoly:
         monomials is a dividend monomial's part outside the divisor's
         support.
         """
-        if divisor.is_zero:
+        if not divisor:
             raise ZeroDivisionError("polynomial division by zero")
         outside = ~_support(divisor)
         quot = ParamPoly(self.nvars, [mask & outside for mask in self.terms])
         return quot if quot * divisor == self else None
 
     def to_string(self, names: Sequence[str]) -> str:
-        """Canonical text, terms by descending degree, then descending
-        exponent tuple in parameter order."""
+        """Canonical text, terms by descending exponent tuple in parameter
+        order (lex order).  On a homogeneous polynomial, as every derived
+        coefficient and quotient is, that is graded lex order."""
         if len(names) != self.nvars:
             raise ValueError("one name per variable required")
         if not self.terms:
             return "0"
-        order = sorted(
-            self.terms,
-            key=lambda m: (m.bit_count(), f"{m:0{self.nvars}b}"[::-1]),
-            reverse=True,
-        )
+        order = sorted(self.terms, key=lambda m: f"{m:0{self.nvars}b}"[::-1], reverse=True)
         return " + ".join(
             ["*".join([n for i, n in enumerate(names) if mask >> i & 1]) or "1" for mask in order]
         )
@@ -289,10 +260,6 @@ class DiffOperator:
             )
         return DiffOperator(self.low - k, self.coeffs)
 
-    def eval_coeffs(self, theta: Sequence[Rat]) -> list[Fraction]:
-        """Coefficient values at theta, orders low..high ascending."""
-        return [c.evaluate(theta) for c in self.coeffs]
-
     def __repr__(self) -> str:
         return f"DiffOperator(low={self.low}, orders={self.low}..{self.high})"
 
@@ -313,11 +280,6 @@ class ConstitutiveEq:
     @property
     def nvars(self) -> int:
         return self.eps.nvars
-
-
-def leaf_equation(kind: str, index: int, nvars: int) -> ConstitutiveEq:
-    """Base equation of one element over an ``nvars``-parameter space."""
-    return _leaf(kind, ParamPoly.var(nvars, index), ParamPoly.const(nvars, 1))
 
 
 def _leaf(kind: str, value, one) -> ConstitutiveEq:

@@ -6,7 +6,8 @@ Two oracles, deliberately separate from the table algebra:
   Jacobian of the coefficient map at random positive rational points
   (a forward-mode pass of integer duals, each gradient packed into one
   int, through the composition fold, then ``exact_rank``: a rank mod
-  2**61 - 1, certified when full, Bareiss only when it falls short);
+  2**61 - 1, certified when full, Bareiss only when it falls short),
+  which must equal the non-monic coefficient count;
 * global identifiability is probed by enumerating the fiber of the
   coefficient map over a base point: root exchanges between the
   composition factors at every node with two or more internal children
@@ -40,7 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .ident import analyze, exact_rank, random_rational
+from .ident import analyze, exact_rank
 from .network import Leaf, NetworkExpr, Series, leaves, params
 from .opalg import (
     MAX_BATCH_CELLS,
@@ -77,6 +78,11 @@ class ParamPoint:
 
     def as_floats(self) -> np.ndarray:
         return _numpy().array([float(v) for v in self.values])
+
+
+def random_rational(rng: random.Random) -> Fraction:
+    """Positive rational from the 1..10**6 grid scaled by 1/1000."""
+    return Fraction(rng.randint(1, 10**6), 1000)
 
 
 def sample_point(n_params: int, seed: int = 0) -> ParamPoint:
@@ -123,8 +129,13 @@ class _Dual:
 
 
 def _jacobian_rows(expr: NetworkExpr, theta: Sequence[Rat]) -> tuple[list[list[int]], list[int]]:
-    """Row-scaled exact Jacobian at a positive theta as integer rows, each
-    over its own positive denominator (see ``jacobian_matrix``)."""
+    """Row-scaled exact Jacobian of the coefficient map at a positive
+    theta, as integer rows, each over its own positive denominator.
+
+    Each row of d(num/den) is multiplied by den(theta)**2, which cannot
+    vanish at positive theta and does not change the rank: the row is
+    d(num)*den - num*d(den), all from one pass of duals at theta.
+    """
     values = [Fraction(v) for v in theta]
     if any(v <= 0 for v in values):
         raise ValueError("parameter values must be strictly positive")
@@ -149,17 +160,6 @@ def _jacobian_rows(expr: NetworkExpr, theta: Sequence[Rat]) -> tuple[list[list[i
     return rows, [scale ** (num.exp + den.exp) for num, _ in entries]
 
 
-def jacobian_matrix(expr: NetworkExpr, theta: Sequence[Rat]) -> list[list[Fraction]]:
-    """Row-scaled exact Jacobian of the coefficient map at a positive theta.
-
-    Each row of d(num/den) is multiplied by den(theta)**2, which cannot
-    vanish at positive theta and does not change the rank: the row is
-    d(num)*den - num*d(den), all from one pass of duals at theta.
-    """
-    rows, denominators = _jacobian_rows(expr, theta)
-    return [[Fraction(x, q) for x in row] for row, q in zip(rows, denominators)]
-
-
 def jacobian_rank(expr: NetworkExpr, theta: ParamPoint) -> int:
     """Exact rank of the coefficient-map Jacobian at a positive point,
     ranked on the integer rows (a positive row scale keeps the rank)."""
@@ -176,19 +176,20 @@ def local_ranks(expr: NetworkExpr, trials: int = 3, seed: int = 0) -> list[int]:
     return [jacobian_rank(expr, sample_point(n, seed=seed + 1000 * t)) for t in range(trials)]
 
 
-def ranks_agree(ranks: Sequence[int], param_count: int, locally_identifiable: bool) -> bool:
-    """True iff every rank gives the symbolic local verdict: full rank
-    exactly when the network is locally identifiable."""
-    return all((rank == param_count) == locally_identifiable for rank in ranks)
+def ranks_agree(ranks: Sequence[int], nonmonic_count: int) -> bool:
+    """True iff every rank equals the non-monic coefficient count.
+    ``analyze`` calls a network locally identifiable exactly when that
+    count is the parameter count, so this implies full rank iff
+    identifiable, and also pins the rank of an unidentifiable network."""
+    return all(rank == nonmonic_count for rank in ranks)
 
 
 def verify_local(expr: NetworkExpr, trials: int = 3, seed: int = 0) -> bool:
-    """True iff rank-based and table-based local verdicts agree at every
-    sampled point (the pivot is positive at positive points, so no draw
-    is degenerate)."""
+    """True iff the Jacobian rank equals the non-monic coefficient count
+    at every sampled point (the pivot is positive at positive points, so
+    no draw is degenerate)."""
     verdict = analyze(expr)
-    ranks = local_ranks(expr, trials, seed)
-    return ranks_agree(ranks, verdict.param_count, verdict.locally_identifiable)
+    return ranks_agree(local_ranks(expr, trials, seed), verdict.nonmonic_count)
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +216,6 @@ class CompiledMap:
         self.nparams = eq.nvars
         entries = coefficient_map(eq)
         self.dim = len(entries)
-        self._entries = entries
         polys = [num for num, _ in entries] + [entries[0][1]]
         terms = [(row, mask) for row, p in enumerate(polys) for mask in p.terms]
         self._exps = np.array(
@@ -233,9 +233,6 @@ class CompiledMap:
     def value(self, theta: np.ndarray) -> np.ndarray:
         sums = (self._terms(theta) @ self._sums.T)[..., 0, :]
         return sums[..., : self.dim] / sums[..., self.dim, None]
-
-    def value_exact(self, theta: Sequence[Rat]) -> list[Fraction]:
-        return [num.evaluate(theta) / den.evaluate(theta) for num, den in self._entries]
 
     def jacobian(self, theta: np.ndarray) -> np.ndarray:
         weighted = self._sums * self._terms(theta)

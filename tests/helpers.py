@@ -1,7 +1,10 @@
 """Shared test machinery: named example networks, the frozen composition
-row data, builders for random identifiable components of a given shape
-class and stress index, the symbolic reference Jacobian, and the
-coprimality spot check for the composition rules."""
+row data and class shapes, builders for random identifiable components
+of a given shape class and stress index, exact evaluation of symbolic
+polynomials, the symbolic reference Jacobian, the oracle's Jacobian as
+Fractions, a plain Fraction rank, the random probe of the shape
+factorization problem, and the coprimality spot check for the
+composition rules."""
 
 from __future__ import annotations
 
@@ -13,18 +16,25 @@ from sdident import (
     DiffOperator,
     Element,
     Leaf,
+    NetType,
     NetworkExpr,
     Parallel,
     ParamPoint,
     ParamPoly,
+    Quadruple,
     Series,
+    Shape,
     coefficient_map,
     constitutive,
+    exact_det,
+    factor_matrix,
+    factor_matrix_size,
     flatten,
     params,
     resultant,
 )
 from sdident.opalg import fold_constitutive
+from sdident.oracle import _jacobian_rows, random_rational
 
 # classic textbook models and the two larger literature networks
 MAXWELL = "E1 & n1"
@@ -125,6 +135,21 @@ PARALLEL_ROWS = {
                      nonmonic=lambda a, b: 2 * a + 2 * b, params=lambda a, b: 2 * a + 2 * b,
                      identifiable=True, result="D"),
 }
+
+
+# strain shape of each class over stress shape [n, 0], as (n + offset, low):
+# A [n, 0], B [n+1, 1], C [n+1, 0], D [n, 1]
+CLASS_STRAIN_SHAPES = {"A": (0, 0), "B": (1, 1), "C": (1, 0), "D": (0, 1)}
+
+
+def predicted_shapes(t: NetType, n: int) -> tuple[Shape, Shape]:
+    """(strain shape, stress shape) for a class and stress index."""
+    if t is NetType.U:
+        raise ValueError("the unidentifiable marker has no shape")
+    offset, low = CLASS_STRAIN_SHAPES[t.value]
+    if n < 0 or n + offset < low:
+        raise ValueError(f"invalid index {n} for class {t}")
+    return Shape(n + offset, low), Shape(n, 0)
 
 
 def typed_network(letter: str, n: int, rng: random.Random) -> NetworkExpr:
@@ -231,6 +256,37 @@ def poly_from_roots(roots: list[Fraction], lead: Fraction = Fraction(1)) -> list
     return coeffs
 
 
+def evaluate(poly: ParamPoly, values) -> Fraction:
+    """Exact value of a polynomial at a point (one value per parameter)."""
+    if len(values) != poly.nvars:
+        raise ValueError(f"expected {poly.nvars} values, got {len(values)}")
+    vals = [Fraction(v) for v in values]
+    total = Fraction(0)
+    for mask in poly.terms:
+        term = 1
+        for i, v in enumerate(vals):
+            if mask >> i & 1:
+                term *= v
+        total += term
+    return total
+
+
+def derivative(poly: ParamPoly, index: int) -> ParamPoly:
+    """Partial derivative in parameter ``index``."""
+    bit = 1 << index
+    return ParamPoly(poly.nvars, [m ^ bit for m in poly.terms if m & bit])
+
+
+def eval_coeffs(op: DiffOperator, theta) -> list[Fraction]:
+    """Coefficient values of an operator at theta, orders low..high ascending."""
+    return [evaluate(c, theta) for c in op.coeffs]
+
+
+def coefficient_values(eq: ConstitutiveEq, theta) -> list[Fraction]:
+    """Exact values of the normalized coefficient map at theta."""
+    return [evaluate(num, theta) / evaluate(den, theta) for num, den in coefficient_map(eq)]
+
+
 def reference_jacobian_matrix(expr: NetworkExpr, theta) -> list[list[Fraction]]:
     """Row-scaled exact Jacobian from the symbolic equation: quotient-rule
     rows d(num)*den - num*d(den) of ParamPoly derivatives evaluated at
@@ -238,18 +294,69 @@ def reference_jacobian_matrix(expr: NetworkExpr, theta) -> list[list[Fraction]]:
     entries = coefficient_map(constitutive(expr))
     nv = len(theta)
     den = entries[0][1]
-    den_value = den.evaluate(theta)
-    den_partials = [den.derivative(i).evaluate(theta) for i in range(nv)]
+    den_value = evaluate(den, theta)
+    den_partials = [evaluate(derivative(den, i), theta) for i in range(nv)]
     rows = []
     for num, _ in entries:
-        num_value = num.evaluate(theta)
+        num_value = evaluate(num, theta)
         rows.append(
             [
-                num.derivative(i).evaluate(theta) * den_value - num_value * den_partials[i]
+                evaluate(derivative(num, i), theta) * den_value - num_value * den_partials[i]
                 for i in range(nv)
             ]
         )
     return rows
+
+
+def jacobian_matrix(expr: NetworkExpr, theta) -> list[list[Fraction]]:
+    """The oracle's row-scaled Jacobian at a positive theta as Fractions:
+    its integer rows over their denominators."""
+    rows, denominators = _jacobian_rows(expr, theta)
+    return [[Fraction(x, q) for x in row] for row, q in zip(rows, denominators)]
+
+
+def fraction_rank(mat) -> int:
+    """Rank by plain Gauss-Jordan elimination over Fractions."""
+    rows = [list(map(Fraction, row)) for row in mat]
+    rank = 0
+    n_cols = len(rows[0])
+    for col in range(n_cols):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for i in range(len(rows)):
+            if i != rank and rows[i][col] != 0:
+                factor = rows[i][col] / rows[rank][col]
+                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def good_quadruple(quad: Quadruple, samples: int = 3, seed: int = 0) -> bool:
+    """Does the factorization problem for these shapes have finitely many
+    solutions?  Non-square systems say no; square ones are probed with
+    random exact monic instantiations of L1 and L3."""
+    rows, cols = factor_matrix_size(quad)
+    if rows != cols:
+        return False
+    shape1, shape2, shape3, shape4 = quad
+    rng = random.Random(seed)
+
+    def monic_vector(shape: Shape) -> list[Fraction]:
+        """Random tight monic coefficient vector (ascending orders)."""
+        n, m = shape
+        vec = [random_rational(rng) for _ in range(n - m + 1)]
+        vec[-1] = Fraction(1)
+        return vec
+
+    for _ in range(max(1, samples)):
+        l1 = monic_vector(shape1)
+        l3 = monic_vector(shape3)
+        mat = factor_matrix(l1, shape1, l3, shape3, shape2, shape4)
+        if exact_det(mat) != 0:
+            return True
+    return False
 
 
 def check_coprimality(
@@ -274,7 +381,7 @@ def check_coprimality(
 
 
 def _tight_vector(op: DiffOperator, values) -> list[Fraction]:
-    vec = op.eval_coeffs(values)
+    vec = eval_coeffs(op, values)
     while len(vec) > 1 and vec[-1] == 0:
         vec.pop()
     while len(vec) > 1 and vec[0] == 0:

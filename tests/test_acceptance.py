@@ -34,7 +34,7 @@ from sdident import (
     sample_point,
     table_parallel,
     table_series,
-    type_of,
+    type_trace,
 )
 
 from helpers import (
@@ -47,6 +47,7 @@ from helpers import (
     SERIES_ROWS,
     VOIGT,
     embedded_pair,
+    eval_coeffs,
     poly_from_roots,
     typed_network,
     valid_indices,
@@ -147,7 +148,8 @@ def composition_sweep():
                 net1 = typed_network(t1, n1, rng)
                 net2 = typed_network(t2, n2, rng)
                 # self-check the builders against the class algebra
-                assert type_of(net1) == NetType(t1) and type_of(net2) == NetType(t2)
+                assert type_trace(net1)[0] == NetType(t1)
+                assert type_trace(net2)[0] == NetType(t2)
                 eq1, eq2 = embedded_pair(net1, net2)
                 combined = combine(eq1, eq2)
 
@@ -179,7 +181,7 @@ def composition_sweep():
                         ]
                         vecs = []
                         for op in ops:
-                            vec = op.eval_coeffs(theta)
+                            vec = eval_coeffs(op, theta)
                             vecs.append([v / vec[-1] for v in vec])
                         mat = factor_matrix(
                             vecs[0], quad[0], vecs[1], quad[2], quad[1], quad[3]
@@ -247,7 +249,7 @@ def test_criterion_4_triple_agreement():
         n_elements = rng.randint(1, 8)
         expr = random_network(rng.randint(0, 10**9), n_elements)
         n = len(params(expr))
-        by_table = type_of(expr) != NetType.U
+        by_table = type_trace(expr)[0] != NetType.U
         by_counting = n == nonmonic_count(constitutive(expr))
         rank = jacobian_rank(expr, sample_point(n, seed=rng.randint(0, 10**6)))
         by_rank = rank == n

@@ -328,6 +328,19 @@ class TestVerify:
         assert code == 3
         assert "disagrees" in err
 
+    def test_rank_below_nonmonic_count_disagrees(self, capsys, monkeypatch):
+        # unidentifiable with 4 parameters and 2 non-monic coefficients:
+        # rank 1 is short of full rank but is not the coefficient count
+        import sdident.cli as cli_mod
+
+        monkeypatch.setattr(cli_mod, "local_ranks", lambda *a, **k: [1, 1, 1])
+        code, out, _ = run(capsys, "verify", "(E1 & n1) & (E2 & n2)")
+        assert code == 3
+        assert "DISAGREES" in out
+        code, out, err = run(capsys, "analyze", "(E1 & n1) & (E2 & n2)", "--verify", "--json")
+        assert code == 3
+        assert json.loads(out)["oracle"]["agrees"] is False
+
     def test_analyzes_once(self, capsys, monkeypatch):
         import sdident.cli as cli_mod
         import sdident.oracle as oracle_mod

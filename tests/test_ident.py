@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -18,13 +19,12 @@ from sdident import (
     exact_rank,
     factor_matrix,
     factor_matrix_size,
-    good_quadruple,
     nonmonic_count,
     parse,
     resultant,
     sylvester,
 )
-from sdident.ident import _MODULUS, _integer_rows, _rank_mod_p
+from sdident.ident import _MODULUS, _rank_mod_p
 
 from helpers import (
     BRANCHED_10,
@@ -36,6 +36,9 @@ from helpers import (
     SERIES_ROWS,
     VOIGT,
     embedded_pair,
+    eval_coeffs,
+    fraction_rank,
+    good_quadruple,
     poly_from_roots,
     typed_network,
     valid_indices,
@@ -144,7 +147,9 @@ class TestExactLinearAlgebra:
                 [F(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(cols)]
                 for _ in range(rows)
             ]
-            assert exact_rank(mat) == _fraction_rank(mat)
+            # exact_rank takes integer rows: scale each row to integers
+            ints = [[int(x * math.lcm(*(y.denominator for y in row))) for x in row] for row in mat]
+            assert exact_rank(ints) == fraction_rank(mat)
 
     def test_rank_detects_dependent_rows(self):
         mat = [[1, 2, 3], [2, 4, 6], [0, 1, 1]]
@@ -159,14 +164,16 @@ class TestExactLinearAlgebra:
             ([[_MODULUS]], 0, 1),
             ([[_MODULUS, 0], [0, 1]], 1, 2),
             ([[1, 1], [1, 1 + _MODULUS]], 1, 2),
-            ([[F(_MODULUS, 3), 1], [0, 2 * _MODULUS]], 1, 2),
+            ([[_MODULUS, 3], [0, 2 * _MODULUS]], 1, 2),
             ([[_MODULUS, 2 * _MODULUS], [1, 2]], 1, 1),
         ],
     )
     def test_rank_short_mod_p_falls_back(self, mat, short, rank):
         # the rank mod p is below min(rows, columns), so Bareiss decides
-        assert _rank_mod_p(_integer_rows(mat)[0]) == short
-        assert exact_rank(mat) == rank == _fraction_rank(mat)
+        before = [list(row) for row in mat]
+        assert _rank_mod_p(mat) == short
+        assert exact_rank(mat) == rank == fraction_rank(mat)
+        assert mat == before  # the fallback eliminates a copy
 
 
 # small integers plus multiples of the modulus, so ranks mod p often fall short
@@ -182,24 +189,7 @@ _NEAR_MULTIPLES = st.builds(lambda a, k: a + k * _MODULUS, st.integers(-3, 3), s
     )
 )
 def test_rank_matches_fraction_rank_near_multiples_of_p(mat):
-    assert exact_rank(mat) == _fraction_rank(mat)
-
-
-def _fraction_rank(mat):
-    rows = [list(map(F, row)) for row in mat]
-    rank = 0
-    n_cols = len(rows[0])
-    for col in range(n_cols):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col] != 0:
-                factor = rows[i][col] / rows[rank][col]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank
+    assert exact_rank(mat) == fraction_rank(mat)
 
 
 class TestSylvesterResultant:
@@ -325,7 +315,7 @@ class TestBlockDeterminant:
                 theta = [F(rng.randint(1, 10**6), 1000) for _ in range(eq1.nvars)]
                 vecs = []
                 for op in ops:
-                    vec = op.eval_coeffs(theta)
+                    vec = eval_coeffs(op, theta)
                     vecs.append([v / vec[-1] for v in vec])
                 mat = factor_matrix(vecs[0], quad[0], vecs[1], quad[2], quad[1], quad[3])
                 det = exact_det(mat)

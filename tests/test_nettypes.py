@@ -11,16 +11,23 @@ from sdident import (
     constitutive,
     format_tables,
     parse,
-    predicted_shapes,
     random_network,
     table_parallel,
     table_series,
-    type_of,
     type_trace,
 )
 from sdident import network
 
-from helpers import BRANCHED_10, BURGERS, GEN_KELVIN_VOIGT, LADDER_8, MAXWELL, VOIGT, nested_chain
+from helpers import (
+    BRANCHED_10,
+    BURGERS,
+    GEN_KELVIN_VOIGT,
+    LADDER_8,
+    MAXWELL,
+    VOIGT,
+    nested_chain,
+    predicted_shapes,
+)
 
 A, B, C, D, U = NetType.A, NetType.B, NetType.C, NetType.D, NetType.U
 
@@ -99,7 +106,7 @@ class TestTypeOf:
         ],
     )
     def test_examples(self, text, expected):
-        assert type_of(parse(text)) == expected
+        assert type_trace(parse(text))[0] == expected
 
     def test_trace_records_collapse(self):
         t, steps = type_trace(parse(BRANCHED_10))
@@ -151,7 +158,7 @@ class TestTypeOf:
             if not hasattr(expr, "children"):
                 continue
             reversed_expr = type(expr)(tuple(reversed(expr.children)))
-            assert type_of(expr) == type_of(reversed_expr)
+            assert type_trace(expr)[0] == type_trace(reversed_expr)[0]
 
 
 class TestPredictedShapes:
@@ -183,7 +190,7 @@ def test_table_and_shape_consistency(seed, n):
     whenever the table says identifiable; the equation still classifies
     when it does not."""
     expr = random_network(seed, n)
-    table_type = type_of(expr)
+    table_type = type_trace(expr)[0]
     eq = constitutive(expr)
     shape_type, index = classify(eq)
     if table_type is not U:

@@ -17,18 +17,17 @@ from sdident import (
     coefficient_map,
     constitutive,
     fiber_solutions,
-    jacobian_matrix,
     jacobian_rank,
     nonmonic_count,
     params,
     parse,
     random_network,
     sample_point,
-    type_of,
+    type_trace,
     verify_local,
 )
 from sdident.opalg import fold_constitutive
-from sdident.oracle import _newton_batch
+from sdident.oracle import _newton_batch, ranks_agree
 
 from helpers import (
     BRANCHED_10,
@@ -38,7 +37,11 @@ from helpers import (
     MAXWELL,
     VOIGT,
     check_coprimality,
+    coefficient_values,
     embedded_pair,
+    eval_coeffs,
+    evaluate,
+    jacobian_matrix,
     maxwell_bank,
     reference_jacobian_matrix,
 )
@@ -138,7 +141,7 @@ class TestPointPasses:
         floats = fold_constitutive(expr, [float(v) for v in theta], 1.0)
         for sym, num in ((exact.eps, floats.eps), (exact.sig, floats.sig)):
             assert sym.shape == num.shape
-            expected = [float(c) for c in sym.eval_coeffs(theta)]
+            expected = [float(c) for c in eval_coeffs(sym, theta)]
             assert np.allclose(num.coeffs, expected, rtol=1e-12, atol=0)
 
 
@@ -155,6 +158,20 @@ class TestVerifyLocal:
     def test_trials_validated(self):
         with pytest.raises(ValueError):
             verify_local(parse("E1"), trials=0)
+
+    def test_rank_below_nonmonic_count_disagrees(self, monkeypatch):
+        # unidentifiable: 4 parameters, 2 non-monic coefficients.  A rank
+        # of 1 is short of full rank, as the verdict says, but it is not
+        # the coefficient count the rank always equals
+        import sdident.oracle as oracle_mod
+
+        expr = parse("(E1 & n1) & (E2 & n2)")
+        verdict = analyze(expr)
+        assert (verdict.param_count, verdict.nonmonic_count) == (4, 2)
+        assert ranks_agree([2, 2], 2)
+        assert not ranks_agree([1], verdict.nonmonic_count)
+        monkeypatch.setattr(oracle_mod, "local_ranks", lambda *a, **k: [2, 1, 2])
+        assert verify_local(expr) is False
 
     @pytest.mark.parametrize(
         "expr", [parse(maxwell_bank(20)), random_network(3, 80)], ids=["bank20", "random80"]
@@ -198,8 +215,8 @@ class TestCoprimality:
             expr = parse(text)
             eq = constitutive(expr)
             theta = sample_point(len(params(expr)), seed=rng.randint(0, 10**6))
-            eps = [c.evaluate(theta.values) for c in eq.eps.coeffs]
-            sig = [c.evaluate(theta.values) for c in eq.sig.coeffs]
+            eps = eval_coeffs(eq.eps, theta.values)
+            sig = eval_coeffs(eq.sig, theta.values)
             assert resultant(eps, sig) != 0
 
     def test_bad_op_rejected(self):
@@ -245,9 +262,10 @@ COMPILED_MAP_CASES = [
 class TestCompiledMap:
     @pytest.mark.parametrize("expr", COMPILED_MAP_CASES)
     def test_float_matches_exact(self, expr):
-        cmap = CompiledMap(constitutive(expr))
+        eq = constitutive(expr)
+        cmap = CompiledMap(eq)
         pt = sample_point(cmap.nparams, seed=6)
-        exact = [float(v) for v in cmap.value_exact(pt.values)]
+        exact = [float(v) for v in coefficient_values(eq, pt.values)]
         floats = cmap.value(pt.as_floats())
         assert np.allclose(floats, exact, rtol=1e-12)
 
@@ -258,7 +276,7 @@ class TestCompiledMap:
         dense = cmap.jacobian(pt.as_floats())
         exact_rows = jacobian_matrix(expr, pt.values)
         eq = constitutive(expr)
-        den = coefficient_map(eq)[0][1].evaluate(pt.values)
+        den = evaluate(coefficient_map(eq)[0][1], pt.values)
         scaled = np.array([[float(x / den**2) for x in row] for row in exact_rows])
         assert np.allclose(dense, scaled, rtol=1e-9)
 
@@ -266,13 +284,14 @@ class TestCompiledMap:
     def test_accurate_at_spread_points(self, expr):
         # parameters over eight decades, as Newton's iterates can roam:
         # terms then span many magnitudes, and the sums must not cancel
-        cmap = CompiledMap(constitutive(expr))
+        eq = constitutive(expr)
+        cmap = CompiledMap(eq)
         rng = random.Random(cmap.nparams)
         theta = np.array([10 ** rng.uniform(-4, 4) for _ in range(cmap.nparams)])
         point = [F(float(v)) for v in theta]
-        exact = np.array([float(v) for v in cmap.value_exact(point)])
+        exact = np.array([float(v) for v in coefficient_values(eq, point)])
         assert np.allclose(cmap.value(theta), exact, rtol=1e-12, atol=0)
-        den = coefficient_map(constitutive(expr))[0][1].evaluate(point)
+        den = evaluate(coefficient_map(eq)[0][1], point)
         rows = jacobian_matrix(expr, point)
         dense = np.array([[float(x / den**2) for x in row] for row in rows])
         # d/dlog(theta), relative to each coefficient's value
@@ -548,7 +567,7 @@ class TestTheoremAgreement:
         for _ in range(40):
             expr = random_network(rng.randint(0, 10**9), rng.randint(1, 7))
             n = len(params(expr))
-            table_global = type_of(expr) != NetType.U
+            table_global = type_trace(expr)[0] != NetType.U
             counting = n == nonmonic_count(constitutive(expr))
             rank = jacobian_rank(expr, sample_point(n, seed=rng.randint(0, 10**6)))
             assert table_global == counting == (rank == n)
