@@ -21,7 +21,6 @@ Sylvester matrix of L1 and L3 between two triangular blocks.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -123,19 +122,17 @@ def analyze(expr: NetworkExpr) -> Verdict:
 
 
 # ---------------------------------------------------------------------------
-# exact linear algebra over the rationals
+# exact linear algebra: one elimination over GF(p) or the rationals
 
 
 def exact_det(matrix: Sequence[Sequence[Rat]]) -> Fraction:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
+    """Exact determinant: the signed product of the pivots of Gaussian
+    elimination over the rationals, or 0 when a column has no pivot."""
     n = len(matrix)
-    if n == 0:
-        return Fraction(1)
     if any(len(row) != n for row in matrix):
         raise ValueError("determinant of a non-square matrix")
-    rows, scale = _integer_rows(matrix)
-    rank, sign, last_pivot = _bareiss(rows)
-    return Fraction(sign * last_pivot, scale) if rank == n else Fraction(0)
+    rank, det = _eliminate(matrix)
+    return Fraction(det) if rank == n else Fraction(0)
 
 
 def exact_rank(rows: list[list[int]]) -> int:
@@ -143,68 +140,38 @@ def exact_rank(rows: list[list[int]]) -> int:
     a positive row scale keeps the rank).  A nonzero r x r minor mod the
     prime ``_MODULUS`` is a nonzero integer minor, so rank mod p <= rank
     <= min(rows, columns): a rank mod p at that bound is the rank, and
-    only a shorter one falls back to fraction-free elimination
-    (``_bareiss``, on a copy)."""
+    only a shorter one is ranked again over the rationals."""
     if not rows:
         return 0
     bound = min(len(rows), len(rows[0]))
-    return bound if _rank_mod_p(rows) == bound else _bareiss([list(r) for r in rows])[0]
+    return bound if _eliminate(rows, _MODULUS)[0] == bound else _eliminate(rows)[0]
 
 
-def _rank_mod_p(rows: list[list[int]]) -> int:
-    """Rank of integer rows mod ``_MODULUS`` by Gaussian elimination that
-    replaces rows and reduces an entry only when a pivot or factor reads it."""
-    p = _MODULUS
-    rows = list(rows)
-    rank = 0
-    for col in range(len(rows[0])):
-        pivot_row = next((i for i in range(rank, len(rows)) if rows[i][col] % p), None)
-        if pivot_row is None:
-            continue
-        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
-        pivot = [x % p for x in rows[rank]]
-        inverse = pow(pivot[col], -1, p)
-        for i in range(rank + 1, len(rows)):
-            factor = rows[i][col] * inverse % p
-            rows[i] = [x - factor * y for x, y in zip(rows[i], pivot)]
-        rank += 1
-    return rank
-
-
-def _bareiss(rows: list[list[int]]) -> tuple[int, int, int]:
-    """Fraction-free elimination in place with column pivot search; returns
-    the rank, the sign of the row swaps and the last pivot (up to that
-    sign, the determinant of a full-rank square matrix)."""
-    n_rows, n_cols = len(rows), len(rows[0])
-    rank, sign, prev = 0, 1, 1
-    for col in range(n_cols):
-        pivot_row = next((i for i in range(rank, n_rows) if rows[i][col] != 0), None)
+def _eliminate(rows: Sequence[Sequence[Rat]], p: int = 0) -> tuple[int, Rat]:
+    """Gaussian elimination over GF(p) on integer rows, or over the
+    rationals when p = 0; returns the rank and the signed product of the
+    pivots (mod p), which is the determinant of a square matrix of full
+    rank.  Rows are replaced, never mutated.  Over GF(p) an entry is
+    reduced only when a pivot or a factor reads it."""
+    rows = list(rows) if p else [[Fraction(x) for x in row] for row in rows]
+    rank, det = 0, 1
+    for col in range(len(rows[0]) if rows else 0):
+        pivot_row = next(
+            (i for i in range(rank, len(rows)) if (rows[i][col] % p if p else rows[i][col])), None
+        )
         if pivot_row is None:
             continue
         if pivot_row != rank:
             rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
-            sign = -sign
-        for i in range(rank + 1, n_rows):
-            for j in range(col + 1, n_cols):
-                rows[i][j] = (rows[i][j] * rows[rank][col] - rows[i][col] * rows[rank][j]) // prev
-            rows[i][col] = 0
-        prev = rows[rank][col]
+            det = -det
+        pivot = [x % p for x in rows[rank]] if p else rows[rank]
+        det *= pivot[col]
+        inverse = pow(pivot[col], -1, p) if p else 1 / pivot[col]
+        for i in range(rank + 1, len(rows)):
+            factor = rows[i][col] * inverse % p if p else rows[i][col] * inverse
+            rows[i] = [x - factor * y for x, y in zip(rows[i], pivot)]
         rank += 1
-        if rank == n_rows:
-            break
-    return rank, sign, prev
-
-
-def _integer_rows(matrix: Sequence[Sequence[Rat]]) -> tuple[list[list[int]], int]:
-    """Scale each row to integers; returns rows and the product of scales.
-    Integer rows pass through unscaled."""
-    out = []
-    scale = 1
-    for row in matrix:
-        mult = math.lcm(*(x.denominator for x in row))
-        out.append([x.numerator * (mult // x.denominator) for x in row])
-        scale *= mult
-    return out, scale
+    return rank, det % p if p else det
 
 
 # ---------------------------------------------------------------------------

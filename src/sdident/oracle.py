@@ -6,7 +6,8 @@ Two oracles, deliberately separate from the table algebra:
   Jacobian of the coefficient map at random positive rational points
   (a forward-mode pass of integer duals, each gradient packed into one
   int, through the composition fold, then ``exact_rank``: a rank mod
-  2**61 - 1, certified when full, Bareiss only when it falls short),
+  2**61 - 1, certified when full, and the rank over the rationals only
+  when it falls short),
   which must equal the non-monic coefficient count;
 * global identifiability is probed by enumerating the fiber of the
   coefficient map over a base point: root exchanges between the
@@ -251,14 +252,17 @@ _LADDER_BLOCK = 8
 # below _STALL_FACTOR times its value _STALL_WINDOW iterations earlier
 _STALL_WINDOW = 20
 _STALL_FACTOR = 0.5
+# Newton's iteration cap and the residual norm at which a row has converged
+_NEWTON_ITERATIONS = 60
+_NEWTON_TOL = 1e-12
+# the residual norm within which a fiber candidate verifies
+_FIBER_TOL = 1e-8
 
 
 def _newton_batch(
     cmap: CompiledMap,
     target: np.ndarray,
     starts: np.ndarray,
-    max_iter: int = 60,
-    tol: float = 1e-12,
     *,
     stalled: np.ndarray | None = None,
 ) -> list[np.ndarray | None]:
@@ -270,10 +274,10 @@ def _newton_batch(
     Each iteration moves every active row by its Newton step times the
     first ladder length that keeps theta positive and lowers the norm,
     so a row follows exactly the iterates it would follow alone.  A row
-    stops when its norm reaches ``tol``, when its step is not finite, or
-    when no length lowers the norm (a failed line search); a start that
-    is not positive and finite gives None.  Diverging rows overflow
-    quietly and die on their non-finite step.
+    stops when its norm reaches ``_NEWTON_TOL``, when its step is not
+    finite, or when no length lowers the norm (a failed line search); a
+    start that is not positive and finite gives None.  Diverging rows
+    overflow quietly and die on their non-finite step.
 
     Given ``stalled``, a boolean array with one entry per start, the
     stall window applies as well: a row whose best norm has not halved
@@ -290,8 +294,8 @@ def _newton_batch(
         residual[active] = cmap.value(theta[active]) - target
         best[active] = _norms(residual[active], scale)
         history = [best.copy()]  # best before each iteration, for the stall window
-        for _ in range(max_iter):
-            active &= ~(best <= tol)
+        for _ in range(_NEWTON_ITERATIONS):
+            active &= ~(best <= _NEWTON_TOL)
             rows = np.flatnonzero(active)
             if not len(rows):
                 break
@@ -308,10 +312,10 @@ def _newton_batch(
             if len(history) > _STALL_WINDOW:
                 rows = rows[moved]
                 halved = best[rows] < _STALL_FACTOR * history[-1 - _STALL_WINDOW][rows]
-                stuck = rows[~halved & (best[rows] > tol)]
+                stuck = rows[~halved & (best[rows] > _NEWTON_TOL)]
                 active[stuck] = False
                 stalled[stuck] = True
-    return [point if norm <= tol else None for point, norm in zip(theta, best)]
+    return [point if norm <= _NEWTON_TOL else None for point, norm in zip(theta, best)]
 
 
 def _norms(residual: np.ndarray, scale: np.ndarray) -> np.ndarray:
@@ -570,7 +574,6 @@ def fiber_solutions(
     expr: NetworkExpr,
     base: ParamPoint | None = None,
     multistarts: int = 200,
-    tol: float = 1e-8,
     max_solutions: int = 64,
     seed: int = 0,
 ) -> FiberReport:
@@ -579,7 +582,7 @@ def fiber_solutions(
     The network must be locally identifiable (finite fiber).  Candidates
     come from root exchanges at every node that has two or more internal
     children (the paper's local-only criterion) and from multistart
-    damped Newton, both verified against the float tolerance; duplicates
+    damped Newton, both verified against ``_FIBER_TOL``; duplicates
     within relative distance 1e-6 are merged and the base point is
     always included.  A search whose largest batch array would pass
     ``MAX_BATCH_CELLS`` raises ValueError before deriving anything.
@@ -614,11 +617,11 @@ def fiber_solutions(
     scale = 1.0 + np.abs(target)
 
     def verified(points) -> np.ndarray:
-        """Which rows of ``points`` are positive and map within ``tol``
-        of the target, in one ``value`` call."""
+        """Which rows of ``points`` are positive and map within
+        ``_FIBER_TOL`` of the target, in one ``value`` call."""
         points = np.reshape(points, (-1, n))
         ok = np.all(points > 0, axis=1) & np.all(np.isfinite(points), axis=1)
-        ok[ok] = _norms(cmap.value(points[ok]) - target, scale) <= tol
+        ok[ok] = _norms(cmap.value(points[ok]) - target, scale) <= _FIBER_TOL
         return ok
 
     candidates: list[tuple[np.ndarray, str]] = [(base_floats, "base")]

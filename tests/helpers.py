@@ -2,9 +2,9 @@
 row data and class shapes, builders for random identifiable components
 of a given shape class and stress index, exact evaluation of symbolic
 polynomials, the symbolic reference Jacobian, the oracle's Jacobian as
-Fractions, a plain Fraction rank, the random probe of the shape
-factorization problem, and the coprimality spot check for the
-composition rules."""
+Fractions, a plain Fraction rank, a cofactor-expansion determinant, the
+random probe of the shape factorization problem, and the coprimality
+spot check for the composition rules."""
 
 from __future__ import annotations
 
@@ -331,6 +331,16 @@ def fraction_rank(mat) -> int:
                 rows[i] = [a - factor * b for a, b in zip(rows[i], rows[rank])]
         rank += 1
     return rank
+
+
+def laplace_det(mat) -> Fraction:
+    """Determinant by cofactor expansion along the first row."""
+    if not mat:
+        return Fraction(1)
+    return sum(
+        (-1) ** j * Fraction(x) * laplace_det([row[:j] + row[j + 1 :] for row in mat[1:]])
+        for j, x in enumerate(mat[0])
+    )
 
 
 def good_quadruple(quad: Quadruple, samples: int = 3, seed: int = 0) -> bool:

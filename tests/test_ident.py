@@ -24,7 +24,7 @@ from sdident import (
     resultant,
     sylvester,
 )
-from sdident.ident import _MODULUS, _rank_mod_p
+from sdident.ident import _MODULUS, _eliminate
 
 from helpers import (
     BRANCHED_10,
@@ -39,6 +39,7 @@ from helpers import (
     eval_coeffs,
     fraction_rank,
     good_quadruple,
+    laplace_det,
     poly_from_roots,
     typed_network,
     valid_indices,
@@ -169,9 +170,10 @@ class TestExactLinearAlgebra:
         ],
     )
     def test_rank_short_mod_p_falls_back(self, mat, short, rank):
-        # the rank mod p is below min(rows, columns), so Bareiss decides
+        # the rank mod p is below min(rows, columns), so the rank over the
+        # rationals decides
         before = [list(row) for row in mat]
-        assert _rank_mod_p(mat) == short
+        assert _eliminate(mat, _MODULUS)[0] == short
         assert exact_rank(mat) == rank == fraction_rank(mat)
         assert mat == before  # the fallback eliminates a copy
 
@@ -190,6 +192,28 @@ _NEAR_MULTIPLES = st.builds(lambda a, k: a + k * _MODULUS, st.integers(-3, 3), s
 )
 def test_rank_matches_fraction_rank_near_multiples_of_p(mat):
     assert exact_rank(mat) == fraction_rank(mat)
+
+
+_FRACTIONS = st.builds(F, st.integers(-6, 6), st.integers(1, 5))
+
+
+@st.composite
+def _square_fraction_matrices(draw):
+    """Square Fraction matrices up to 4 x 4; half of them singular by
+    construction, one row a multiple (possibly 0) of another."""
+    n = draw(st.integers(1, 4))
+    mat = draw(st.lists(st.lists(_FRACTIONS, min_size=n, max_size=n), min_size=n, max_size=n))
+    if n > 1 and draw(st.booleans()):
+        src, dst = draw(st.permutations(range(n)))[:2]
+        factor = draw(_FRACTIONS)
+        mat[dst] = [factor * x for x in mat[src]]
+    return mat
+
+
+@settings(max_examples=200, deadline=None)
+@given(_square_fraction_matrices())
+def test_det_matches_cofactor_expansion_on_fractions(mat):
+    assert exact_det(mat) == laplace_det(mat)
 
 
 class TestSylvesterResultant:

@@ -182,6 +182,34 @@ class TestVerifyLocal:
         assert verify_local(expr, trials=1) is True
         assert time.perf_counter() - start < 2.0
 
+    @pytest.mark.parametrize(
+        "text",
+        [BURGERS, GEN_KELVIN_VOIGT, LADDER_8, "E1 & E2", maxwell_bank(10)],
+        ids=["burgers", "gen_kelvin_voigt", "ladder_8", "springs", "bank10"],
+    )
+    def test_exact_fallback_on_real_jacobians(self, text, monkeypatch):
+        # every entry of these Jacobians is even, so with p = 2 the rank
+        # mod p is 0 at every trial and each rank comes from the rationals
+        import sdident.ident as ident_mod
+        from sdident.oracle import local_ranks
+
+        eliminate = ident_mod._eliminate
+        fields = []
+
+        def spy(rows, p=0):
+            fields.append(p)
+            return eliminate(rows, p)
+
+        monkeypatch.setattr(ident_mod, "_MODULUS", 2)
+        monkeypatch.setattr(ident_mod, "_eliminate", spy)
+        expr = parse(text)
+        start = time.perf_counter()
+        ranks = local_ranks(expr, trials=3)
+        assert time.perf_counter() - start < 2.0
+        assert ranks == [analyze(expr).nonmonic_count] * 3
+        assert verify_local(expr) is True
+        assert fields == [2, 0] * 6
+
     def test_random_networks_never_disagree(self):
         rng = random.Random(77)
         for _ in range(60):
