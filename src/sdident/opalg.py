@@ -228,20 +228,19 @@ class DiffOperator:
     __slots__ = ("low", "coeffs")
 
     def __init__(self, low: int, coeffs: Iterable[ParamPoly]):
-        coeffs = list(coeffs)
+        coeffs = tuple(coeffs)
         if not coeffs:
             raise InvariantViolation("differential operator with no coefficients")
-        while coeffs and not coeffs[-1]:
-            coeffs.pop()
-        while coeffs and not coeffs[0]:
-            coeffs.pop(0)
-            low += 1
-        if not coeffs:
-            raise InvariantViolation("zero differential operator")
+        if not (coeffs[0] and coeffs[-1]):  # trim zero end coefficients
+            kept = [i for i, c in enumerate(coeffs) if c]
+            if not kept:
+                raise InvariantViolation("zero differential operator")
+            low += kept[0]
+            coeffs = coeffs[kept[0] : kept[-1] + 1]
         if low < 0:
             raise InvariantViolation("negative differential order")
         self.low = low
-        self.coeffs = tuple(coeffs)
+        self.coeffs = coeffs
 
     @property
     def high(self) -> int:
@@ -268,17 +267,31 @@ class DiffOperator:
     __hash__ = None  # type: ignore[assignment]
 
     def __mul__(self, other: "DiffOperator") -> "DiffOperator":
-        out = [None] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for k, b in enumerate(other.coeffs, start=i):
-                out[k] = a * b if out[k] is None else out[k] + a * b
+        # out[k] sums a_i * b_(k-i) in ascending i: row i adds into the
+        # orders row i - 1 reached and opens one more
+        first, *rest = self.coeffs
+        b = other.coeffs
+        out = [first * c for c in b]
+        for i, a in enumerate(rest, 1):
+            out[i:] = [s + a * c for s, c in zip(out[i:], b)]
+            out.append(a * b[-1])
         return DiffOperator(self.low + other.low, out)
 
     def __add__(self, other: "DiffOperator") -> "DiffOperator":
-        low = min(self.low, other.low)
-        high = max(self.high, other.high)
-        out = [self.coeff(k) + other.coeff(k) for k in range(low, high + 1)]
-        return DiffOperator(low, out)
+        # An order only one operand holds keeps its coefficient; the
+        # common orders [lo, hi) add self's to other's, and a gap between
+        # disjoint operands holds zeros.
+        a, b = self.coeffs, other.coeffs
+        lo, hi = max(self.low, other.low), min(self.low + len(a), other.low + len(b))
+        below = self if self.low < other.low else other
+        above = self if self.low + len(a) > other.low + len(b) else other
+        out = [
+            *below.coeffs[: lo - below.low],
+            *[x + y for x, y in zip(a[lo - self.low :], b[lo - other.low :])],
+            *[below.coeffs[0] * 0] * (lo - hi),
+            *above.coeffs[max(hi - above.low, 0) :],
+        ]
+        return DiffOperator(min(self.low, other.low), out)
 
     def shift_down(self, k: int) -> "DiffOperator":
         """Exact division by x**k (x = d/dt)."""
@@ -312,11 +325,11 @@ class ConstitutiveEq:
         return self.eps.nvars
 
 
-def _leaf(kind: str, value, one) -> ConstitutiveEq:
+def _leaf(kind: str, value, unit: DiffOperator) -> ConstitutiveEq:
     if kind == SPRING:
-        return ConstitutiveEq(DiffOperator(0, [value]), DiffOperator(0, [one]))
+        return ConstitutiveEq(DiffOperator(0, [value]), unit)
     if kind == DASHPOT:
-        return ConstitutiveEq(DiffOperator(1, [value]), DiffOperator(0, [one]))
+        return ConstitutiveEq(DiffOperator(1, [value]), unit)
     raise ValueError(f"unknown element kind {kind!r}")
 
 
@@ -367,21 +380,25 @@ def fold_constitutive(expr: NetworkExpr, values: Sequence, one) -> ConstitutiveE
     to right, with ``values`` (one per parameter in canonical order) and
     ``one`` from a ring whose elements add, multiply (also by the int 0)
     and are falsy exactly when zero."""
-    n = len(params(expr))
-    if len(values) != n:
-        raise ValueError(f"expected {n} parameter values, got {len(values)}")
     cursor = iter(values)
+    unit = DiffOperator(0, [one])  # every leaf's stress operator
 
     def walk(node: NetworkExpr) -> ConstitutiveEq:
         if isinstance(node, Leaf):
-            return _leaf(node.element.kind, next(cursor), one)
+            return _leaf(node.element.kind, next(cursor), unit)
         combine = combine_series if isinstance(node, Series) else combine_parallel
         acc = walk(node.children[0])
         for child in node.children[1:]:
             acc = combine(acc, walk(child))
         return acc
 
-    return walk(expr)
+    try:
+        eq = walk(expr)
+    except StopIteration:  # fewer values than leaves
+        eq = None
+    if eq is None or any(True for _ in cursor):
+        raise ValueError(f"expected {len(params(expr))} parameter values, got {len(values)}")
+    return eq
 
 
 def coefficient_map(eq: ConstitutiveEq) -> list[tuple]:

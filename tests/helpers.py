@@ -2,10 +2,10 @@
 row data and class shapes, builders for random identifiable components
 of a given shape class and stress index, exact evaluation of symbolic
 polynomials, the reference polynomial printer, the symbolic reference
-Jacobian, the oracle's Jacobian as Fractions, a plain Fraction rank, a
-cofactor-expansion determinant, the random probe of the shape
-factorization problem, and the coprimality spot check for the
-composition rules."""
+Jacobian, schoolbook operator products and sums, the oracle's Jacobian
+as Fractions, a plain Fraction rank, a cofactor-expansion determinant,
+the random probe of the shape factorization problem, and the
+coprimality spot check for the composition rules."""
 
 from __future__ import annotations
 
@@ -35,7 +35,7 @@ from sdident import (
     resultant,
 )
 from sdident.opalg import fold_constitutive
-from sdident.oracle import _jacobian_rows, random_rational
+from sdident.oracle import _integer_point, _jacobian_rows
 
 # classic textbook models and the two larger literature networks
 MAXWELL = "E1 & n1"
@@ -322,11 +322,32 @@ def reference_jacobian_matrix(expr: NetworkExpr, theta) -> list[list[Fraction]]:
     return rows
 
 
+def schoolbook_product(p: DiffOperator, q: DiffOperator) -> DiffOperator:
+    """p * q term by term: order k sums a_i * b_(k-i) in ascending i."""
+    out: dict[int, object] = {}
+    for i, a in enumerate(p.coeffs):
+        for j, b in enumerate(q.coeffs):
+            out[i + j] = out[i + j] + a * b if i + j in out else a * b
+    return DiffOperator(p.low + q.low, [out[k] for k in range(len(out))])
+
+
+def schoolbook_sum(p: DiffOperator, q: DiffOperator) -> DiffOperator:
+    """p + q order by order: p's coefficient plus q's where both hold
+    one, a zero where neither does."""
+    out: dict[int, object] = {}
+    for op in (p, q):
+        for k, c in enumerate(op.coeffs, op.low):
+            out[k] = out[k] + c if k in out else c
+    low, zero = min(out), p.coeffs[0] * 0
+    return DiffOperator(low, [out.get(k, zero) for k in range(low, max(out) + 1)])
+
+
 def jacobian_matrix(expr: NetworkExpr, theta) -> list[list[Fraction]]:
     """The oracle's row-scaled Jacobian at a positive theta as Fractions:
     its integer rows over their denominators."""
-    rows, denominators = _jacobian_rows(expr, theta)
-    return [[Fraction(x, q) for x in row] for row, q in zip(rows, denominators)]
+    point, scale = _integer_point(theta)
+    rows, degrees = _jacobian_rows(expr, point, scale)
+    return [[Fraction(x, scale**d) for x in row] for row, d in zip(rows, degrees)]
 
 
 def fraction_rank(mat) -> int:
@@ -370,7 +391,7 @@ def good_quadruple(quad: Quadruple, samples: int = 3, seed: int = 0) -> bool:
     def monic_vector(shape: Shape) -> list[Fraction]:
         """Random tight monic coefficient vector (ascending orders)."""
         n, m = shape
-        vec = [random_rational(rng) for _ in range(n - m + 1)]
+        vec = [Fraction(rng.randint(1, 10**6), 1000) for _ in range(n - m + 1)]
         vec[-1] = Fraction(1)
         return vec
 

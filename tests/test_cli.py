@@ -4,11 +4,22 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction as F
 
 import pytest
 
 import sdident
-from sdident import fiber_solutions, params, parse, render, sample_point
+from sdident import (
+    analyze,
+    fiber_solutions,
+    jacobian_rank,
+    params,
+    parse,
+    random_network,
+    render,
+    sample_point,
+    verify_local,
+)
 from sdident.cli import EXIT_BROKEN_PIPE, main
 
 from helpers import (
@@ -112,29 +123,31 @@ class TestAnalyze:
         assert report["oracle"]["jacobian_rank"] == 2
 
     def test_verify_ranks_each_trial_point_once(self, capsys, monkeypatch):
+        # the trials draw integer points, so the spy sits on the rows
+        # every rank comes from and reads each point back as Fractions
         import sdident.oracle as oracle_mod
 
-        original = oracle_mod.jacobian_rank
-        seeds = []
+        original = oracle_mod._jacobian_rows
+        points = []
 
-        def counted(expr, theta):
-            seeds.append(theta.seed)
-            return original(expr, theta)
+        def counted(expr, point, scale):
+            points.append([F(v, scale) for v in point])
+            return original(expr, point, scale)
 
-        monkeypatch.setattr(oracle_mod, "jacobian_rank", counted)
+        monkeypatch.setattr(oracle_mod, "_jacobian_rows", counted)
         for text, trials in ((MAXWELL, 3), (BRANCHED_10, 2)):
-            seeds.clear()
+            points.clear()
             code, out, _ = run(
                 capsys, "analyze", text, "--verify", "--json", "--trials", str(trials), "--seed", "5"
             )
             assert code == 0
-            assert seeds == [5 + 1000 * t for t in range(trials)]
-            oracle = json.loads(out)["oracle"]
             n = len(params(parse(text)))
+            assert points == [list(sample_point(n, 5 + 1000 * t).values) for t in range(trials)]
+            oracle = json.loads(out)["oracle"]
             assert oracle == {
                 "trials": trials,
                 "seed": 5,
-                "jacobian_rank": original(parse(text), sample_point(n, seed=5)),
+                "jacobian_rank": jacobian_rank(parse(text), sample_point(n, seed=5)),
                 "agrees": True,
             }
 
@@ -404,6 +417,20 @@ class TestOnePassPerRequest:
         assert run(capsys, *argv)[0] == 0
         exact = [n for (ring, _), n in folds.items() if ring in ("int", "ParamPoly")]
         assert exact and max(exact) == 1
+
+    @pytest.mark.parametrize(
+        "text",
+        [BURGERS, GEN_KELVIN_VOIGT, render(random_network(3, 11))],
+        ids=["burgers", "gen_kelvin_voigt", "random11"],
+    )
+    def test_verify_local_folds_once_per_trial(self, folds, text):
+        # verify_local reads the coefficient count off its trials' own
+        # Jacobians: analyze's integer fold is the only one at theta = 1
+        expr = parse(text)
+        analyze(expr)
+        verify_local(expr, trials=3)
+        key = render(expr)
+        assert folds == {("int", key): 1, ("_Dual", key): 3}
 
     def test_fiber_folds_the_tree_once_at_theta_one(self, folds):
         expr = parse(GEN_KELVIN_VOIGT)

@@ -6,9 +6,9 @@ equation must land in a shape class consistent with the tables, and the
 point-evaluated passes (shapes at theta = 1, forward-mode Jacobian) must
 match the symbolic equation exactly, and every coefficient must be a
 multilinear polynomial whose monomials all have coefficient 1.  Up to
-five elements, every local-only network's fiber search finds a second
-preimage by root exchange alone, and the multistarts find nothing the
-root exchanges miss."""
+five elements, the Jacobian has nonmonic_count rows, every local-only
+network's fiber search finds a second preimage by root exchange alone,
+and the multistarts find nothing the root exchanges miss."""
 
 import itertools
 from collections import Counter
@@ -34,6 +34,7 @@ from sdident import (
     type_trace,
 )
 from sdident.opalg import fold_constitutive
+from sdident.oracle import _integer_point, _jacobian_rows
 
 from helpers import fraction_rank, jacobian_matrix, predicted_shapes, reference_jacobian_matrix
 
@@ -120,6 +121,19 @@ def test_every_network_up_to_four_elements():
         assert verdict.net_type == net_type
         seen += 1
     assert seen == 410  # 2 + 8 + 48 + 352 networks of sizes 1..4
+
+
+def test_jacobian_rows_are_the_nonmonic_count_up_to_five_elements():
+    # verify_local compares each rank with its Jacobian's row count: one
+    # row per coefficient_map entry of the dual fold, which has the shapes
+    # of the integer fold at theta = 1 and so nonmonic_count rows
+    seen = 0
+    for expr in all_networks(5):
+        point, scale = _integer_point(sample_point(len(params(expr)), seed=seen).values)
+        rows = _jacobian_rows(expr, point, scale)[0]
+        assert len(rows) == analyze(expr).nonmonic_count, expr
+        seen += 1
+    assert seen == 3290
 
 
 def test_structure_counts():

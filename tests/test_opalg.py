@@ -35,6 +35,8 @@ from helpers import (
     eval_coeffs,
     evaluate,
     nested_chain,
+    schoolbook_product,
+    schoolbook_sum,
     to_string_reference,
 )
 
@@ -174,6 +176,28 @@ class TestDiffOperator:
         one = ParamPoly.const(1, 1)
         with pytest.raises(InvariantViolation):
             DiffOperator(0, [one]).shift_down(1)
+
+    def test_sum_of_disjoint_operators_holds_zeros_between(self):
+        x, y = ParamPoly.var(2, 0), ParamPoly.var(2, 1)
+        total = DiffOperator(3, [y]) + DiffOperator(0, [x])
+        assert total.low == 0
+        assert total.coeffs == (x, ParamPoly(2), ParamPoly(2), y)
+
+
+class TestFoldValueCount:
+    """The fold counts values with its cursor: too few or too many raise
+    the same ValueError."""
+
+    @pytest.mark.parametrize("count", [0, 2, 4])
+    def test_wrong_count_rejected(self, count):
+        expr = parse("E1 & n1 | E2")
+        with pytest.raises(ValueError, match=f"^expected 3 parameter values, got {count}$"):
+            fold_constitutive(expr, [1] * count, 1)
+
+    def test_exact_count_folds(self):
+        expr = parse("E1 & n1 | E2")
+        ones, eq = fold_constitutive(expr, [1] * 3, 1), constitutive(expr)
+        assert (ones.eps.shape, ones.sig.shape) == (eq.eps.shape, eq.sig.shape)
 
 
 class TestLeafEquations:
@@ -524,3 +548,45 @@ def test_every_coefficient_is_graded(seed, n):
 
     [(strain_degree, c)] = grades(eq.eps)
     assert grades(eq.sig) == {(strain_degree - 1, c)}
+
+
+# Positive coefficients, as every fold at a positive point has: no sum
+# cancels, so each zero is +0.0 in both routes and bitwise comparable.
+FLOAT_OPERATORS = st.builds(
+    DiffOperator, st.integers(0, 3), st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=5)
+)
+
+
+def _bits(op):
+    return op.low, [c.hex() for c in op.coeffs]
+
+
+@settings(max_examples=300, deadline=None)
+@given(FLOAT_OPERATORS, FLOAT_OPERATORS)
+def test_float_operator_arithmetic_matches_schoolbook_bitwise(p, q):
+    # the product adds order k's terms in ascending i, so a float fold
+    # (root exchange) rounds exactly as the schoolbook order does
+    assert _bits(p * q) == _bits(schoolbook_product(p, q))
+    assert _bits(p + q) == _bits(schoolbook_sum(p, q))
+
+
+def _poly_operators(variables):
+    masks = st.sets(st.sampled_from([m for m in range(64) if m & ~variables == 0]), min_size=1)
+    polys = st.builds(ParamPoly, st.just(6), masks)
+    return st.builds(DiffOperator, st.integers(0, 3), st.lists(polys, min_size=1, max_size=4))
+
+
+def _outcome(op, p, q):
+    try:
+        return op(p, q)
+    except InvariantViolation as err:
+        return str(err)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_poly_operators(0b000111), _poly_operators(0b111000), _poly_operators(0b111111))
+def test_param_poly_operator_arithmetic_matches_schoolbook(p, q, r):
+    # the same operator, or the same InvariantViolation where two terms
+    # share a monomial
+    assert _outcome(DiffOperator.__mul__, p, q) == _outcome(schoolbook_product, p, q)
+    assert _outcome(DiffOperator.__add__, p, r) == _outcome(schoolbook_sum, p, r)

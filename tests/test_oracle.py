@@ -27,7 +27,7 @@ from sdident import (
     verify_local,
 )
 from sdident.opalg import fold_constitutive
-from sdident.oracle import _newton_batch, ranks_agree
+from sdident.oracle import _newton_batch, local_ranks, ranks_agree
 
 from helpers import (
     BRANCHED_10,
@@ -170,7 +170,9 @@ class TestVerifyLocal:
         assert (verdict.param_count, verdict.nonmonic_count) == (4, 2)
         assert ranks_agree([2, 2], 2)
         assert not ranks_agree([1], verdict.nonmonic_count)
-        monkeypatch.setattr(oracle_mod, "local_ranks", lambda *a, **k: [2, 1, 2])
+        # verify_local ranks each trial's rows itself: trial 2 comes up short
+        ranks = iter([2, 1, 2])
+        monkeypatch.setattr(oracle_mod, "exact_rank", lambda rows: next(ranks))
         assert verify_local(expr) is False
 
     @pytest.mark.parametrize(
@@ -209,6 +211,19 @@ class TestVerifyLocal:
         assert ranks == [analyze(expr).nonmonic_count] * 3
         assert verify_local(expr) is True
         assert fields == [2, 0] * 6
+
+    def test_local_ranks_are_the_sample_point_ranks(self):
+        # the trials draw sample_point's grid numerators over 1000, and
+        # jacobian_rank clears the reduced Fractions' denominators: the
+        # same theta, rows scaled apart, the same ranks
+        rng = random.Random(15)
+        for _ in range(200):
+            expr = random_network(rng.randint(0, 10**9), rng.randint(1, 12))
+            n, seed = len(params(expr)), rng.randint(0, 10**6)
+            ranks = local_ranks(expr, 3, seed)
+            points = [sample_point(n, seed + 1000 * t) for t in range(3)]
+            assert ranks == [jacobian_rank(expr, point) for point in points]
+            assert verify_local(expr, 3, seed) == ranks_agree(ranks, analyze(expr).nonmonic_count)
 
     def test_random_networks_never_disagree(self):
         rng = random.Random(77)
