@@ -6,6 +6,8 @@ structural identifiability, and cross-check every verdict with an
 independent numeric oracle.
 """
 
+import importlib
+
 from .network import (
     DASHPOT,
     SPRING,
@@ -58,16 +60,28 @@ from .ident import (
     resultant,
     sylvester,
 )
-from .oracle import (
-    CompiledMap,
-    FiberReport,
-    FiberSolution,
-    ParamPoint,
-    fiber_solutions,
-    jacobian_rank,
-    sample_point,
-    verify_local,
-)
+
+# The rank oracle and the fiber search load on first use, so that a
+# command that runs neither does not compile them.
+_LAZY = {
+    "ParamPoint": "oracle",
+    "jacobian_rank": "oracle",
+    "sample_point": "oracle",
+    "verify_local": "oracle",
+    "CompiledMap": "fiber",
+    "FiberReport": "fiber",
+    "FiberSolution": "fiber",
+    "fiber_solutions": "fiber",
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value  # later lookups are plain attribute reads
+    return value
+
 
 __version__ = "0.1.0"
 

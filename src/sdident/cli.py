@@ -10,6 +10,9 @@ Subcommands:
     gen            random networks with verdicts
     verify EXPR    symbolic verdict against the rank oracle
 
+A command imports the rank oracle (``verify``, ``analyze --verify``) or
+the fiber search (``fiber``) only when it runs it.
+
 Exit codes: 0 success, 1 usage/domain error, 2 parse error, 3 internal
 inconsistency (symbolic verdict and numeric oracle disagree), 141 the
 reader closed standard output early (128 + SIGPIPE, as a shell reports
@@ -28,7 +31,6 @@ from .ident import analyze
 from .nettypes import format_tables
 from .network import NetworkExpr, ParseError, parse, params, random_network, render
 from .opalg import ConstitutiveEq, InvariantViolation, constitutive, equation_to_json
-from .oracle import fiber_solutions, local_ranks, ranks_agree
 
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE
 
@@ -153,6 +155,8 @@ def cmd_analyze(args) -> int:
     expr = parse(args.expression)
     report = build_report(expr, args.expression)
     if args.verify:
+        from .oracle import local_ranks, ranks_agree
+
         ranks = local_ranks(expr, trials=args.trials, seed=args.seed)
         report["oracle"] = {
             "trials": args.trials,
@@ -197,6 +201,8 @@ def cmd_tables(args) -> int:
 
 
 def cmd_fiber(args) -> int:
+    from .fiber import fiber_solutions
+
     expr = parse(args.expression)
     report = fiber_solutions(expr, multistarts=args.starts, seed=args.seed)
     payload = {
@@ -249,6 +255,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .oracle import local_ranks, ranks_agree
+
     expr = parse(args.expression)
     verdict = analyze(expr)
     ranks = local_ranks(expr, trials=args.trials, seed=args.seed)

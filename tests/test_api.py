@@ -1,12 +1,13 @@
 """The public surface: ``sdident.__all__`` is exactly the names the CLI,
 the verdicts, the rank oracle and the fiber search use, and the
 test-only API stays out of the package (its references live in
-``tests/helpers.py``)."""
+``tests/helpers.py``).  The rank oracle's and the fiber search's names
+resolve on first use."""
 
 import pytest
 
 import sdident
-from sdident import ident, nettypes, opalg, oracle
+from sdident import fiber, ident, nettypes, opalg, oracle
 
 PUBLIC = {
     # network
@@ -24,8 +25,9 @@ PUBLIC = {
     "constructible_one_at_a_time", "exact_det", "exact_rank", "factor_matrix",
     "factor_matrix_size", "nonmonic_count", "resultant", "sylvester",
     # oracle
-    "CompiledMap", "FiberReport", "FiberSolution", "ParamPoint", "fiber_solutions",
-    "jacobian_rank", "sample_point", "verify_local",
+    "ParamPoint", "jacobian_rank", "sample_point", "verify_local",
+    # fiber
+    "CompiledMap", "FiberReport", "FiberSolution", "fiber_solutions",
 }
 
 REMOVED = ["good_quadruple", "jacobian_matrix", "leaf_equation", "predicted_shapes", "type_of"]
@@ -39,6 +41,28 @@ def test_all_is_the_pipeline_surface():
 def test_every_exported_name_resolves():
     for name in sdident.__all__:
         assert getattr(sdident, name) is not None, name
+
+
+@pytest.mark.parametrize(
+    "module, names",
+    [
+        (oracle, ["ParamPoint", "jacobian_rank", "sample_point", "verify_local"]),
+        (fiber, ["CompiledMap", "FiberReport", "FiberSolution", "fiber_solutions"]),
+    ],
+)
+def test_lazy_names_are_the_modules_own(module, names):
+    # the package resolves them on first use, and the oracle forwards
+    # the fiber search's names
+    for name in names:
+        assert getattr(sdident, name) is getattr(module, name), name
+        assert getattr(oracle, name) is getattr(module, name), name
+
+
+def test_unknown_lazy_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'fiber_report'"):
+        sdident.fiber_report
+    with pytest.raises(AttributeError, match="no attribute 'fiber_report'"):
+        oracle.fiber_report
 
 
 @pytest.mark.parametrize("name", REMOVED)
@@ -55,7 +79,7 @@ def test_removed_name_is_gone(name):
         (opalg.ParamPoly, "derivative"),
         (opalg.DiffOperator, "eval_coeffs"),
         (opalg, "leaf_equation"),
-        (oracle.CompiledMap, "value_exact"),
+        (fiber.CompiledMap, "value_exact"),
         (oracle, "jacobian_matrix"),
         (ident, "good_quadruple"),
         (ident, "random_operator_vector"),

@@ -331,10 +331,11 @@ class TestVerify:
     def test_disagreement_exit_code(self, capsys, monkeypatch):
         # the symbolic verdict and the oracle never actually disagree, so
         # force a disagreement to pin the exit-code contract
-        import sdident.cli as cli_mod
+        import sdident.oracle as oracle_mod
 
-        # both commands read the per-trial ranks; Maxwell has 2 parameters
-        monkeypatch.setattr(cli_mod, "local_ranks", lambda *a, **k: [1, 2, 2])
+        # both commands read the per-trial ranks, which the CLI looks up
+        # in the oracle when it runs; Maxwell has 2 parameters
+        monkeypatch.setattr(oracle_mod, "local_ranks", lambda *a, **k: [1, 2, 2])
         code, _, _ = run(capsys, "verify", MAXWELL)
         assert code == 3
         code, _, err = run(capsys, "analyze", MAXWELL, "--verify")
@@ -344,9 +345,9 @@ class TestVerify:
     def test_rank_below_nonmonic_count_disagrees(self, capsys, monkeypatch):
         # unidentifiable with 4 parameters and 2 non-monic coefficients:
         # rank 1 is short of full rank but is not the coefficient count
-        import sdident.cli as cli_mod
+        import sdident.oracle as oracle_mod
 
-        monkeypatch.setattr(cli_mod, "local_ranks", lambda *a, **k: [1, 1, 1])
+        monkeypatch.setattr(oracle_mod, "local_ranks", lambda *a, **k: [1, 1, 1])
         code, out, _ = run(capsys, "verify", "(E1 & n1) & (E2 & n2)")
         assert code == 3
         assert "DISAGREES" in out
@@ -365,8 +366,9 @@ class TestVerify:
             calls.append(expr)
             return original(expr)
 
-        for module in (cli_mod, oracle_mod):
-            monkeypatch.setattr(module, "analyze", counted)
+        # the rank oracle does not call analyze, so the CLI's is every call
+        assert not hasattr(oracle_mod, "analyze")
+        monkeypatch.setattr(cli_mod, "analyze", counted)
         code, out, _ = run(capsys, "verify", BURGERS)
         assert code == 0
         assert out == "symbolic: identifiable (type D)\noracle:   agrees over 3 trials\n"
@@ -377,7 +379,7 @@ class TestVerify:
 def folds(monkeypatch):
     """Counts ``fold_constitutive`` calls by (ring, rendered network),
     through every module binding of the fold."""
-    from sdident import ident, opalg, oracle
+    from sdident import fiber, ident, opalg, oracle
 
     counts = collections.Counter()
     original = opalg.fold_constitutive
@@ -386,7 +388,7 @@ def folds(monkeypatch):
         counts[type(one).__name__, render(expr)] += 1
         return original(expr, values, one)
 
-    for module in (opalg, ident, oracle):
+    for module in (opalg, ident, oracle, fiber):
         monkeypatch.setattr(module, "fold_constitutive", counted)
     return counts
 
@@ -440,31 +442,43 @@ class TestOnePassPerRequest:
 
 
 # Runs in a fresh interpreter: prints, per step, the argv, its exit code
-# and whether numpy is loaded after it.
-NUMPY_PROBE = """
+# and which of the rank oracle, the fiber search and numpy are loaded
+# after it.
+IMPORT_PROBE = """
 import contextlib, io, json, sys
 import sdident, sdident.cli
-steps = [[[], 0, "numpy" in sys.modules]]
+def loaded():
+    return [name in sys.modules for name in ("sdident.oracle", "sdident.fiber", "numpy")]
+steps = [[[], 0, loaded()]]
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         code = sdident.cli.main(argv)
-    steps.append([argv, code, "numpy" in sys.modules])
+    steps.append([argv, code, loaded()])
 print(json.dumps(steps))
 """
 
 
 def test_only_fiber_loads_numpy():
-    exact = [
+    # the commands that load nothing run first, so each step's modules
+    # are the ones that command loaded
+    symbolic = [
         ["tables"],
         ["derive", BURGERS, "--json"],
-        ["analyze", BURGERS, "--verify", "--json"],
-        ["verify", BURGERS],
+        ["analyze", BURGERS, "--json"],
         ["gen", "--elements", "6", "--count", "3"],
     ]
+    rank = [
+        ["verify", BURGERS],
+        ["analyze", BURGERS, "--verify", "--json"],
+    ]
     fiber = ["fiber", BURGERS, "--starts", "5", "--json"]
-    proc = run_python("-c", NUMPY_PROBE, json.dumps(exact + [fiber]))
+    proc = run_python("-c", IMPORT_PROBE, json.dumps(symbolic + rank + [fiber]))
     assert proc.returncode == 0, proc.stderr
     steps = json.loads(proc.stdout)
-    # importing sdident and sdident.cli, then each exact command
-    assert steps[:-1] == [[[], 0, False]] + [[argv, 0, False] for argv in exact]
-    assert steps[-1] == [fiber, 0, True]
+    # importing sdident and sdident.cli, then each command
+    assert steps == (
+        [[[], 0, [False, False, False]]]
+        + [[argv, 0, [False, False, False]] for argv in symbolic]
+        + [[argv, 0, [True, False, False]] for argv in rank]
+        + [[fiber, 0, [True, True, True]]]
+    )

@@ -27,7 +27,8 @@ from sdident import (
     verify_local,
 )
 from sdident.opalg import fold_constitutive
-from sdident.oracle import _newton_batch, local_ranks, ranks_agree
+from sdident.fiber import _newton_batch
+from sdident.oracle import local_ranks, ranks_agree
 
 from helpers import (
     BRANCHED_10,
@@ -410,16 +411,16 @@ class TestNewtonBatch:
     def test_stopped_starts_spend_few_evaluations(self, text, seed, monkeypatch):
         # starts that creep on tiny steps used to take all 60 iterations
         # and evaluate 15,000-26,000 points per request
-        import sdident.oracle as oracle_mod
+        import sdident.fiber as fiber_mod
 
         points = []
-        value = oracle_mod.CompiledMap.value
+        value = fiber_mod.CompiledMap.value
 
         def counted(self, theta):
             points.append(len(np.reshape(theta, (-1, self.nparams))))
             return value(self, theta)
 
-        monkeypatch.setattr(oracle_mod.CompiledMap, "value", counted)
+        monkeypatch.setattr(fiber_mod.CompiledMap, "value", counted)
         fiber_solutions(parse(text), multistarts=40, seed=seed)
         assert sum(points) < 8000
 
@@ -514,7 +515,7 @@ class TestFiber:
         # at 200 starts the largest batch array holds 5.5e6 floats for 8
         # modes, 1.7e8 for 12 and 8.8e8 (6.6 GiB) for 14; a search the
         # budget admits goes on to derive the equation, which stops it here
-        import sdident.oracle as oracle_mod
+        import sdident.fiber as fiber_mod
 
         class Derived(Exception):
             pass
@@ -522,7 +523,7 @@ class TestFiber:
         def derive(*args):
             raise Derived
 
-        monkeypatch.setattr(oracle_mod, "constitutive", derive)
+        monkeypatch.setattr(fiber_mod, "constitutive", derive)
         start = time.perf_counter()
         refusal = "floats in one array" if refused else None
         with pytest.raises(ValueError if refused else Derived, match=refusal):
@@ -579,11 +580,11 @@ class TestFiber:
         assert len(report) >= 6
 
     def test_root_exchange_builds_each_child_map_once(self, monkeypatch):
-        import sdident.oracle as oracle_mod
+        import sdident.fiber as fiber_mod
 
         builds, derived = [], []
-        original = oracle_mod.CompiledMap.__init__
-        derive = oracle_mod.constitutive
+        original = fiber_mod.CompiledMap.__init__
+        derive = fiber_mod.constitutive
 
         def counted(self, eq):
             builds.append(eq)
@@ -593,8 +594,8 @@ class TestFiber:
             derived.append(expr)
             return derive(expr, *args)
 
-        monkeypatch.setattr(oracle_mod.CompiledMap, "__init__", counted)
-        monkeypatch.setattr(oracle_mod, "constitutive", counted_derive)
+        monkeypatch.setattr(fiber_mod.CompiledMap, "__init__", counted)
+        monkeypatch.setattr(fiber_mod, "constitutive", counted_derive)
         expr = parse(GEN_KELVIN_VOIGT)
         fiber_solutions(expr, multistarts=40, seed=1)
         # the whole network's map, then at most one per top-level child,
