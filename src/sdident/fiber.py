@@ -18,9 +18,10 @@ multistart also stops when its residual has not halved in
 Each start takes the same iterates it would take alone, bit for bit.
 
 This is the package's float code, apart from ``ParamPoint.as_floats``.
-Only the ``fiber`` command imports this module, and numpy binds on
-first use through ``_numpy``, so importing the module alone does not
-load numpy either.
+Only the ``fiber`` command imports this module.  numpy binds on first
+use through ``_numpy``, so a process that only resolves this module's
+names (as the benchmark's tracer does in every CLI process it times)
+does not load numpy.
 """
 
 from __future__ import annotations

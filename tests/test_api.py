@@ -58,13 +58,6 @@ def test_lazy_names_are_the_modules_own(module, names):
         assert getattr(oracle, name) is getattr(module, name), name
 
 
-def test_unknown_lazy_name_raises_attribute_error():
-    with pytest.raises(AttributeError, match="no attribute 'fiber_report'"):
-        sdident.fiber_report
-    with pytest.raises(AttributeError, match="no attribute 'fiber_report'"):
-        oracle.fiber_report
-
-
 @pytest.mark.parametrize("name", REMOVED)
 def test_removed_name_is_gone(name):
     assert not hasattr(sdident, name)

@@ -26,7 +26,7 @@ from sdident import (
     type_trace,
     verify_local,
 )
-from sdident.opalg import fold_constitutive
+from sdident.opalg import ConstitutiveEq, DiffOperator, ParamPoly, fold_constitutive
 from sdident.fiber import _newton_batch
 from sdident.oracle import local_ranks, ranks_agree
 
@@ -353,6 +353,24 @@ class TestCompiledMap:
         for theta, value, jacobian in zip(batch, values, jacobians):
             assert np.array_equal(cmap.value(theta), value)
             assert np.array_equal(cmap.jacobian(theta), jacobian)
+
+    @pytest.mark.parametrize(
+        "text", [GEN_KELVIN_VOIGT, LADDER_8, maxwell_bank(6)], ids=["gkv", "ladder_8", "bank6"]
+    )
+    def test_sums_do_not_depend_on_set_history(self, text):
+        # the same masks inserted in reverse order iterate in another order
+        # where they collide in the frozenset's table; the floats must not move
+        def reinserted(op):
+            return DiffOperator(op.low, [ParamPoly(p.nvars, list(p.terms)[::-1]) for p in op.coeffs])
+
+        eq = constitutive(parse(text))
+        twin = ConstitutiveEq(reinserted(eq.eps), reinserted(eq.sig))
+        polys = zip(eq.eps.coeffs + eq.sig.coeffs, twin.eps.coeffs + twin.sig.coeffs)
+        assert any(list(p.terms) != list(q.terms) for p, q in polys)
+        theta = sample_point(eq.nvars, seed=3).as_floats()
+        cmap, twin_map = CompiledMap(eq), CompiledMap(twin)
+        assert cmap.value(theta).tobytes() == twin_map.value(theta).tobytes()
+        assert cmap.jacobian(theta).tobytes() == twin_map.jacobian(theta).tobytes()
 
 
 class TestNewtonBatch:
