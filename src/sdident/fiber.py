@@ -16,6 +16,9 @@ call.  A start stops when no length lowers its residual, and a
 multistart also stops when its residual has not halved in
 ``_STALL_WINDOW`` iterations; the report counts both as ``stalled``.
 Each start takes the same iterates it would take alone, bit for bit.
+A root exchange solves each child's parameters the same way, one batch
+per child with one target row per exchange, retrying failed rows from
+jittered starts and without the stall window.
 
 This is the package's float code, apart from ``ParamPoint.as_floats``.
 Only the ``fiber`` command imports this module.  numpy binds on first
@@ -133,9 +136,11 @@ def _newton_batch(
 ) -> list[np.ndarray | None]:
     """Damped Newton on c(theta) = target from each row of ``starts``
     ``(k, n)``, all rows as one array; returns each row's converged point
-    or None.
+    or None.  ``target`` holds one row per start, ``(k, dim)``, or one
+    ``(dim,)`` vector for them all.
 
-    A row's residual norm is max |c(theta) - target| / (1 + |target|).
+    A row's residual norm is max |c(theta) - target| / (1 + |target|),
+    over its own target row.
     Each iteration moves every active row by its Newton step times the
     first ladder length that keeps theta positive and lowers the norm,
     so a row follows exactly the iterates it would follow alone.  A row
@@ -156,8 +161,8 @@ def _newton_batch(
     residual = np.zeros((len(theta), cmap.dim))
     with np.errstate(all="ignore"):
         active = np.all(theta > 0, axis=1) & np.all(np.isfinite(theta), axis=1)
-        residual[active] = cmap.value(theta[active]) - target
-        best[active] = _norms(residual[active], scale)
+        residual[active] = cmap.value(theta[active]) - _rows(target, active)
+        best[active] = _norms(residual[active], _rows(scale, active))
         history = [best.copy()]  # best before each iteration, for the stall window
         for _ in range(_NEWTON_ITERATIONS):
             active &= ~(best <= _NEWTON_TOL)
@@ -181,6 +186,12 @@ def _newton_batch(
                 active[stuck] = False
                 stalled[stuck] = True
     return [point if norm <= _NEWTON_TOL else None for point, norm in zip(theta, best)]
+
+
+def _rows(values: np.ndarray, index) -> np.ndarray:
+    """Rows ``index`` of a per-row ``(k, dim)`` array, or a shared
+    ``(dim,)`` vector as it is."""
+    return values[index] if values.ndim == 2 else values
 
 
 def _norms(residual: np.ndarray, scale: np.ndarray) -> np.ndarray:
@@ -221,10 +232,11 @@ def _line_search(cmap, target, scale, theta, residual, best, rows, step) -> np.n
         cand = theta[at, None, :] + lengths[:, None] * step[index, None, :]
         cand = cand.reshape(-1, theta.shape[1])  # each row's lengths in ladder order
         positive = np.flatnonzero(functools.reduce(np.minimum, cand.T) > 0)
-        cand_res = cmap.value(cand[positive]) - target
-        cand_norm = _norms(cand_res, scale)
         owner = positive // len(lengths)
-        lowered = np.flatnonzero(cand_norm < best[at[owner]])
+        owner_rows = at[owner]
+        cand_res = cmap.value(cand[positive]) - _rows(target, owner_rows)
+        cand_norm = _norms(cand_res, _rows(scale, owner_rows))
+        lowered = np.flatnonzero(cand_norm < best[owner_rows])
         # lowered ascends, so each row's first index is its longest good step
         hit, first_hit = np.unique(owner[lowered], return_index=True)
         pick = lowered[first_hit]
@@ -288,19 +300,26 @@ def _poly_from_roots(roots: Sequence[complex]) -> np.ndarray | None:
 
 
 # root exchange at one node tries at most _EXCHANGE_PARTITIONS root
-# partitions and keeps at most _EXCHANGE_CANDIDATES points
+# partitions and keeps at most _EXCHANGE_CANDIDATES points; a child's
+# solve starts from its base values, then from jittered ones, at most
+# _CHILD_ATTEMPTS starts in all
 _EXCHANGE_PARTITIONS = 120
 _EXCHANGE_CANDIDATES = 48
+_CHILD_ATTEMPTS = 8
 
 
 def _root_exchange_candidates(
-    expr: NetworkExpr, base: np.ndarray, rng: random.Random
+    expr: NetworkExpr,
+    children: list[tuple[NetworkExpr, int, int]],
+    base: np.ndarray,
+    rng: random.Random,
 ) -> list[np.ndarray]:
     """Alternative fiber points from redistributing the roots of the
-    composition factors at one node among its children, as values of
-    that node's parameters."""
+    composition factors at one node among its ``children`` (each with its
+    offset and size), as values of that node's parameters.  Each child's
+    parameters for every exchange still alive are one Newton batch, and
+    an exchange that fails a child is dropped."""
     series = isinstance(expr, Series)
-    children = _child_slices(expr)
 
     # per child: tight monic factor vector of the exchanged side, the
     # trailing derivative power, and the solved-side vector in the same
@@ -332,44 +351,57 @@ def _root_exchange_candidates(
     widths = [len(q) for q in others]
     rhs = _other_side_matrix(factors, powers, other_lows, widths) @ np.concatenate(others)
 
-    candidates: list[np.ndarray] = []
-    cmaps: dict[int, CompiledMap] = {}  # per child, built on first use
+    # per child, one row per exchange: the child's normalized map values,
+    # NaN where the pivot is zero
+    targets: list[list[np.ndarray]] = [[] for _ in children]
     seen = 0
     for groups in _index_partitions(tuple(range(len(all_roots))), sizes):
         if [tuple(sorted(g)) for g in groups] == [tuple(sorted(g)) for g in original]:
             continue
         seen += 1
-        if seen > _EXCHANGE_PARTITIONS or len(candidates) >= _EXCHANGE_CANDIDATES:
+        if seen > _EXCHANGE_PARTITIONS:
             break
-        new_factors = []
-        ok = True
-        for g in groups:
-            vec = _poly_from_roots([all_roots[i] for i in g])
-            if vec is None:
-                ok = False
-                break
-            new_factors.append(vec)
-        if not ok:
+        new_factors = [_poly_from_roots([all_roots[i] for i in g]) for g in groups]
+        if any(vec is None for vec in new_factors):
             continue
         matrix = _other_side_matrix(new_factors, powers, other_lows, widths)
         new_others = _solve_other_side(matrix, rhs, widths)
         if new_others is None:
             continue
-        point = np.array(base, dtype=float)
-        assembled = True
-        for index, ((child, start, n), p_new, q_new) in enumerate(
-            zip(children, new_factors, new_others)
-        ):
-            if index not in cmaps:
-                cmaps[index] = CompiledMap(constitutive(child))
-            theta = _solve_child(cmaps[index], p_new, q_new, series, base[start : start + n], rng)
-            if theta is None:
-                assembled = False
-                break
-            point[start : start + n] = theta
-        if assembled:
-            candidates.append(point)
-    return candidates
+        for child_rows, p_new, q_new in zip(targets, new_factors, new_others):
+            eps_vec, sig_vec = (p_new, q_new) if series else (q_new, p_new)
+            coeffs = np.concatenate([eps_vec[::-1], sig_vec[:-1][::-1]])
+            child_rows.append(coeffs / (sig_vec[-1] or np.nan))
+
+    points = np.tile(base, (len(targets[0]), 1))
+    alive = list(range(len(points)))
+    for (child, start, n), target in zip(children, map(np.array, targets)):
+        if not alive:
+            break
+        cmap = CompiledMap(constitutive(child))
+        if target.shape[1] != cmap.dim:
+            return []
+        # rows per _newton_batch call, so that no array passes the budget
+        chunk = max(1, MAX_BATCH_CELLS // (max(cmap.dim + 1, _LADDER_BLOCK) * len(cmap._exps)))
+        child_base = base[start : start + n]
+        starts = np.tile(child_base, (len(points), 1))
+        pending = alive
+        for attempt in range(_CHILD_ATTEMPTS):
+            if attempt:  # jitter each failed row, drawn in row order
+                for row in pending:
+                    jitter = [math.exp(rng.uniform(math.log(0.2), math.log(5.0))) for _ in range(n)]
+                    starts[row] = child_base * np.array(jitter)
+            failed = []
+            for first in range(0, len(pending), chunk):
+                rows = pending[first : first + chunk]
+                for row, theta in zip(rows, _newton_batch(cmap, target[rows], starts[rows])):
+                    if theta is None:
+                        failed.append(row)
+                    else:
+                        points[row, start : start + n] = theta
+            pending = failed
+        alive = [row for row in alive if row not in pending]
+    return list(points[alive[:_EXCHANGE_CANDIDATES]])
 
 
 def _other_side_matrix(factors, powers, other_lows, widths) -> np.ndarray:
@@ -396,43 +428,6 @@ def _solve_other_side(matrix: np.ndarray, rhs: np.ndarray, widths) -> list[np.nd
     if np.max(np.abs(matrix @ solution - rhs)) > 1e-8 * (1.0 + np.max(np.abs(rhs))):
         return None
     return np.split(solution, np.cumsum(widths)[:-1])
-
-
-def _solve_child(
-    cmap: CompiledMap,
-    p_new: np.ndarray,
-    q_new: np.ndarray,
-    series: bool,
-    start_values: np.ndarray,
-    rng: random.Random,
-) -> np.ndarray | None:
-    """Recover a child's parameters matching target operators (p_new,
-    q_new), by Newton on the child's compiled map."""
-    eps_vec, sig_vec = (
-        (_pad(p_new), q_new) if series else (q_new, _pad(p_new))
-    )
-    pivot = sig_vec[-1]
-    if pivot == 0:
-        return None
-    target = np.concatenate([eps_vec[::-1], sig_vec[:-1][::-1]]) / pivot
-    if len(target) != cmap.dim:
-        return None
-    for attempt in range(8):
-        if attempt == 0:
-            start = np.array(start_values, dtype=float)
-        else:
-            jitter = np.array(
-                [math.exp(rng.uniform(math.log(0.2), math.log(5.0))) for _ in start_values]
-            )
-            start = np.array(start_values, dtype=float) * jitter
-        found = _newton_batch(cmap, target, start[None])[0]
-        if found is not None:
-            return found
-    return None
-
-
-def _pad(vec: np.ndarray) -> np.ndarray:
-    return vec if len(vec) else np.array([0.0])
 
 
 def fiber_solutions(
@@ -502,7 +497,7 @@ def fiber_solutions(
         slices = _child_slices(node)
         if sum(not isinstance(child, Leaf) for child, _, _ in slices) >= 2:
             end = start + sum(size for _, _, size in slices)
-            for sub in _root_exchange_candidates(node, base_floats[start:end], rng):
+            for sub in _root_exchange_candidates(node, slices, base_floats[start:end], rng):
                 point = base_floats.copy()
                 point[start:end] = sub
                 exchanged.append(point)

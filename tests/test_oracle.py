@@ -621,6 +621,67 @@ class TestFiber:
         assert len(builds) <= 1 + len(expr.children)
         assert len(builds) == len(derived) == len({id(e) for e in derived})
 
+    @pytest.fixture
+    def child_batches(self, monkeypatch) -> list[tuple[int, int]]:
+        """Spy on the fiber search's Newton batches: a list that collects
+        each child solve's (rows, cells per row), the multistarts left out."""
+        import sdident.fiber as fiber_mod
+
+        batches = []
+        newton = fiber_mod._newton_batch
+
+        def spy(cmap, target, starts, *, stalled=None):
+            if stalled is None:
+                cells = max(cmap.dim + 1, fiber_mod._LADDER_BLOCK) * len(cmap._exps)
+                batches.append((len(starts), cells))
+            return newton(cmap, target, starts, stalled=stalled)
+
+        monkeypatch.setattr(fiber_mod, "_newton_batch", spy)
+        return batches
+
+    def test_root_exchange_solves_each_child_in_one_batch(self, child_batches):
+        # GEN_KELVIN_VOIGT's 5 exchanges, one batch per child of the root;
+        # solved one exchange and one child at a time, it took 20 calls
+        expr = parse(GEN_KELVIN_VOIGT)
+        report = fiber_solutions(expr, multistarts=0)
+        assert [rows for rows, _ in child_batches] == [5] * len(expr.children)
+        assert sum(s.method == "root-exchange" for s in report.solutions) == 5
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "E1 & n2 | (E3 | n4 & E5) & n6",
+            "E1 & n2 | (n3 | n4 & E5) & E6",
+            "n1 & E2 | (E3 | n4 & E5) & n6",
+            "n1 & E2 | (n3 | E4 & n5) & E6",
+            "E1 & n2 | (E3 & n4 | E5) & n6",
+            "E1 & n2 | (n3 & E4 | E5) & n6",
+            "n1 & E2 | (E3 & n4 | n5) & E6",
+            "n1 & E2 | (n3 & E4 | n5) & E6",
+        ],
+    )
+    def test_root_exchange_retries_failed_child_solves(self, text, child_batches):
+        # a child solve from the base values fails for one or both of the
+        # two exchanges, and jittered starts recover it
+        expr = parse(text)
+        report = fiber_solutions(expr, multistarts=40, seed=0)
+        assert sum(s.method == "root-exchange" for s in report.solutions) == 2
+        assert len(child_batches) > len(expr.children)
+
+    def test_root_exchange_batches_stay_within_the_budget(self, child_batches, monkeypatch):
+        # the search's own check needs 2,112 cells at 0 starts; the bank's
+        # 4 exchange rows, 640 cells each, go in chunks of at most 3
+        import sdident.fiber as fiber_mod
+
+        expr = parse(f"({maxwell_bank(4)}) & (Ea | na)")
+        report = fiber_solutions(expr, multistarts=0)
+        whole = len(child_batches)
+        child_batches.clear()
+        monkeypatch.setattr(fiber_mod, "MAX_BATCH_CELLS", 2200)
+        assert fiber_solutions(expr, multistarts=0) == report
+        assert len(child_batches) > whole
+        assert max(rows * cells for rows, cells in child_batches) <= 2200
+
 
 class TestTheoremAgreement:
     def test_triple_agreement_sample(self):
