@@ -18,7 +18,14 @@ multistart also stops when its residual has not halved in
 Each start takes the same iterates it would take alone, bit for bit.
 A root exchange solves each child's parameters the same way, one batch
 per child with one target row per exchange, retrying failed rows from
-jittered starts and without the stall window.
+jittered starts and without the stall window.  The multistarts draw
+their starts first, so those retries cannot move them.
+
+One cap, ``_MAX_SOLUTIONS``, bounds both the root partitions one node
+tries and the points one report holds; a report cut at the cap says
+``truncated``.  One budget, ``MAX_BATCH_CELLS``, bounds every batch
+array: the multistart batch must fit it or the search is refused, and a
+child's exchange rows are split into chunks that fit it.
 
 This is the package's float code, apart from ``ParamPoint.as_floats``.
 Only the ``fiber`` command imports this module.  numpy binds on first
@@ -38,13 +45,7 @@ from typing import Sequence
 
 from .ident import analyze
 from .network import Leaf, NetworkExpr, Series, leaves
-from .opalg import (
-    MAX_BATCH_CELLS,
-    ConstitutiveEq,
-    coefficient_map,
-    constitutive,
-    fold_constitutive,
-)
+from .opalg import ConstitutiveEq, coefficient_map, constitutive, fold_constitutive
 from .oracle import ParamPoint, sample_point
 
 np = None  # numpy, bound by _numpy() when a float path first runs
@@ -125,6 +126,18 @@ _NEWTON_ITERATIONS = 60
 _NEWTON_TOL = 1e-12
 # the residual norm within which a fiber candidate verifies
 _FIBER_TOL = 1e-8
+
+# Most float cells in one batch array: rows x _row_cells.  A 9-mode Maxwell
+# bank at 200 starts (1.3e7 cells) took 10 s and 150 MB peak RSS on a
+# 2-vCPU Xeon; the 14-mode bank (8.8e8 cells) would need a 6.6 GiB array.
+MAX_BATCH_CELLS = 2 * 10**7
+
+
+def _row_cells(dim: int, terms: int) -> int:
+    """Floats one batch row puts in its largest array: the Jacobian's
+    (dim + 1, terms) products or the line search's (_LADDER_BLOCK, terms)
+    term values."""
+    return max(dim + 1, _LADDER_BLOCK) * terms
 
 
 def _newton_batch(
@@ -299,12 +312,10 @@ def _poly_from_roots(roots: Sequence[complex]) -> np.ndarray | None:
     return coeffs.real[::-1]
 
 
-# root exchange at one node tries at most _EXCHANGE_PARTITIONS root
-# partitions and keeps at most _EXCHANGE_CANDIDATES points; a child's
-# solve starts from its base values, then from jittered ones, at most
-# _CHILD_ATTEMPTS starts in all
-_EXCHANGE_PARTITIONS = 120
-_EXCHANGE_CANDIDATES = 48
+# most points one report holds, and most root partitions one node tries
+_MAX_SOLUTIONS = 64
+# a child's solve starts from its base values, then from jittered ones, at
+# most _CHILD_ATTEMPTS starts in all
 _CHILD_ATTEMPTS = 8
 
 
@@ -318,7 +329,8 @@ def _root_exchange_candidates(
     composition factors at one node among its ``children`` (each with its
     offset and size), as values of that node's parameters.  Each child's
     parameters for every exchange still alive are one Newton batch, and
-    an exchange that fails a child is dropped."""
+    an exchange that fails a child is dropped.  At most ``_MAX_SOLUTIONS``
+    partitions are tried."""
     series = isinstance(expr, Series)
 
     # per child: tight monic factor vector of the exchanged side, the
@@ -342,25 +354,14 @@ def _root_exchange_candidates(
 
     root_sets = [np.roots(f[::-1]) if len(f) > 1 else np.array([]) for f in factors]
     all_roots = np.concatenate(root_sets)
-    original = []
-    cursor = 0
-    for s in sizes:
-        original.append(tuple(range(cursor, cursor + s)))
-        cursor += s
-
     widths = [len(q) for q in others]
     rhs = _other_side_matrix(factors, powers, other_lows, widths) @ np.concatenate(others)
 
     # per child, one row per exchange: the child's normalized map values,
-    # NaN where the pivot is zero
+    # NaN where the pivot is zero.  The first partition is the base's own.
     targets: list[list[np.ndarray]] = [[] for _ in children]
-    seen = 0
-    for groups in _index_partitions(tuple(range(len(all_roots))), sizes):
-        if [tuple(sorted(g)) for g in groups] == [tuple(sorted(g)) for g in original]:
-            continue
-        seen += 1
-        if seen > _EXCHANGE_PARTITIONS:
-            break
+    partitions = _index_partitions(tuple(range(len(all_roots))), sizes)
+    for groups in itertools.islice(partitions, 1, 1 + _MAX_SOLUTIONS):
         new_factors = [_poly_from_roots([all_roots[i] for i in g]) for g in groups]
         if any(vec is None for vec in new_factors):
             continue
@@ -382,7 +383,7 @@ def _root_exchange_candidates(
         if target.shape[1] != cmap.dim:
             return []
         # rows per _newton_batch call, so that no array passes the budget
-        chunk = max(1, MAX_BATCH_CELLS // (max(cmap.dim + 1, _LADDER_BLOCK) * len(cmap._exps)))
+        chunk = max(1, MAX_BATCH_CELLS // _row_cells(cmap.dim, len(cmap._exps)))
         child_base = base[start : start + n]
         starts = np.tile(child_base, (len(points), 1))
         pending = alive
@@ -401,7 +402,7 @@ def _root_exchange_candidates(
                         points[row, start : start + n] = theta
             pending = failed
         alive = [row for row in alive if row not in pending]
-    return list(points[alive[:_EXCHANGE_CANDIDATES]])
+    return list(points[alive])
 
 
 def _other_side_matrix(factors, powers, other_lows, widths) -> np.ndarray:
@@ -434,7 +435,6 @@ def fiber_solutions(
     expr: NetworkExpr,
     base: ParamPoint | None = None,
     multistarts: int = 200,
-    max_solutions: int = 64,
     seed: int = 0,
 ) -> FiberReport:
     """All found preimages of c(base) under the coefficient map.
@@ -444,22 +444,22 @@ def fiber_solutions(
     children (the paper's local-only criterion) and from multistart
     damped Newton, both verified against ``_FIBER_TOL``; duplicates
     within relative distance 1e-6 are merged and the base point is
-    always included.  A search whose largest batch array would pass
-    ``MAX_BATCH_CELLS`` raises ValueError before deriving anything.
+    always included.  The report holds at most ``_MAX_SOLUTIONS`` points,
+    and ``truncated`` says that a further distinct point was found.  The
+    multistart starts depend only on ``seed`` and the parameter count.
+    A search whose multistart batch would pass ``MAX_BATCH_CELLS`` raises
+    ValueError before deriving anything.
     """
     if multistarts < 0:
         raise ValueError(f"multistarts must be non-negative, got {multistarts}")
-    if max_solutions < 1:
-        raise ValueError(f"max_solutions must be positive, got {max_solutions}")
     _numpy()
     verdict = analyze(expr)
     if not verdict.locally_identifiable:
         raise ValueError("fiber enumeration requires a locally identifiable network")
     n = verdict.param_count
-    # the Jacobian's (rows, n + 1, terms) products and the line search's
-    # (rows * _LADDER_BLOCK, 1, terms) term values
+    # every coefficient at theta = 1 is its term count
     terms = sum(verdict.ones.eps.coeffs + verdict.ones.sig.coeffs)
-    cells = max(multistarts, 1) * max(n + 1, _LADDER_BLOCK) * terms
+    cells = max(multistarts, 1) * _row_cells(n, terms)
     if cells > MAX_BATCH_CELLS:
         raise ValueError(
             f"the fiber search would hold {cells} floats in one array with {multistarts}"
@@ -472,6 +472,13 @@ def fiber_solutions(
 
     cmap = CompiledMap(constitutive(expr, verdict.ones))
     rng = random.Random(seed)
+    # drawn first, so the root exchange's retries cannot move them
+    jitters = np.array(
+        [
+            [math.exp(rng.uniform(math.log(0.1), math.log(10.0))) for _ in range(n)]
+            for _ in range(multistarts)
+        ]
+    ).reshape(-1, n)
     base_floats = base.as_floats()
     target = cmap.value(base_floats)
     scale = 1.0 + np.abs(target)
@@ -507,12 +514,6 @@ def fiber_solutions(
     walk(expr, 0)
     candidates += [(p, "root-exchange") for p, ok in zip(exchanged, verified(exchanged)) if ok]
 
-    jitters = np.array(
-        [
-            [math.exp(rng.uniform(math.log(0.1), math.log(10.0))) for _ in range(n)]
-            for _ in range(multistarts)
-        ]
-    ).reshape(-1, n)
     stalled = np.zeros(multistarts, dtype=bool)
     found = _newton_batch(cmap, target, base_floats * jitters, stalled=stalled)
     found = [p for p in found if p is not None]
@@ -521,24 +522,22 @@ def fiber_solutions(
 
     order = {"base": 0, "root-exchange": 1, "multistart": 2}
     candidates.sort(key=lambda item: (order[item[1]], tuple(item[0])))
-    kept: list[FiberSolution] = []
+    # the kept points and each one's merge radius, 1e-6 * (1 + its norm)
+    kept, radii, methods = np.empty((_MAX_SOLUTIONS, n)), np.empty(_MAX_SOLUTIONS), []
     truncated = False
     for values, method in candidates:
-        duplicate = False
-        for existing in kept:
-            prev = np.array(existing.values)
-            if np.linalg.norm(values - prev) <= 1e-6 * (1.0 + np.linalg.norm(prev)):
-                duplicate = True
-                break
-        if duplicate:
+        count = len(methods)
+        gaps = kept[:count] - values
+        if (np.sqrt((gaps * gaps).sum(axis=1)) <= radii[:count]).any():
             continue
-        if len(kept) >= max_solutions:
+        if count == _MAX_SOLUTIONS:
             truncated = True
             break
-        kept.append(FiberSolution(tuple(float(v) for v in values), method))
+        kept[count], radii[count] = values, 1e-6 * (1.0 + np.linalg.norm(values))
+        methods.append(method)
     return FiberReport(
         base=base,
-        solutions=tuple(kept),
+        solutions=tuple(FiberSolution(tuple(map(float, v)), m) for v, m in zip(kept, methods)),
         truncated=truncated,
         multistarts=multistarts,
         converged=len(converged),

@@ -100,6 +100,8 @@ def analyze(expr: NetworkExpr) -> Verdict:
             f"counting criterion ({n_params} params, {n_coeffs} coefficients) "
             f"disagrees with table type {net_type}"
         )
+    if local and net_type is not shape_type:
+        raise InvariantViolation(f"table type {net_type} disagrees with shape class {shape_type}")
     constructible = constructible_one_at_a_time(expr)
     if not local:
         status = GlobalStatus.UNIDENTIFIABLE

@@ -64,13 +64,6 @@ Rat = Union[int, Fraction]
 # RSS on a 2-vCPU Xeon.
 MAX_TERMS = 10**6
 
-# Most float cells in the fiber search's largest batch array: rows (starts)
-# x max(coefficients + 1, line-search block) x terms.  ``fiber_solutions``
-# raises ValueError past it before deriving anything.  A 9-mode Maxwell
-# bank at 200 starts (1.3e7 cells) took 10 s and 150 MB peak RSS on a
-# 2-vCPU Xeon; the 14-mode bank (8.8e8 cells) would need a 6.6 GiB array.
-MAX_BATCH_CELLS = 2 * 10**7
-
 
 class InvariantViolation(RuntimeError):
     """An internal algebraic invariant failed; a bug, not bad input."""

@@ -52,7 +52,6 @@ class ParamPoint:
     """Positive exact-rational parameter values in canonical order."""
 
     values: tuple[Fraction, ...]
-    seed: int = 0
 
     def __post_init__(self):
         if any(v <= 0 for v in self.values):
@@ -73,7 +72,7 @@ def _grid(n_params: int, seed: int) -> list[int]:
 
 def sample_point(n_params: int, seed: int = 0) -> ParamPoint:
     """Positive rational point on the 1..10**6 grid scaled by 1/1000."""
-    return ParamPoint(tuple(Fraction(k, 1000) for k in _grid(n_params, seed)), seed)
+    return ParamPoint(tuple(Fraction(k, 1000) for k in _grid(n_params, seed)))
 
 
 # ---------------------------------------------------------------------------

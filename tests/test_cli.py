@@ -342,6 +342,17 @@ class TestVerify:
         assert code == 3
         assert "disagrees" in err
 
+    def test_table_type_must_be_the_shape_class(self, capsys, monkeypatch):
+        # Maxwell's table type and shape class are both D; force a C
+        import sdident.ident as ident_mod
+
+        monkeypatch.setattr(ident_mod, "classify", lambda eq: (ident_mod.NetType.C, 1))
+        with pytest.raises(sdident.InvariantViolation, match="disagrees with shape class C"):
+            analyze(parse(MAXWELL))
+        code, _, err = run(capsys, "analyze", MAXWELL)
+        assert code == 3
+        assert "internal inconsistency" in err
+
     def test_rank_below_nonmonic_count_disagrees(self, capsys, monkeypatch):
         # unidentifiable with 4 parameters and 2 non-monic coefficients:
         # rank 1 is short of full rank but is not the coefficient count

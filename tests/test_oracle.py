@@ -522,11 +522,21 @@ class TestFiber:
         with pytest.raises(ValueError):
             fiber_solutions(parse(MAXWELL), base=sample_point(3, seed=1))
 
-    def test_max_solutions_must_hold_the_base(self):
-        with pytest.raises(ValueError, match="max_solutions must be positive, got 0"):
-            fiber_solutions(parse(MAXWELL), multistarts=0, max_solutions=0)
-        report = fiber_solutions(parse(GEN_KELVIN_VOIGT), multistarts=0, max_solutions=1)
+    def test_max_solutions_must_hold_the_base(self, monkeypatch):
+        import sdident.fiber as fiber_mod
+
+        monkeypatch.setattr(fiber_mod, "_MAX_SOLUTIONS", 1)
+        report = fiber_solutions(parse(GEN_KELVIN_VOIGT), multistarts=0)
         assert [s.method for s in report.solutions] == ["base"] and report.truncated
+
+    @pytest.mark.parametrize("modes", [5, 6])
+    def test_wide_banks_fill_the_cap(self, modes, child_batches):
+        # the 5-mode bank's fiber has 5! = 120 points; one cap bounds the
+        # partitions the root tries and the points the report holds
+        report = fiber_solutions(parse(maxwell_bank(modes)), multistarts=0)
+        assert len(report) == 64 and report.truncated
+        assert sum(s.method == "root-exchange" for s in report.solutions) == 63
+        assert max(rows for rows, _ in child_batches) <= 64
 
     @pytest.mark.parametrize("modes,refused", [(8, False), (12, True), (14, True)])
     def test_batch_budget(self, modes, refused, monkeypatch):
@@ -632,8 +642,7 @@ class TestFiber:
 
         def spy(cmap, target, starts, *, stalled=None):
             if stalled is None:
-                cells = max(cmap.dim + 1, fiber_mod._LADDER_BLOCK) * len(cmap._exps)
-                batches.append((len(starts), cells))
+                batches.append((len(starts), fiber_mod._row_cells(cmap.dim, len(cmap._exps))))
             return newton(cmap, target, starts, stalled=stalled)
 
         monkeypatch.setattr(fiber_mod, "_newton_batch", spy)
@@ -647,26 +656,56 @@ class TestFiber:
         assert [rows for rows, _ in child_batches] == [5] * len(expr.children)
         assert sum(s.method == "root-exchange" for s in report.solutions) == 5
 
-    @pytest.mark.parametrize(
-        "text",
-        [
-            "E1 & n2 | (E3 | n4 & E5) & n6",
-            "E1 & n2 | (n3 | n4 & E5) & E6",
-            "n1 & E2 | (E3 | n4 & E5) & n6",
-            "n1 & E2 | (n3 | E4 & n5) & E6",
-            "E1 & n2 | (E3 & n4 | E5) & n6",
-            "E1 & n2 | (n3 & E4 | E5) & n6",
-            "n1 & E2 | (E3 & n4 | n5) & E6",
-            "n1 & E2 | (n3 & E4 | n5) & E6",
-        ],
-    )
+    # a child solve from the base values fails for one or both of the two
+    # exchanges of each, and jittered starts recover it
+    RETRY_NETWORKS = [
+        "E1 & n2 | (E3 | n4 & E5) & n6",
+        "E1 & n2 | (n3 | n4 & E5) & E6",
+        "n1 & E2 | (E3 | n4 & E5) & n6",
+        "n1 & E2 | (n3 | E4 & n5) & E6",
+        "E1 & n2 | (E3 & n4 | E5) & n6",
+        "E1 & n2 | (n3 & E4 | E5) & n6",
+        "n1 & E2 | (E3 & n4 | n5) & E6",
+        "n1 & E2 | (n3 & E4 | n5) & E6",
+    ]
+
+    @pytest.mark.parametrize("text", RETRY_NETWORKS)
     def test_root_exchange_retries_failed_child_solves(self, text, child_batches):
-        # a child solve from the base values fails for one or both of the
-        # two exchanges, and jittered starts recover it
         expr = parse(text)
         report = fiber_solutions(expr, multistarts=40, seed=0)
         assert sum(s.method == "root-exchange" for s in report.solutions) == 2
         assert len(child_batches) > len(expr.children)
+
+    @pytest.mark.parametrize("text", RETRY_NETWORKS)
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_retries_do_not_move_the_multistarts(self, text, seed, monkeypatch):
+        # the retries draw their jitters from the search's one stream, and
+        # so moved the multistarts when they drew first
+        import sdident.fiber as fiber_mod
+
+        newton = fiber_mod._newton_batch
+
+        def run():
+            points = []
+
+            def spy(cmap, target, starts, *, stalled=None):
+                found = newton(cmap, target, starts, stalled=stalled)
+                if stalled is not None:
+                    points.extend(found)
+                return found
+
+            monkeypatch.setattr(fiber_mod, "_newton_batch", spy)
+            report = fiber_solutions(parse(text), multistarts=40, seed=seed)
+            return report.converged, report.stalled, points
+
+        converged, stalled, points = run()
+        monkeypatch.setattr(fiber_mod, "_root_exchange_candidates", lambda *args: [])
+        alone = run()
+        assert (converged, stalled) == alone[:2]
+        assert len(points) == len(alone[2]) == 40
+        for point, other in zip(points, alone[2]):
+            assert (point is None) == (other is None)
+            assert point is None or np.array_equal(point, other)
 
     def test_root_exchange_batches_stay_within_the_budget(self, child_batches, monkeypatch):
         # the search's own check needs 2,112 cells at 0 starts; the bank's
