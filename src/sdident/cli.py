@@ -143,27 +143,35 @@ def _print_human_report(report: dict) -> None:
     print(f"one-element-at-a-time constructible: {'yes' if report['constructible'] else 'no'}")
     print(f"global:     {report['global']}")
     if report["oracle"] is not None:
-        oracle = report["oracle"]
-        agrees = "agrees" if oracle["agrees"] else "DISAGREES"
-        print(
-            f"oracle:     rank {oracle['jacobian_rank']} over {oracle['trials']} trials,"
-            f" {agrees} with the symbolic verdict"
-        )
+        print(f"oracle:     {_oracle_text(report['oracle'])}")
+
+
+def _run_oracle(expr: NetworkExpr, args, nonmonic_count: int) -> dict:
+    """The rank oracle's trials, up to the first certified one."""
+    from .oracle import local_ranks, ranks_agree
+
+    ranks = local_ranks(expr, trials=args.trials, seed=args.seed)
+    return {
+        "trials": args.trials,
+        "seed": args.seed,
+        "jacobian_rank": max(ranks),
+        "ranks": ranks,
+        "certified": nonmonic_count in ranks,
+        "agrees": ranks_agree(ranks, nonmonic_count),
+    }
+
+
+def _oracle_text(oracle: dict) -> str:
+    if oracle["agrees"]:
+        return f"agrees at trial {len(oracle['ranks'])} of {oracle['trials']} (certified)"
+    return f"DISAGREES: largest rank {oracle['jacobian_rank']} over {oracle['trials']} trials"
 
 
 def cmd_analyze(args) -> int:
     expr = parse(args.expression)
     report = build_report(expr, args.expression)
     if args.verify:
-        from .oracle import local_ranks, ranks_agree
-
-        ranks = local_ranks(expr, trials=args.trials, seed=args.seed)
-        report["oracle"] = {
-            "trials": args.trials,
-            "seed": args.seed,
-            "jacobian_rank": ranks[0],
-            "agrees": ranks_agree(ranks, report["nonmonic_count"]),
-        }
+        report["oracle"] = _run_oracle(expr, args, report["nonmonic_count"])
     if args.json:
         print(json.dumps(report, indent=2, sort_keys=True))
     else:
@@ -255,16 +263,13 @@ def cmd_gen(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from .oracle import local_ranks, ranks_agree
-
     expr = parse(args.expression)
     verdict = analyze(expr)
-    ranks = local_ranks(expr, trials=args.trials, seed=args.seed)
-    agrees = ranks_agree(ranks, verdict.nonmonic_count)
+    oracle = _run_oracle(expr, args, verdict.nonmonic_count)
     status = "identifiable" if verdict.locally_identifiable else "unidentifiable"
     print(f"symbolic: {status} (type {verdict.net_type})")
-    print(f"oracle:   {'agrees' if agrees else 'DISAGREES'} over {args.trials} trials")
-    return 0 if agrees else 3
+    print(f"oracle:   {_oracle_text(oracle)}")
+    return 0 if oracle["agrees"] else 3
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -282,7 +287,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     p.add_argument("expression")
     add_common(p)
     p.add_argument("--verify", action="store_true", help="run the numeric oracle")
-    p.add_argument("--trials", type=int, default=3, help="oracle sample count")
+    p.add_argument("--trials", type=int, default=3, help="most sample points tried")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("derive", help="derive the constitutive equation")
@@ -309,7 +314,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     p = sub.add_parser("verify", help="check the verdict against the rank oracle")
     p.add_argument("expression")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=3)
+    p.add_argument("--trials", type=int, default=3, help="most sample points tried")
     p.set_defaults(func=cmd_verify)
 
     args = parser.parse_args(argv)

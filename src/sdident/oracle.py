@@ -10,7 +10,9 @@ when full, and the rank over the rationals only when it falls short).
 The rank must equal the non-monic coefficient count, which is the
 Jacobian's row count: one row per ``coefficient_map`` entry, and the
 fold gives the same shapes over every ring.  So a trial costs one fold
-and one rank.
+and one rank.  A full rank at one point fixes the generic rank: the
+first trial to reach it certifies the verdict and ends the check.  A
+short rank may be a degenerate point, so it only draws the next trial.
 
 The rank oracle is pure integer/rational Python; only
 ``ParamPoint.as_floats`` loads numpy.  The float probe of global
@@ -172,23 +174,30 @@ def _trial_rows(expr: NetworkExpr, trials: int, seed: int):
 
 def local_ranks(expr: NetworkExpr, trials: int = 3, seed: int = 0) -> list[int]:
     """Exact Jacobian ranks at the ``verify_local`` sample points, trial t
-    at ``sample_point(n, seed + 1000 * t)``: one dual fold and one
-    ``exact_rank`` each."""
-    return [exact_rank(rows) for rows in _trial_rows(expr, trials, seed)]
+    at ``sample_point(n, seed + 1000 * t)``, one dual fold and one
+    ``exact_rank`` each, up to and including the first certified trial
+    (rank = row count): at most ``trials`` ranks."""
+    ranks = []
+    for rows in _trial_rows(expr, trials, seed):
+        ranks.append(exact_rank(rows))
+        if ranks[-1] == len(rows):
+            break
+    return ranks
 
 
 def ranks_agree(ranks: Sequence[int], nonmonic_count: int) -> bool:
-    """True iff every rank equals the non-monic coefficient count.
-    ``analyze`` calls a network locally identifiable exactly when that
-    count is the parameter count, so this implies full rank iff
-    identifiable, and also pins the rank of an unidentifiable network."""
-    return all(rank == nonmonic_count for rank in ranks)
+    """True iff the largest rank, a lower bound of the generic rank,
+    equals the non-monic coefficient count.  ``analyze`` calls a network
+    locally identifiable exactly when that count is the parameter count,
+    so this implies full rank iff identifiable, and also pins the rank of
+    an unidentifiable network."""
+    return max(ranks) == nonmonic_count
 
 
 def verify_local(expr: NetworkExpr, trials: int = 3, seed: int = 0) -> bool:
     """True iff the Jacobian rank equals the non-monic coefficient count
-    at every sampled point (the pivot is positive at positive points, so
-    no draw is degenerate).  That count is the Jacobian's row count, so
-    each trial costs one dual fold and one ``exact_rank``, and no
-    ``analyze`` pass at theta = 1; the first short rank ends the check."""
-    return all(exact_rank(rows) == len(rows) for rows in _trial_rows(expr, trials, seed))
+    at some sampled point (the pivot is positive at positive points, so
+    the map is defined at every draw).  That count is the Jacobian's row count, so a
+    trial costs one dual fold and one ``exact_rank``, and no ``analyze``
+    pass at theta = 1; the first full rank certifies and ends the check."""
+    return any(exact_rank(rows) == len(rows) for rows in _trial_rows(expr, trials, seed))

@@ -124,7 +124,8 @@ class TestAnalyze:
 
     def test_verify_ranks_each_trial_point_once(self, capsys, monkeypatch):
         # the trials draw integer points, so the spy sits on the rows
-        # every rank comes from and reads each point back as Fractions
+        # every rank comes from and reads each point back as Fractions;
+        # the first point's rank is full, so it certifies and ends the check
         import sdident.oracle as oracle_mod
 
         original = oracle_mod._jacobian_rows
@@ -142,12 +143,16 @@ class TestAnalyze:
             )
             assert code == 0
             n = len(params(parse(text)))
-            assert points == [list(sample_point(n, 5 + 1000 * t).values) for t in range(trials)]
+            assert points == [list(sample_point(n, 5).values)]
             oracle = json.loads(out)["oracle"]
+            rank = jacobian_rank(parse(text), sample_point(n, seed=5))
+            assert rank == analyze(parse(text)).nonmonic_count
             assert oracle == {
                 "trials": trials,
                 "seed": 5,
-                "jacobian_rank": jacobian_rank(parse(text), sample_point(n, seed=5)),
+                "jacobian_rank": rank,
+                "ranks": [rank],
+                "certified": True,
                 "agrees": True,
             }
 
@@ -334,8 +339,9 @@ class TestVerify:
         import sdident.oracle as oracle_mod
 
         # both commands read the per-trial ranks, which the CLI looks up
-        # in the oracle when it runs; Maxwell has 2 parameters
-        monkeypatch.setattr(oracle_mod, "local_ranks", lambda *a, **k: [1, 2, 2])
+        # in the oracle when it runs; Maxwell has 2 parameters, and no
+        # trial reaches rank 2
+        monkeypatch.setattr(oracle_mod, "local_ranks", lambda *a, **k: [1, 1, 1])
         code, _, _ = run(capsys, "verify", MAXWELL)
         assert code == 3
         code, _, err = run(capsys, "analyze", MAXWELL, "--verify")
@@ -361,10 +367,55 @@ class TestVerify:
         monkeypatch.setattr(oracle_mod, "local_ranks", lambda *a, **k: [1, 1, 1])
         code, out, _ = run(capsys, "verify", "(E1 & n1) & (E2 & n2)")
         assert code == 3
-        assert "DISAGREES" in out
+        assert out.splitlines()[1] == "oracle:   DISAGREES: largest rank 1 over 3 trials"
         code, out, err = run(capsys, "analyze", "(E1 & n1) & (E2 & n2)", "--verify", "--json")
         assert code == 3
-        assert json.loads(out)["oracle"]["agrees"] is False
+        oracle = json.loads(out)["oracle"]
+        assert oracle["agrees"] is False
+        assert (oracle["jacobian_rank"], oracle["ranks"], oracle["certified"]) == (1, [1, 1, 1], False)
+
+    def test_degenerate_first_point_draws_the_next(self, capsys, monkeypatch, folds):
+        # a short rank may be a degenerate point: the next trial is drawn,
+        # and the first full rank (Maxwell has 2 rows) certifies
+        import sdident.oracle as oracle_mod
+
+        original = oracle_mod._jacobian_rows
+        points = []
+
+        def spied(expr, point, scale):
+            points.append([F(v, scale) for v in point])
+            return original(expr, point, scale)
+
+        monkeypatch.setattr(oracle_mod, "_jacobian_rows", spied)
+
+        def patch_ranks(*values):
+            values = iter(values)
+            monkeypatch.setattr(oracle_mod, "exact_rank", lambda rows: next(values))
+            folds.clear()
+            points.clear()
+
+        expr, key = parse(MAXWELL), render(parse(MAXWELL))
+        patch_ranks(1, 2)
+        assert verify_local(expr, seed=7) is True
+        assert folds == {("_Dual", key): 2}
+        assert points == [list(sample_point(2, 7 + 1000 * t).values) for t in range(2)]
+        patch_ranks(1, 2)
+        code, out, _ = run(capsys, "verify", MAXWELL)
+        assert code == 0
+        assert out.splitlines()[1] == "oracle:   agrees at trial 2 of 3 (certified)"
+        patch_ranks(1, 2)
+        code, out, _ = run(capsys, "analyze", MAXWELL, "--verify", "--json")
+        assert code == 0
+        oracle = json.loads(out)["oracle"]
+        assert (oracle["jacobian_rank"], oracle["ranks"], oracle["certified"]) == (2, [1, 2], True)
+        patch_ranks(1, 1, 1)
+        assert verify_local(expr, seed=7) is False
+        assert folds == {("_Dual", key): 3}
+        assert points == [list(sample_point(2, 7 + 1000 * t).values) for t in range(3)]
+        patch_ranks(1, 1, 1)
+        code, out, _ = run(capsys, "verify", MAXWELL)
+        assert code == 3
+        assert out.splitlines()[1] == "oracle:   DISAGREES: largest rank 1 over 3 trials"
 
     def test_analyzes_once(self, capsys, monkeypatch):
         import sdident.cli as cli_mod
@@ -382,7 +433,7 @@ class TestVerify:
         monkeypatch.setattr(cli_mod, "analyze", counted)
         code, out, _ = run(capsys, "verify", BURGERS)
         assert code == 0
-        assert out == "symbolic: identifiable (type D)\noracle:   agrees over 3 trials\n"
+        assert out == "symbolic: identifiable (type D)\noracle:   agrees at trial 1 of 3 (certified)\n"
         assert len(calls) == 1
 
 
@@ -438,12 +489,13 @@ class TestOnePassPerRequest:
     )
     def test_verify_local_folds_once_per_trial(self, folds, text):
         # verify_local reads the coefficient count off its trials' own
-        # Jacobians: analyze's integer fold is the only one at theta = 1
+        # Jacobians: analyze's integer fold is the only one at theta = 1,
+        # and the first trial's full rank certifies, so it is the only trial
         expr = parse(text)
         analyze(expr)
-        verify_local(expr, trials=3)
+        assert verify_local(expr, trials=3) is True
         key = render(expr)
-        assert folds == {("int", key): 1, ("_Dual", key): 3}
+        assert folds == {("int", key): 1, ("_Dual", key): 1}
 
     def test_fiber_folds_the_tree_once_at_theta_one(self, folds):
         expr = parse(GEN_KELVIN_VOIGT)

@@ -26,6 +26,7 @@ from sdident import (
     analyze,
     classify,
     constitutive,
+    exact_rank,
     fiber_solutions,
     jacobian_rank,
     nonmonic_count,
@@ -126,12 +127,15 @@ def test_every_network_up_to_four_elements():
 def test_jacobian_rows_are_the_nonmonic_count_up_to_five_elements():
     # verify_local compares each rank with its Jacobian's row count: one
     # row per coefficient_map entry of the dual fold, which has the shapes
-    # of the integer fold at theta = 1 and so nonmonic_count rows
+    # of the integer fold at theta = 1 and so nonmonic_count rows.  The
+    # rank reaches that count at trial 1's point, which certifies the
+    # verdict: verify_local(expr, seed=seen) runs one fold on every network
     seen = 0
     for expr in all_networks(5):
         point, scale = _integer_point(sample_point(len(params(expr)), seed=seen).values)
         rows = _jacobian_rows(expr, point, scale)[0]
         assert len(rows) == analyze(expr).nonmonic_count, expr
+        assert exact_rank(rows) == len(rows), expr
         seen += 1
     assert seen == 3290
 

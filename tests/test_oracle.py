@@ -169,12 +169,16 @@ class TestVerifyLocal:
         expr = parse("(E1 & n1) & (E2 & n2)")
         verdict = analyze(expr)
         assert (verdict.param_count, verdict.nonmonic_count) == (4, 2)
-        assert ranks_agree([2, 2], 2)
+        assert ranks_agree([2], 2)
+        assert ranks_agree([1, 2], 2)
         assert not ranks_agree([1], verdict.nonmonic_count)
-        # verify_local ranks each trial's rows itself: trial 2 comes up short
-        ranks = iter([2, 1, 2])
+        assert not ranks_agree([1, 1, 1], verdict.nonmonic_count)
+        # verify_local ranks each trial's rows itself: every trial comes
+        # up short, so all three are drawn and none certifies
+        ranks = iter([1, 1, 1])
         monkeypatch.setattr(oracle_mod, "exact_rank", lambda rows: next(ranks))
         assert verify_local(expr) is False
+        assert next(ranks, None) is None
 
     @pytest.mark.parametrize(
         "expr", [parse(maxwell_bank(20)), random_network(3, 80)], ids=["bank20", "random80"]
@@ -192,7 +196,8 @@ class TestVerifyLocal:
     )
     def test_exact_fallback_on_real_jacobians(self, text, monkeypatch):
         # every entry of these Jacobians is even, so with p = 2 the rank
-        # mod p is 0 at every trial and each rank comes from the rationals
+        # mod p is 0 at every trial and each rank comes from the rationals;
+        # that rank is full, so trial 1 certifies in both calls
         import sdident.ident as ident_mod
         from sdident.oracle import local_ranks
 
@@ -209,22 +214,26 @@ class TestVerifyLocal:
         start = time.perf_counter()
         ranks = local_ranks(expr, trials=3)
         assert time.perf_counter() - start < 2.0
-        assert ranks == [analyze(expr).nonmonic_count] * 3
+        assert ranks == [analyze(expr).nonmonic_count]
         assert verify_local(expr) is True
-        assert fields == [2, 0] * 6
+        assert fields == [2, 0] * 2
 
     def test_local_ranks_are_the_sample_point_ranks(self):
         # the trials draw sample_point's grid numerators over 1000, and
         # jacobian_rank clears the reduced Fractions' denominators: the
-        # same theta, rows scaled apart, the same ranks
+        # same theta, rows scaled apart, the same ranks.  Every point's
+        # rank is full, so trial 1 certifies and is the only one run
         rng = random.Random(15)
         for _ in range(200):
             expr = random_network(rng.randint(0, 10**9), rng.randint(1, 12))
             n, seed = len(params(expr)), rng.randint(0, 10**6)
+            nonmonic_count = analyze(expr).nonmonic_count
             ranks = local_ranks(expr, 3, seed)
             points = [sample_point(n, seed + 1000 * t) for t in range(3)]
-            assert ranks == [jacobian_rank(expr, point) for point in points]
-            assert verify_local(expr, 3, seed) == ranks_agree(ranks, analyze(expr).nonmonic_count)
+            point_ranks = [jacobian_rank(expr, point) for point in points]
+            assert point_ranks == [nonmonic_count] * 3
+            assert ranks == point_ranks[:1]
+            assert verify_local(expr, 3, seed) is ranks_agree(ranks, nonmonic_count) is True
 
     def test_random_networks_never_disagree(self):
         rng = random.Random(77)
