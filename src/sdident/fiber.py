@@ -27,11 +27,10 @@ tries and the points one report holds; a report cut at the cap says
 array: the multistart batch must fit it or the search is refused, and a
 child's exchange rows are split into chunks that fit it.
 
-This is the package's float code, apart from ``ParamPoint.as_floats``.
-Only the ``fiber`` command imports this module.  numpy binds on first
-use through ``_numpy``, so a process that only resolves this module's
-names (as the benchmark's tracer does in every CLI process it times)
-does not load numpy.
+This is the package's float code.  Only the ``fiber`` command imports
+this module.  numpy binds on first use through ``_numpy``, so a process
+that only resolves this module's names (as the benchmark's tracer does
+in every CLI process it times) does not load numpy.
 """
 
 from __future__ import annotations
@@ -479,7 +478,7 @@ def fiber_solutions(
             for _ in range(multistarts)
         ]
     ).reshape(-1, n)
-    base_floats = base.as_floats()
+    base_floats = np.array(base.values, dtype=float)
     target = cmap.value(base_floats)
     scale = 1.0 + np.abs(target)
 

@@ -16,7 +16,8 @@ a composition step is written as f = L1*L3, g = L1*L4 + L2*L3, the
 unknown pair (L4, L2) solves a banded linear system whose matrix is
 square precisely when parameters and non-monic coefficients balance,
 and a square such matrix is generically invertible because it hides a
-Sylvester matrix of L1 and L3 between two triangular blocks.
+Sylvester matrix of L1 and L3 between two triangular blocks.  At
+balanced shapes the blocks are empty: ``sylvester`` is a factor matrix.
 """
 
 from __future__ import annotations
@@ -186,26 +187,17 @@ def sylvester(p: CoeffVec, q: CoeffVec) -> list[list[Fraction]]:
     """Sylvester matrix of two polynomials (ascending coefficient vectors).
 
     For deg p = m and deg q = n the matrix is (n+m) square: n shifted
-    copies of p's coefficients as columns, then m shifted copies of q's.
-    Degenerate degree-0 inputs give the smaller diagonal matrix whose
-    determinant matches the convention res(p, c) = c**deg(p).
+    copies of p's coefficients as columns (unknown L4 of degree n - 1),
+    then m of q's (L2 of degree m - 1).  Degenerate degree-0 inputs give
+    the smaller diagonal matrix whose determinant matches the convention
+    res(p, c) = c**deg(p).
     """
-    p = [Fraction(x) for x in p]
-    q = [Fraction(x) for x in q]
-    if not p or all(x == 0 for x in p) or not q or all(x == 0 for x in q):
+    if not any(p) or not any(q):
         raise ValueError("sylvester matrix of a zero polynomial")
     if p[-1] == 0 or q[-1] == 0:
         raise ValueError("leading coefficient must be nonzero (trim the vector)")
     m, n = len(p) - 1, len(q) - 1
-    size = m + n
-    mat = [[Fraction(0)] * size for _ in range(size)]
-    for col in range(n):  # p-block: rows col..col+m hold p_m..p_0
-        for i in range(m + 1):
-            mat[col + i][col] = p[m - i]
-    for col in range(m):
-        for i in range(n + 1):
-            mat[col + i][n + col] = q[n - i]
-    return mat
+    return factor_matrix(p, Shape(m, 0), q, Shape(n, 0), Shape(m - 1, 0), Shape(n - 1, 0))
 
 
 def resultant(p: CoeffVec, q: CoeffVec) -> Fraction:

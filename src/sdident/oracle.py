@@ -14,13 +14,12 @@ and one rank.  A full rank at one point fixes the generic rank: the
 first trial to reach it certifies the verdict and ends the check.  A
 short rank may be a degenerate point, so it only draws the next trial.
 
-The rank oracle is pure integer/rational Python; only
-``ParamPoint.as_floats`` loads numpy.  The float probe of global
-identifiability, the fiber search, is the module ``fiber``.  Each CLI
-command loads only what it runs: ``tables``, ``derive``, ``analyze`` and
-``gen`` load neither module; ``verify`` and ``analyze --verify`` load
-this one; ``fiber`` loads both, and numpy.  ``import sdident`` loads
-neither: the package resolves their names on first use.
+The rank oracle is pure integer/rational Python.  The float probe of
+global identifiability, the fiber search, is the module ``fiber``.
+Each CLI command loads only what it runs: ``tables``, ``derive``,
+``analyze`` and ``gen`` load neither module; ``verify`` and ``analyze
+--verify`` load this one; ``fiber`` loads both, and numpy.  ``import
+sdident`` loads neither: the package resolves their names on first use.
 """
 
 from __future__ import annotations
@@ -58,12 +57,6 @@ class ParamPoint:
     def __post_init__(self):
         if any(v <= 0 for v in self.values):
             raise ValueError("parameter values must be strictly positive")
-
-    def as_floats(self):
-        """The values as a numpy float array."""
-        import numpy
-
-        return numpy.array([float(v) for v in self.values])
 
 
 def _grid(n_params: int, seed: int) -> list[int]:
@@ -158,46 +151,29 @@ def _integer_point(theta: Sequence[Rat]) -> tuple[list[int], int]:
 def jacobian_rank(expr: NetworkExpr, theta: ParamPoint) -> int:
     """Exact rank of the coefficient-map Jacobian at a positive point,
     ranked on the integer rows (a positive row scale keeps the rank)."""
-    values = theta.values if isinstance(theta, ParamPoint) else theta
-    return exact_rank(_jacobian_rows(expr, *_integer_point(values))[0])
+    return exact_rank(_jacobian_rows(expr, *_integer_point(theta.values))[0])
 
 
-def _trial_rows(expr: NetworkExpr, trials: int, seed: int):
-    """The integer Jacobian rows of each trial, lazily: trial t at
-    ``sample_point(n, seed + 1000 * t)``, drawn as the grid integers it
-    holds over 1000, so no Fraction is built."""
+def local_ranks(expr: NetworkExpr, trials: int = 3, seed: int = 0) -> tuple[list[int], bool]:
+    """Exact Jacobian ranks at up to ``trials`` sample points, one dual
+    fold and one ``exact_rank`` each, trial t at ``sample_point(n, seed +
+    1000 * t)`` drawn as its grid integers over 1000; and whether the
+    last is certified: its rank reached its row count, ending the trials.
+    (The pivot is positive at positive points: every draw is defined.)"""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     n = len(params(expr))
-    return (_jacobian_rows(expr, _grid(n, seed + 1000 * t), 1000)[0] for t in range(trials))
-
-
-def local_ranks(expr: NetworkExpr, trials: int = 3, seed: int = 0) -> list[int]:
-    """Exact Jacobian ranks at the ``verify_local`` sample points, trial t
-    at ``sample_point(n, seed + 1000 * t)``, one dual fold and one
-    ``exact_rank`` each, up to and including the first certified trial
-    (rank = row count): at most ``trials`` ranks."""
     ranks = []
-    for rows in _trial_rows(expr, trials, seed):
+    for t in range(trials):
+        rows = _jacobian_rows(expr, _grid(n, seed + 1000 * t), 1000)[0]
         ranks.append(exact_rank(rows))
         if ranks[-1] == len(rows):
-            break
-    return ranks
-
-
-def ranks_agree(ranks: Sequence[int], nonmonic_count: int) -> bool:
-    """True iff the largest rank, a lower bound of the generic rank,
-    equals the non-monic coefficient count.  ``analyze`` calls a network
-    locally identifiable exactly when that count is the parameter count,
-    so this implies full rank iff identifiable, and also pins the rank of
-    an unidentifiable network."""
-    return max(ranks) == nonmonic_count
+            return ranks, True
+    return ranks, False
 
 
 def verify_local(expr: NetworkExpr, trials: int = 3, seed: int = 0) -> bool:
-    """True iff the Jacobian rank equals the non-monic coefficient count
-    at some sampled point (the pivot is positive at positive points, so
-    the map is defined at every draw).  That count is the Jacobian's row count, so a
-    trial costs one dual fold and one ``exact_rank``, and no ``analyze``
-    pass at theta = 1; the first full rank certifies and ends the check."""
-    return any(exact_rank(rows) == len(rows) for rows in _trial_rows(expr, trials, seed))
+    """True iff a trial of ``local_ranks`` is certified: its Jacobian rank
+    equals its row count, the non-monic coefficient count, with no
+    ``analyze`` pass at theta = 1."""
+    return local_ranks(expr, trials, seed)[1]

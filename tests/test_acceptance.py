@@ -274,7 +274,7 @@ def test_criterion_6_fiber_evidence():
     from sdident import CompiledMap
 
     cmap = CompiledMap(constitutive(expr))
-    target = cmap.value(report.base.as_floats())
+    target = cmap.value(np.array(report.base.values, dtype=float))
     for sol in report.solutions:
         values = np.array(sol.values)
         residual = np.abs(cmap.value(values) - target)

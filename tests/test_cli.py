@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import json
 import os
 import subprocess
@@ -341,7 +342,7 @@ class TestVerify:
         # both commands read the per-trial ranks, which the CLI looks up
         # in the oracle when it runs; Maxwell has 2 parameters, and no
         # trial reaches rank 2
-        monkeypatch.setattr(oracle_mod, "local_ranks", lambda *a, **k: [1, 1, 1])
+        monkeypatch.setattr(oracle_mod, "local_ranks", lambda *a, **k: ([1, 1, 1], False))
         code, _, _ = run(capsys, "verify", MAXWELL)
         assert code == 3
         code, _, err = run(capsys, "analyze", MAXWELL, "--verify")
@@ -364,7 +365,7 @@ class TestVerify:
         # rank 1 is short of full rank but is not the coefficient count
         import sdident.oracle as oracle_mod
 
-        monkeypatch.setattr(oracle_mod, "local_ranks", lambda *a, **k: [1, 1, 1])
+        monkeypatch.setattr(oracle_mod, "local_ranks", lambda *a, **k: ([1, 1, 1], False))
         code, out, _ = run(capsys, "verify", "(E1 & n1) & (E2 & n2)")
         assert code == 3
         assert out.splitlines()[1] == "oracle:   DISAGREES: largest rank 1 over 3 trials"
@@ -373,6 +374,34 @@ class TestVerify:
         oracle = json.loads(out)["oracle"]
         assert oracle["agrees"] is False
         assert (oracle["jacobian_rank"], oracle["ranks"], oracle["certified"]) == (1, [1, 1, 1], False)
+
+    def test_certified_is_the_oracle_flag(self, capsys, monkeypatch):
+        # certified is the oracle's own verdict on its last trial, agrees
+        # the comparison with analyze's count: with that count one below
+        # Maxwell's 2 rows, trial 1's rank of 2 certifies but disagrees
+        import sdident.cli as cli_mod
+        import sdident.oracle as oracle_mod
+
+        def lowered(expr):
+            verdict = analyze(expr)
+            return dataclasses.replace(verdict, nonmonic_count=verdict.nonmonic_count - 1)
+
+        monkeypatch.setattr(cli_mod, "analyze", lowered)
+        code, out, err = run(capsys, "analyze", MAXWELL, "--verify", "--json")
+        assert code == 3
+        assert "disagrees" in err
+        oracle = json.loads(out)["oracle"]
+        assert (oracle["ranks"], oracle["certified"], oracle["agrees"]) == ([2], True, False)
+        code, out, _ = run(capsys, "verify", MAXWELL)
+        assert code == 3
+        assert out.splitlines()[1] == "oracle:   DISAGREES: largest rank 2 over 3 trials"
+        # every trial short of its 2 rows: rank 1 agrees with the lowered
+        # count, and the text does not call it certified
+        ranks = iter([1, 1, 1])
+        monkeypatch.setattr(oracle_mod, "exact_rank", lambda rows: next(ranks))
+        code, out, _ = run(capsys, "verify", MAXWELL)
+        assert code == 0
+        assert out.splitlines()[1] == "oracle:   agrees at trial 3 of 3"
 
     def test_degenerate_first_point_draws_the_next(self, capsys, monkeypatch, folds):
         # a short rank may be a degenerate point: the next trial is drawn,

@@ -97,10 +97,11 @@ def test_every_network_up_to_four_elements():
         table_says = net_type != NetType.U
         eq = constitutive(expr)
         counting_says = n == nonmonic_count(eq)
-        theta = sample_point(n, seed=seen).values
+        point = sample_point(n, seed=seen)
+        theta = point.values
         matrix = jacobian_matrix(expr, theta)
         assert matrix == reference_jacobian_matrix(expr, theta), expr
-        rank = jacobian_rank(expr, theta)
+        rank = jacobian_rank(expr, point)
         assert rank == fraction_rank(matrix), expr
         assert table_says == counting_says == (rank == n), expr
         assert rank == nonmonic_count(eq), expr

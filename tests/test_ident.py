@@ -159,6 +159,11 @@ class TestExactLinearAlgebra:
     def test_empty_det(self):
         assert exact_det([]) == 1
 
+    def test_non_square_det_rejected(self):
+        for mat in ([[1, 2]], [[1], [2]], [[1, 2], [3]]):
+            with pytest.raises(ValueError, match="non-square"):
+                exact_det(mat)
+
     @pytest.mark.parametrize(
         "mat, short, rank",
         [
@@ -221,9 +226,19 @@ class TestSylvesterResultant:
         assert resultant([2, 3, 1], [1, 1]) == 0  # (x+1)(x+2) against (x+1)
 
     def test_two_by_two(self):
-        mat = sylvester([1, 1], [2, 1])
-        assert mat == [[F(1), F(1)], [F(1), F(2)]]
-        assert resultant([1, 1], [2, 1]) == 1
+        # the textbook layout: deg q shifted copies of p's coefficients,
+        # highest first, as columns, then deg p copies of q's
+        cases = [
+            ([1, 1], [2, 1], [[1, 1], [1, 2]], 1),
+            # 3x^2 + 2x + 1 against 5x + 4: 25 * p(-4/5) = 33
+            ([1, 2, 3], [4, 5], [[3, 5, 0], [2, 4, 5], [1, 0, 4]], 33),
+            ([4, 5], [1, 2, 3], [[5, 0, 3], [4, 5, 2], [0, 4, 1]], 33),
+        ]
+        for p, q, expected, res in cases:
+            mat = sylvester(p, q)
+            assert mat == [[F(x) for x in row] for row in expected]
+            assert all(type(x) is F for row in mat for x in row)
+            assert resultant(p, q) == res
 
     def test_random_pairs_against_root_product(self):
         rng = random.Random(11)
@@ -287,8 +302,10 @@ class TestFactorMatrix:
             assert (rows, cols) == (n1 + n3 + 1, n1 + n3 + 2)
 
     def test_vector_length_validated(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="L1 vector length"):
             factor_matrix([F(1)], Shape(1, 0), [F(1)], Shape(0, 0), Shape(0, 0), Shape(0, 0))
+        with pytest.raises(ValueError, match="L3 vector length"):
+            factor_matrix([F(1)], Shape(0, 0), [F(1)], Shape(1, 0), Shape(0, 0), Shape(0, 0))
 
 
 class TestGoodQuadruple:

@@ -142,6 +142,21 @@ class TestParamPoly:
             with pytest.raises(ValueError):
                 ab.to_string(names)
 
+    def test_input_checks(self):
+        x = ParamPoly.var(2, 0)
+        for index in (-1, 2):
+            with pytest.raises(ValueError, match="out of range"):
+                ParamPoly.var(2, index)
+        for names in (["a"], ["a", "b", "c"]):
+            with pytest.raises(ValueError, match="one name per variable"):
+                x.to_string(names)
+        with pytest.raises(ValueError, match="different parameter lists"):
+            x + ParamPoly.var(3, 1)
+        with pytest.raises(ValueError, match="different parameter lists"):
+            x * ParamPoly.var(3, 1)
+        with pytest.raises(ValueError, match="different parameter lists"):
+            x == ParamPoly.var(3, 0)
+
     def test_exponent_length_checked(self):
         # a monomial mask is the 0/1 exponent vector; bits past nvars are rejected
         with pytest.raises(ValueError):
@@ -171,6 +186,14 @@ class TestDiffOperator:
         assert prod.shape == Shape(2, 1)
         assert prod.coeff(1) == x
         assert prod.coeff(2) == x * y
+
+    def test_coeff_outside_shape_is_zero(self):
+        x, y = ParamPoly.var(2, 0), ParamPoly.var(2, 1)
+        op = DiffOperator(1, [x, y])  # x d/dt + y d2/dt2
+        assert [op.coeff(k) for k in range(1, 3)] == [x, y]
+        for order in (0, 3, 7):
+            assert op.coeff(order) == ParamPoly(2) and not op.coeff(order)
+            assert op.coeff(order).nvars == 2
 
     def test_shift_down_requires_exactness(self):
         one = ParamPoly.const(1, 1)

@@ -28,7 +28,7 @@ from sdident import (
 )
 from sdident.opalg import ConstitutiveEq, DiffOperator, ParamPoly, fold_constitutive
 from sdident.fiber import _newton_batch
-from sdident.oracle import local_ranks, ranks_agree
+from sdident.oracle import local_ranks
 
 from helpers import (
     BRANCHED_10,
@@ -169,15 +169,17 @@ class TestVerifyLocal:
         expr = parse("(E1 & n1) & (E2 & n2)")
         verdict = analyze(expr)
         assert (verdict.param_count, verdict.nonmonic_count) == (4, 2)
-        assert ranks_agree([2], 2)
-        assert ranks_agree([1, 2], 2)
-        assert not ranks_agree([1], verdict.nonmonic_count)
-        assert not ranks_agree([1, 1, 1], verdict.nonmonic_count)
-        # verify_local ranks each trial's rows itself: every trial comes
-        # up short, so all three are drawn and none certifies
-        ranks = iter([1, 1, 1])
+        # every trial comes up short, so all three are drawn and none
+        # certifies, in both local_ranks and verify_local
+        for check, expected in ((local_ranks, ([1, 1, 1], False)), (verify_local, False)):
+            ranks = iter([1, 1, 1])
+            monkeypatch.setattr(oracle_mod, "exact_rank", lambda rows: next(ranks))
+            assert check(expr) == expected
+            assert next(ranks, None) is None
+        # a short rank and then a full one: the second trial certifies
+        ranks = iter([1, 2])
         monkeypatch.setattr(oracle_mod, "exact_rank", lambda rows: next(ranks))
-        assert verify_local(expr) is False
+        assert local_ranks(expr) == ([1, 2], True)
         assert next(ranks, None) is None
 
     @pytest.mark.parametrize(
@@ -199,7 +201,6 @@ class TestVerifyLocal:
         # mod p is 0 at every trial and each rank comes from the rationals;
         # that rank is full, so trial 1 certifies in both calls
         import sdident.ident as ident_mod
-        from sdident.oracle import local_ranks
 
         eliminate = ident_mod._eliminate
         fields = []
@@ -214,7 +215,7 @@ class TestVerifyLocal:
         start = time.perf_counter()
         ranks = local_ranks(expr, trials=3)
         assert time.perf_counter() - start < 2.0
-        assert ranks == [analyze(expr).nonmonic_count]
+        assert ranks == ([analyze(expr).nonmonic_count], True)
         assert verify_local(expr) is True
         assert fields == [2, 0] * 2
 
@@ -232,8 +233,8 @@ class TestVerifyLocal:
             points = [sample_point(n, seed + 1000 * t) for t in range(3)]
             point_ranks = [jacobian_rank(expr, point) for point in points]
             assert point_ranks == [nonmonic_count] * 3
-            assert ranks == point_ranks[:1]
-            assert verify_local(expr, 3, seed) is ranks_agree(ranks, nonmonic_count) is True
+            assert ranks == (point_ranks[:1], True)
+            assert verify_local(expr, 3, seed) is True
 
     def test_random_networks_never_disagree(self):
         rng = random.Random(77)
@@ -319,14 +320,14 @@ class TestCompiledMap:
         cmap = CompiledMap(eq)
         pt = sample_point(cmap.nparams, seed=6)
         exact = [float(v) for v in coefficient_values(eq, pt.values)]
-        floats = cmap.value(pt.as_floats())
+        floats = cmap.value(np.array(pt.values, dtype=float))
         assert np.allclose(floats, exact, rtol=1e-12)
 
     @pytest.mark.parametrize("expr", COMPILED_MAP_CASES)
     def test_jacobian_matches_exact(self, expr):
         cmap = CompiledMap(constitutive(expr))
         pt = sample_point(cmap.nparams, seed=7)
-        dense = cmap.jacobian(pt.as_floats())
+        dense = cmap.jacobian(np.array(pt.values, dtype=float))
         exact_rows = jacobian_matrix(expr, pt.values)
         eq = constitutive(expr)
         den = evaluate(coefficient_map(eq)[0][1], pt.values)
@@ -376,7 +377,7 @@ class TestCompiledMap:
         twin = ConstitutiveEq(reinserted(eq.eps), reinserted(eq.sig))
         polys = zip(eq.eps.coeffs + eq.sig.coeffs, twin.eps.coeffs + twin.sig.coeffs)
         assert any(list(p.terms) != list(q.terms) for p, q in polys)
-        theta = sample_point(eq.nvars, seed=3).as_floats()
+        theta = np.array(sample_point(eq.nvars, seed=3).values, dtype=float)
         cmap, twin_map = CompiledMap(eq), CompiledMap(twin)
         assert cmap.value(theta).tobytes() == twin_map.value(theta).tobytes()
         assert cmap.jacobian(theta).tobytes() == twin_map.jacobian(theta).tobytes()
@@ -390,7 +391,7 @@ class TestNewtonBatch:
         # overflows the map dies quietly, and the base converges at once
         cmap = CompiledMap(constitutive(expr))
         n = cmap.nparams
-        base = sample_point(n, seed=11).as_floats()
+        base = np.array(sample_point(n, seed=11).values, dtype=float)
         target = cmap.value(base)
         rng = random.Random(n)
         starts = [base * np.array([10 ** rng.uniform(-1, 1) for _ in range(n)]) for _ in range(12)]
@@ -418,7 +419,7 @@ class TestNewtonBatch:
         # marked stalled exactly as when it runs alone
         cmap = CompiledMap(constitutive(expr))
         n = cmap.nparams
-        base = sample_point(n, seed=5).as_floats()
+        base = np.array(sample_point(n, seed=5).values, dtype=float)
         target = cmap.value(base)
         rng = random.Random(n)
         starts = np.array([base * [10 ** rng.uniform(-1, 1) for _ in range(n)] for _ in range(16)])
@@ -516,7 +517,7 @@ class TestFiber:
         expr = parse(GEN_KELVIN_VOIGT)
         report = fiber_solutions(expr, multistarts=40, seed=3)
         cmap = CompiledMap(constitutive(expr))
-        target = cmap.value(report.base.as_floats())
+        target = cmap.value(np.array(report.base.values, dtype=float))
         for sol in report.solutions:
             values = np.array(sol.values)
             assert np.all(values > 0)
