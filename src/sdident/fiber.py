@@ -3,7 +3,8 @@
 Global identifiability is probed by enumerating the fiber of the
 coefficient map over a base point: root exchanges between the
 composition factors at every node with two or more internal children
-(swapping twin branches is one such exchange), and multistart damped
+(swapping twin branches is one such exchange), each exchange closed by
+the node's square ``ident.factor_matrix`` system, and multistart damped
 Newton on c(theta) = c(base).
 
 Newton runs on ``CompiledMap``, one float stack of the coefficient map's
@@ -42,9 +43,15 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from .ident import analyze
+from .ident import analyze, factor_matrix
 from .network import Leaf, NetworkExpr, Series, leaves
-from .opalg import ConstitutiveEq, coefficient_map, constitutive, fold_constitutive
+from .opalg import (
+    ConstitutiveEq,
+    InvariantViolation,
+    coefficient_map,
+    constitutive,
+    fold_constitutive,
+)
 from .oracle import ParamPoint, sample_point
 
 np = None  # numpy, bound by _numpy() when a float path first runs
@@ -168,13 +175,14 @@ def _newton_batch(
     row's own history, so batching still changes no row's iterates.
     """
     theta = np.array(starts, dtype=float).reshape(-1, cmap.nparams)
+    target = np.broadcast_to(target, (len(theta), cmap.dim))
     scale = 1.0 + np.abs(target)
     best = np.full(len(theta), np.inf)
     residual = np.zeros((len(theta), cmap.dim))
     with np.errstate(all="ignore"):
         active = np.all(theta > 0, axis=1) & np.all(np.isfinite(theta), axis=1)
-        residual[active] = cmap.value(theta[active]) - _rows(target, active)
-        best[active] = _norms(residual[active], _rows(scale, active))
+        residual[active] = cmap.value(theta[active]) - target[active]
+        best[active] = _norms(residual[active], scale[active])
         history = [best.copy()]  # best before each iteration, for the stall window
         for _ in range(_NEWTON_ITERATIONS):
             active &= ~(best <= _NEWTON_TOL)
@@ -198,12 +206,6 @@ def _newton_batch(
                 active[stuck] = False
                 stalled[stuck] = True
     return [point if norm <= _NEWTON_TOL else None for point, norm in zip(theta, best)]
-
-
-def _rows(values: np.ndarray, index) -> np.ndarray:
-    """Rows ``index`` of a per-row ``(k, dim)`` array, or a shared
-    ``(dim,)`` vector as it is."""
-    return values[index] if values.ndim == 2 else values
 
 
 def _norms(residual: np.ndarray, scale: np.ndarray) -> np.ndarray:
@@ -246,8 +248,8 @@ def _line_search(cmap, target, scale, theta, residual, best, rows, step) -> np.n
         positive = np.flatnonzero(functools.reduce(np.minimum, cand.T) > 0)
         owner = positive // len(lengths)
         owner_rows = at[owner]
-        cand_res = cmap.value(cand[positive]) - _rows(target, owner_rows)
-        cand_norm = _norms(cand_res, _rows(scale, owner_rows))
+        cand_res = cmap.value(cand[positive]) - target[owner_rows]
+        cand_norm = _norms(cand_res, scale[owner_rows])
         lowered = np.flatnonzero(cand_norm < best[owner_rows])
         # lowered ascends, so each row's first index is its longest good step
         hit, first_hit = np.unique(owner[lowered], return_index=True)
@@ -326,35 +328,32 @@ def _root_exchange_candidates(
 ) -> list[np.ndarray]:
     """Alternative fiber points from redistributing the roots of the
     composition factors at one node among its ``children`` (each with its
-    offset and size), as values of that node's parameters.  Each child's
-    parameters for every exchange still alive are one Newton batch, and
-    an exchange that fails a child is dropped.  At most ``_MAX_SOLUTIONS``
-    partitions are tried."""
+    offset and size), as values of that node's parameters.  The children's
+    other sides solve the node's square ``_exchange_matrix`` system; a
+    partition that splits a conjugate pair or makes it singular is skipped.
+    Each child's parameters for every exchange still alive are one Newton
+    batch, and an exchange that fails a child is dropped.  At most
+    ``_MAX_SOLUTIONS`` partitions are tried."""
     series = isinstance(expr, Series)
 
-    # per child: tight monic factor vector of the exchanged side, the
-    # trailing derivative power, and the solved-side vector in the same
-    # scale (ascending floats)
-    factors, powers, others, other_lows = [], [], [], []
+    # per child: the exchanged side's tight monic vector (ascending) and its
+    # power of x, and the other side in that scale, highest order first
+    factors, powers, others, other_shapes = [], [], [], []
     for child, start, n in children:
         eq = fold_constitutive(child, base[start : start + n].tolist(), 1.0)
         p_op, q_op = (eq.eps, eq.sig) if series else (eq.sig, eq.eps)
-        p_vec = np.array(p_op.coeffs)
-        q_vec = np.array(q_op.coeffs)
-        lead = p_vec[-1]
-        factors.append(p_vec / lead)
+        lead = p_op.coeffs[-1]
+        factors.append(np.array(p_op.coeffs) / lead)
         powers.append(p_op.low)
-        others.append(q_vec / lead)
-        other_lows.append(q_op.low)
+        others.append(np.array(q_op.coeffs[::-1]) / lead)
+        other_shapes.append(q_op.shape)
 
+    matrix = _exchange_matrix(factors, powers, other_shapes)
+    if matrix.shape[0] != matrix.shape[1]:
+        raise InvariantViolation(f"root exchange system of shape {matrix.shape} is not square")
+    rhs = matrix @ np.concatenate(others)
     sizes = [len(f) - 1 for f in factors]
-    if sum(sizes) == 0 or sum(1 for s in sizes if s > 0) < 2:
-        return []
-
-    root_sets = [np.roots(f[::-1]) if len(f) > 1 else np.array([]) for f in factors]
-    all_roots = np.concatenate(root_sets)
-    widths = [len(q) for q in others]
-    rhs = _other_side_matrix(factors, powers, other_lows, widths) @ np.concatenate(others)
+    all_roots = np.concatenate([np.roots(f[::-1]) for f in factors])
 
     # per child, one row per exchange: the child's normalized map values,
     # NaN where the pivot is zero.  The first partition is the base's own.
@@ -364,14 +363,14 @@ def _root_exchange_candidates(
         new_factors = [_poly_from_roots([all_roots[i] for i in g]) for g in groups]
         if any(vec is None for vec in new_factors):
             continue
-        matrix = _other_side_matrix(new_factors, powers, other_lows, widths)
-        new_others = _solve_other_side(matrix, rhs, widths)
-        if new_others is None:
+        try:
+            solution = np.linalg.solve(_exchange_matrix(new_factors, powers, other_shapes), rhs)
+        except np.linalg.LinAlgError:
             continue
+        new_others = np.split(solution, np.cumsum([len(q) for q in others])[:-1])
         for child_rows, p_new, q_new in zip(targets, new_factors, new_others):
-            eps_vec, sig_vec = (p_new, q_new) if series else (q_new, p_new)
-            coeffs = np.concatenate([eps_vec[::-1], sig_vec[:-1][::-1]])
-            child_rows.append(coeffs / (sig_vec[-1] or np.nan))
+            eps_vec, sig_vec = (p_new[::-1], q_new) if series else (q_new, p_new[::-1])
+            child_rows.append(np.concatenate([eps_vec, sig_vec[1:]]) / (sig_vec[0] or np.nan))
 
     points = np.tile(base, (len(targets[0]), 1))
     alive = list(range(len(points)))
@@ -380,7 +379,7 @@ def _root_exchange_candidates(
             break
         cmap = CompiledMap(constitutive(child))
         if target.shape[1] != cmap.dim:
-            return []
+            raise InvariantViolation(f"{target.shape[1]} exchange values for {cmap.dim} map values")
         # rows per _newton_batch call, so that no array passes the budget
         chunk = max(1, MAX_BATCH_CELLS // _row_cells(cmap.dim, len(cmap._exps)))
         child_base = base[start : start + n]
@@ -404,30 +403,18 @@ def _root_exchange_candidates(
     return list(points[alive])
 
 
-def _other_side_matrix(factors, powers, other_lows, widths) -> np.ndarray:
-    """The solved side is sum_i (prod_{j != i} full factor_j) * other_i:
-    linear in the other-side coefficients (child i's orders other_lows[i]
-    onward, widths[i] of them), one column each."""
-    fulls = [np.concatenate([np.zeros(p), f]) for f, p in zip(factors, powers)]
-    columns = []
-    for i, (low, width) in enumerate(zip(other_lows, widths)):
-        prod = np.array([1.0])
-        for j, full in enumerate(fulls):
+def _exchange_matrix(factors, powers, other_shapes) -> np.ndarray:
+    """A node's composition system as a ``factor_matrix``: the other side
+    of the whole is sum_i (prod_{j != i} x**powers[j] * factors[j]) * X_i,
+    with X_i child i's other side, of shape other_shapes[i]."""
+    blocks = []
+    for i, shape in enumerate(other_shapes):
+        known, low = np.ones(1), 0
+        for j, (factor, power) in enumerate(zip(factors, powers)):
             if j != i:
-                prod = np.convolve(prod, full)
-        columns.extend((k, prod) for k in range(low, low + width))
-    matrix = np.zeros((max(k + len(prod) for k, prod in columns), len(columns)))
-    for col, (k, prod) in enumerate(columns):
-        matrix[k : k + len(prod), col] = prod
-    return matrix
-
-
-def _solve_other_side(matrix: np.ndarray, rhs: np.ndarray, widths) -> list[np.ndarray] | None:
-    """Solve the linear system for the non-exchanged operator coefficients."""
-    solution, *_ = np.linalg.lstsq(matrix, rhs, rcond=None)
-    if np.max(np.abs(matrix @ solution - rhs)) > 1e-8 * (1.0 + np.max(np.abs(rhs))):
-        return None
-    return np.split(solution, np.cumsum(widths)[:-1])
+                known, low = np.convolve(known, factor), low + power
+        blocks.append((known, (low + len(known) - 1, low), shape))
+    return np.array(factor_matrix(blocks))
 
 
 def fiber_solutions(

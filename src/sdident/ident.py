@@ -16,8 +16,10 @@ a composition step is written as f = L1*L3, g = L1*L4 + L2*L3, the
 unknown pair (L4, L2) solves a banded linear system whose matrix is
 square precisely when parameters and non-monic coefficients balance,
 and a square such matrix is generically invertible because it hides a
-Sylvester matrix of L1 and L3 between two triangular blocks.  At
-balanced shapes the blocks are empty: ``sylvester`` is a factor matrix.
+Sylvester matrix of L1 and L3 between two triangular blocks.
+``factor_matrix`` builds the system for any number of operators, over
+ints, rationals or floats: ``sylvester`` is one at balanced shapes, and
+the fiber search's root exchange solves one at every exchange node.
 """
 
 from __future__ import annotations
@@ -196,8 +198,9 @@ def sylvester(p: CoeffVec, q: CoeffVec) -> list[list[Fraction]]:
         raise ValueError("sylvester matrix of a zero polynomial")
     if p[-1] == 0 or q[-1] == 0:
         raise ValueError("leading coefficient must be nonzero (trim the vector)")
+    p, q = [Fraction(x) for x in p], [Fraction(x) for x in q]
     m, n = len(p) - 1, len(q) - 1
-    return factor_matrix(p, Shape(m, 0), q, Shape(n, 0), Shape(m - 1, 0), Shape(n - 1, 0))
+    return factor_matrix([(p, Shape(m, 0), Shape(n - 1, 0)), (q, Shape(n, 0), Shape(m - 1, 0))])
 
 
 def resultant(p: CoeffVec, q: CoeffVec) -> Fraction:
@@ -209,49 +212,29 @@ def resultant(p: CoeffVec, q: CoeffVec) -> Fraction:
 # the shape factorization problem
 
 
-def factor_matrix(
-    l1: CoeffVec,
-    shape1: Shape,
-    l3: CoeffVec,
-    shape3: Shape,
-    shape2: Shape,
-    shape4: Shape,
-) -> list[list[Fraction]]:
-    """Coefficient matrix of the linear system for the unknown stress pair.
-
-    Given numeric strain operators L1, L3 (tight ascending coefficient
-    vectors for their shapes), the products L1*L4 + L2*L3 = g become a
-    linear system in the unknown coefficients of L4 and L2.  Rows are
-    monomial degrees from max(n1+n4, n2+n3) down to min(m1+m4, m2+m3);
-    columns are the L4 unknowns (shifted copies of L1, highest first)
-    followed by the L2 unknowns (shifted copies of L3).
-    """
-    n1, m1 = shape1
-    n2, m2 = shape2
-    n3, m3 = shape3
-    n4, m4 = shape4
-    if len(l1) != n1 - m1 + 1:
-        raise ValueError(f"L1 vector length {len(l1)} does not fit shape {shape1}")
-    if len(l3) != n3 - m3 + 1:
-        raise ValueError(f"L3 vector length {len(l3)} does not fit shape {shape3}")
-    l1 = [Fraction(x) for x in l1]
-    l3 = [Fraction(x) for x in l3]
-
-    def a(d: int) -> Fraction:
-        return l1[d - m1] if m1 <= d <= n1 else Fraction(0)
-
-    def c(d: int) -> Fraction:
-        return l3[d - m3] if m3 <= d <= n3 else Fraction(0)
-
-    top = max(n1 + n4, n2 + n3)
-    bottom = min(m1 + m4, m2 + m3)
-    degrees = range(top, bottom - 1, -1)
-    columns = []
-    for k in range(n4, m4 - 1, -1):
-        columns.append([a(d - k) for d in degrees])
-    for k in range(n2, m2 - 1, -1):
-        columns.append([c(d - k) for d in degrees])
-    return [[col[i] for col in columns] for i in range(top - bottom + 1)]
+def factor_matrix(blocks: Sequence[tuple[CoeffVec, Shape, Shape]]) -> list[list]:
+    """Coefficient matrix of the composition system sum_i L_i * X_i = g:
+    each block is a known L_i (a tight ascending vector), its shape and
+    the shape of the unknown X_i.  Rows are monomial degrees from
+    max(n_i + nx_i) down to min(m_i + mx_i); columns are each block's
+    unknowns, highest order first, as shifted copies of L_i.  The step
+    f = L1*L3, g = L1*L4 + L2*L3 is the blocks (L1, shape1, shape4) and
+    (L3, shape3, shape2).  Entries are the vectors' own elements or their
+    ring's zero: ints, Fractions and floats all work."""
+    for i, (vec, shape, _) in enumerate(blocks):
+        if len(vec) != shape[0] - shape[1] + 1:
+            raise ValueError(f"L{2 * i + 1} vector length {len(vec)} does not fit shape {shape}")
+    top = max(n + nx for _, (n, _), (nx, _) in blocks)
+    bottom = min(m + mx for _, (_, m), (_, mx) in blocks)
+    columns = [
+        (vec, n, m, k, vec[0] * 0)
+        for vec, (n, m), (nx, mx) in blocks
+        for k in range(nx, mx - 1, -1)
+    ]
+    return [
+        [vec[d - k - m] if m <= d - k <= n else zero for vec, n, m, k, zero in columns]
+        for d in range(top, bottom - 1, -1)
+    ]
 
 
 def factor_matrix_size(quad: Quadruple) -> tuple[int, int]:

@@ -398,7 +398,7 @@ def good_quadruple(quad: Quadruple, samples: int = 3, seed: int = 0) -> bool:
     for _ in range(max(1, samples)):
         l1 = monic_vector(shape1)
         l3 = monic_vector(shape3)
-        mat = factor_matrix(l1, shape1, l3, shape3, shape2, shape4)
+        mat = factor_matrix([(l1, shape1, shape4), (l3, shape3, shape2)])
         if exact_det(mat) != 0:
             return True
     return False

@@ -184,7 +184,7 @@ def composition_sweep():
                             vec = eval_coeffs(op, theta)
                             vecs.append([v / vec[-1] for v in vec])
                         mat = factor_matrix(
-                            vecs[0], quad[0], vecs[1], quad[2], quad[1], quad[3]
+                            [(vecs[0], quad[0], quad[3]), (vecs[1], quad[2], quad[1])]
                         )
                         det = exact_det(mat)
                         if det != 0:
@@ -213,7 +213,7 @@ def test_criterion_5_shape_factorization(composition_sweep):
     a0, a1, a2 = F(5), F(3), F(2)
     c0, c1, c2, c3 = F(17), F(13), F(11), F(7)
     mat = factor_matrix(
-        [a0, a1, a2], Shape(2, 0), [c0, c1, c2, c3], Shape(3, 0), Shape(2, 0), Shape(2, 0)
+        [([a0, a1, a2], Shape(2, 0), Shape(2, 0)), ([c0, c1, c2, c3], Shape(3, 0), Shape(2, 0))]
     )
     zero = F(0)
     assert mat == [

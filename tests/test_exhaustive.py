@@ -8,7 +8,8 @@ match the symbolic equation exactly, and every coefficient must be a
 multilinear polynomial whose monomials all have coefficient 1.  Up to
 five elements, the Jacobian has nonmonic_count rows, every local-only
 network's fiber search finds a second preimage by root exchange alone,
-and the multistarts find nothing the root exchanges miss."""
+and the multistarts find nothing the root exchanges miss.  Up to six
+elements, the composition system at every root-exchange node is square."""
 
 import itertools
 from collections import Counter
@@ -34,6 +35,7 @@ from sdident import (
     sample_point,
     type_trace,
 )
+from sdident import fiber
 from sdident.opalg import fold_constitutive
 from sdident.oracle import _integer_point, _jacobian_rows
 
@@ -171,3 +173,33 @@ def test_fiber_methods_up_to_five_elements():
             report = fiber_solutions(expr, multistarts=40, seed=3)
             methods.update(s.method for s in report.solutions)
     assert methods == Counter({"base": 422, "root-exchange": 120, "multistart": 0})
+
+
+def test_root_exchange_systems_are_square_up_to_six_elements():
+    # the paper's balance of parameters and non-monic coefficients, at every
+    # node where the fiber search exchanges roots: the composition system
+    # for the children's other sides is square, so it needs no least squares
+    fiber._numpy()
+    nodes = 0
+    for expr in all_networks(6):
+        if not analyze(expr).locally_identifiable:
+            continue
+        stack = [expr]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, Leaf):
+                continue
+            stack.extend(node.children)
+            if sum(not isinstance(child, Leaf) for child in node.children) < 2:
+                continue
+            factors, powers, other_shapes = [], [], []
+            for child in node.children:
+                eq = fold_constitutive(child, [1] * len(params(child)), 1)
+                p_op, q_op = (eq.eps, eq.sig) if isinstance(node, Series) else (eq.sig, eq.eps)
+                factors.append(p_op.coeffs)
+                powers.append(p_op.low)
+                other_shapes.append(q_op.shape)
+            rows, cols = fiber._exchange_matrix(factors, powers, other_shapes).shape
+            assert rows == cols, expr
+            nodes += 1
+    assert nodes == 1000

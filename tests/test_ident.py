@@ -274,7 +274,7 @@ class TestFactorMatrix:
         a0, a1, a2 = F(5), F(3), F(2)
         c0, c1, c2, c3 = F(17), F(13), F(11), F(7)
         mat = factor_matrix(
-            [a0, a1, a2], Shape(2, 0), [c0, c1, c2, c3], Shape(3, 0), Shape(2, 0), Shape(2, 0)
+            [([a0, a1, a2], Shape(2, 0), Shape(2, 0)), ([c0, c1, c2, c3], Shape(3, 0), Shape(2, 0))]
         )
         zero = F(0)
         assert mat == [
@@ -288,7 +288,7 @@ class TestFactorMatrix:
 
     def test_constant_first_factor_gives_identity_band(self):
         mat = factor_matrix(
-            [F(1)], Shape(0, 0), [F(4), F(9)], Shape(1, 0), Shape(1, 0), Shape(1, 0)
+            [([F(1)], Shape(0, 0), Shape(1, 0)), ([F(4), F(9)], Shape(1, 0), Shape(1, 0))]
         )
         # the columns multiplying unknowns against L1 = 1 carry a plain
         # shifted-identity band (rows align with the unknown's order)
@@ -303,9 +303,9 @@ class TestFactorMatrix:
 
     def test_vector_length_validated(self):
         with pytest.raises(ValueError, match="L1 vector length"):
-            factor_matrix([F(1)], Shape(1, 0), [F(1)], Shape(0, 0), Shape(0, 0), Shape(0, 0))
+            factor_matrix([([F(1)], Shape(1, 0), Shape(0, 0)), ([F(1)], Shape(0, 0), Shape(0, 0))])
         with pytest.raises(ValueError, match="L3 vector length"):
-            factor_matrix([F(1)], Shape(0, 0), [F(1)], Shape(1, 0), Shape(0, 0), Shape(0, 0))
+            factor_matrix([([F(1)], Shape(0, 0), Shape(0, 0)), ([F(1)], Shape(1, 0), Shape(0, 0))])
 
 
 class TestGoodQuadruple:
@@ -326,7 +326,7 @@ class TestBlockDeterminant:
     def test_published_example(self):
         l1 = [F(5), F(3), F(2)]
         l3 = [F(17), F(13), F(11), F(7)]
-        mat = factor_matrix(l1, Shape(2, 0), l3, Shape(3, 0), Shape(2, 0), Shape(2, 0))
+        mat = factor_matrix([(l1, Shape(2, 0), Shape(2, 0)), (l3, Shape(3, 0), Shape(2, 0))])
         got = abs(exact_det(mat))
         assert got == block_determinant(l1, Shape(2, 0), l3, Shape(3, 0), Shape(2, 0), Shape(2, 0))
         # the overhang column contributes its leading coefficient once
@@ -358,7 +358,7 @@ class TestBlockDeterminant:
                 for op in ops:
                     vec = eval_coeffs(op, theta)
                     vecs.append([v / vec[-1] for v in vec])
-                mat = factor_matrix(vecs[0], quad[0], vecs[1], quad[2], quad[1], quad[3])
+                mat = factor_matrix([(vecs[0], quad[0], quad[3]), (vecs[1], quad[2], quad[1])])
                 det = exact_det(mat)
                 assert det != 0
                 assert abs(det) == block_determinant(

@@ -617,6 +617,32 @@ class TestFiber:
             report = fiber_solutions(parse(GEN_KELVIN_VOIGT), multistarts=200, seed=3)
         assert len(report) >= 6
 
+    def test_root_exchange_skips_split_pairs_and_singular_systems(self, monkeypatch):
+        import sdident.fiber as fiber_mod
+
+        fiber_mod._numpy()
+        assert fiber_mod._poly_from_roots([1j, -1j]).tolist() == [1.0, 0.0, 1.0]
+        assert fiber_mod._poly_from_roots([1j, 2.0]) is None
+        systems = []
+        build = fiber_mod._exchange_matrix
+        monkeypatch.setattr(fiber_mod, "_exchange_matrix", lambda *a: systems.append(a) or build(*a))
+
+        def exchanges(text, base):
+            systems.clear()
+            expr = parse(text)
+            slices = fiber_mod._child_slices(expr)
+            found = fiber_mod._root_exchange_candidates(expr, slices, np.array(base), random.Random(0))
+            return len(found), len(systems)
+
+        # at this non-physical base the first child's strain factor has a
+        # complex pair, which both exchanges split: only the base's system
+        # is built
+        base = [0.5, -2.0, -2.0, 2.0, 3.0, -1.0, 2.0]
+        assert exchanges("(E1 | n2 & E3 | n4 & E5) & (n6 | E7)", base) == (0, 1)
+        # twin Maxwell arms that share their stress root: the swap's system
+        # is singular, and the swap is skipped
+        assert exchanges("(E1 & n1) | (E2 & n2)", [2.0, 1.0, 2.0, 1.0]) == (0, 2)
+
     def test_root_exchange_builds_each_child_map_once(self, monkeypatch):
         import sdident.fiber as fiber_mod
 
