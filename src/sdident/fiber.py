@@ -40,11 +40,10 @@ import functools
 import itertools
 import math
 import random
-from dataclasses import dataclass
 from typing import Sequence
 
 from .ident import analyze, factor_matrix
-from .network import Leaf, NetworkExpr, Series, leaves
+from .network import Leaf, NetworkExpr, Record, Series, leaves
 from .opalg import (
     ConstitutiveEq,
     InvariantViolation,
@@ -265,20 +264,25 @@ def _line_search(cmap, target, scale, theta, residual, best, rows, step) -> np.n
 # fiber enumeration
 
 
-@dataclass(frozen=True)
-class FiberSolution:
-    values: tuple[float, ...]
-    method: str  # "base" | "root-exchange" | "multistart"
+class FiberSolution(Record):
+    __slots__ = ("values", "method")
+
+    def __init__(self, values: tuple[float, ...], method: str):
+        self.values, self.method = values, method  # "base" | "root-exchange" | "multistart"
 
 
-@dataclass(frozen=True)
-class FiberReport:
-    base: ParamPoint
-    solutions: tuple[FiberSolution, ...]
-    truncated: bool
-    multistarts: int
-    converged: int  # multistarts whose Newton converged to a verified point
-    stalled: int  # multistarts stopped by a failed line search or the stall window
+class FiberReport(Record):
+    """``converged`` counts the multistarts whose Newton reached a verified
+    point, ``stalled`` those a failed line search or the stall window ended."""
+
+    __slots__ = ("base", "solutions", "truncated", "multistarts", "converged", "stalled")
+
+    def __init__(
+        self, base: ParamPoint, solutions: tuple[FiberSolution, ...], truncated: bool,
+        multistarts: int, converged: int, stalled: int,
+    ):
+        self.base, self.solutions, self.truncated = base, solutions, truncated
+        self.multistarts, self.converged, self.stalled = multistarts, converged, stalled
 
     def __len__(self) -> int:
         return len(self.solutions)

@@ -20,18 +20,22 @@ Sylvester matrix of L1 and L3 between two triangular blocks.
 ``factor_matrix`` builds the system for any number of operators, over
 ints, rationals or floats: ``sylvester`` is one at balanced shapes, and
 the fiber search's root exchange solves one at every exchange node.
+``fractions`` loads only where a Fraction is built (``_rational``): the
+elimination over the rationals (``exact_det``, and ``exact_rank`` when
+the rank mod p falls short) and the Sylvester layer.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
-from fractions import Fraction
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .network import Leaf, NetworkExpr, params
+from .network import Leaf, NetworkExpr, Record, params
 from .nettypes import NetType, TraceStep, classify, type_trace
 from .opalg import ConstitutiveEq, InvariantViolation, Rat, Shape, fold_constitutive
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 Quadruple = tuple[Shape, Shape, Shape, Shape]
 _MODULUS = 2**61 - 1  # a Mersenne prime, for ``exact_rank``
@@ -46,20 +50,28 @@ class GlobalStatus(str, Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class Verdict:
-    locally_identifiable: bool
-    global_status: GlobalStatus
-    param_count: int
-    nonmonic_count: int
-    net_type: NetType
-    shape_type: NetType  # shape class of the derived equation
-    index: int  # highest stress order n of the derived equation
-    constructible: bool
-    trace: tuple[TraceStep, ...]
-    # the equation at theta = 1: exact shapes, term count; derived from the
-    # network like the fields above, so left out of == and hash
-    ones: ConstitutiveEq = field(compare=False)
+class Verdict(Record):
+    """``shape_type`` and ``index`` are the derived equation's shape class and
+    highest stress order n; ``ones``, the equation at theta = 1 (exact shapes,
+    term count), is derived from the network like the rest: not in == or hash."""
+
+    __slots__ = (
+        "locally_identifiable", "global_status", "param_count", "nonmonic_count",
+        "net_type", "shape_type", "index", "constructible", "trace", "ones",
+    )
+
+    def __init__(
+        self, locally_identifiable: bool, global_status: GlobalStatus, param_count: int,
+        nonmonic_count: int, net_type: NetType, shape_type: NetType, index: int,
+        constructible: bool, trace: tuple[TraceStep, ...], ones: ConstitutiveEq,
+    ):
+        self.locally_identifiable, self.global_status = locally_identifiable, global_status
+        self.param_count, self.nonmonic_count = param_count, nonmonic_count
+        self.net_type, self.shape_type, self.index = net_type, shape_type, index
+        self.constructible, self.trace, self.ones = constructible, trace, ones
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__[:-1]])  # not ones
 
 
 def nonmonic_count(eq: ConstitutiveEq) -> int:
@@ -137,7 +149,7 @@ def exact_det(matrix: Sequence[Sequence[Rat]]) -> Fraction:
     if any(len(row) != n for row in matrix):
         raise ValueError("determinant of a non-square matrix")
     rank, det = _eliminate(matrix)
-    return Fraction(det) if rank == n else Fraction(0)
+    return _rational([det if rank == n else 0])[0]
 
 
 def exact_rank(rows: list[list[int]]) -> int:
@@ -158,7 +170,7 @@ def _eliminate(rows: Sequence[Sequence[Rat]], p: int = 0) -> tuple[int, Rat]:
     pivots (mod p), which is the determinant of a square matrix of full
     rank.  Rows are replaced, never mutated.  Over GF(p) an entry is
     reduced only when a pivot or a factor reads it."""
-    rows = list(rows) if p else [[Fraction(x) for x in row] for row in rows]
+    rows = list(rows) if p else [_rational(row) for row in rows]
     rank, det = 0, 1
     for col in range(len(rows[0]) if rows else 0):
         pivot_row = next(
@@ -177,6 +189,13 @@ def _eliminate(rows: Sequence[Sequence[Rat]], p: int = 0) -> tuple[int, Rat]:
             rows[i] = [x - factor * y for x, y in zip(rows[i], pivot)]
         rank += 1
     return rank, det % p if p else det
+
+
+def _rational(vec: Sequence[Rat]) -> list[Fraction]:
+    """``vec`` as Fractions; ``fractions`` loads on the exact rational path only."""
+    from fractions import Fraction
+
+    return [Fraction(x) for x in vec]
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +217,7 @@ def sylvester(p: CoeffVec, q: CoeffVec) -> list[list[Fraction]]:
         raise ValueError("sylvester matrix of a zero polynomial")
     if p[-1] == 0 or q[-1] == 0:
         raise ValueError("leading coefficient must be nonzero (trim the vector)")
-    p, q = [Fraction(x) for x in p], [Fraction(x) for x in q]
+    p, q = _rational(p), _rational(q)
     m, n = len(p) - 1, len(q) - 1
     return factor_matrix([(p, Shape(m, 0), Shape(n - 1, 0)), (q, Shape(n, 0), Shape(m - 1, 0))])
 
@@ -257,8 +276,7 @@ def block_determinant(
     n2, m2 = shape2
     n3, m3 = shape3
     n4, m4 = shape4
-    l1 = [Fraction(x) for x in l1]
-    l3 = [Fraction(x) for x in l3]
+    l1, l3 = _rational(l1), _rational(l3)
     det = resultant(l1, l3)
     if n1 + n4 > n2 + n3:
         det *= l1[-1] ** (n1 + n4 - n2 - n3)

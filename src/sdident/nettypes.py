@@ -16,10 +16,9 @@ decides local identifiability without deriving any equation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
-from .network import Leaf, NetworkExpr, Series, subtree_texts
+from .network import Leaf, NetworkExpr, Record, Series, subtree_texts
 from .opalg import ConstitutiveEq, InvariantViolation, Shape
 
 
@@ -88,16 +87,18 @@ def classify(eq: ConstitutiveEq) -> tuple[NetType, int]:
     )
 
 
-@dataclass(frozen=True)
-class TraceStep:
-    """One table application while folding an expression."""
+class TraceStep(Record):
+    """One table application while folding an expression: a "series" or
+    "parallel" ``connection`` in ``node``, a rendered subexpression at ``depth``."""
 
-    connection: str  # "series" or "parallel"
-    left: NetType
-    right: NetType
-    result: NetType
-    node: str  # rendered subexpression the step belongs to
-    depth: int = 0  # nesting depth of that subexpression
+    __slots__ = ("connection", "left", "right", "result", "node", "depth")
+
+    def __init__(
+        self, connection: str, left: NetType, right: NetType, result: NetType, node: str,
+        depth: int = 0,
+    ):
+        self.connection, self.left, self.right = connection, left, right
+        self.result, self.node, self.depth = result, node, depth
 
 
 def leaf_type(leaf: Leaf) -> NetType:

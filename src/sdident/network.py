@@ -24,7 +24,6 @@ never has a Parallel child (series/parallel composition is associative).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Union
 
 SPRING = "spring"
@@ -47,43 +46,72 @@ class ParseError(ValueError):
         super().__init__(message)
 
 
-@dataclass(frozen=True)
-class Element:
-    kind: str  # SPRING or DASHPOT
-    name: str
+class Record:
+    """Base of the record types: a subclass names its fields in ``__slots__``
+    and assigns them in its ``__init__``; instances are treated as immutable.
+    Records of one class with equal fields are equal; repr ``Class(field=value, ...)``."""
 
-    def __post_init__(self):
-        if self.kind not in (SPRING, DASHPOT):
-            raise ValueError(f"unknown element kind {self.kind!r}")
+    __slots__ = ()
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__slots__])
+        return f"{self.__class__.__qualname__}({fields})"
 
 
-@dataclass(frozen=True)
-class Leaf:
-    element: Element
+class Element(Record):
+    __slots__ = ("kind", "name")
+
+    def __init__(self, kind: str, name: str):
+        if kind not in (SPRING, DASHPOT):
+            raise ValueError(f"unknown element kind {kind!r}")
+        self.kind, self.name = kind, name
 
 
-@dataclass(frozen=True)
-class Series:
-    children: tuple["NetworkExpr", ...]
+class Leaf(Record):
+    __slots__ = ("element",)
+
+    def __init__(self, element: Element):
+        self.element = element
 
 
-@dataclass(frozen=True)
-class Parallel:
-    children: tuple["NetworkExpr", ...]
+class Series(Record):
+    __slots__ = ("children",)
+
+    def __init__(self, children: tuple["NetworkExpr", ...]):
+        self.children = children
+
+
+class Parallel(Record):
+    __slots__ = ("children",)
+
+    def __init__(self, children: tuple["NetworkExpr", ...]):
+        self.children = children
 
 
 NetworkExpr = Union[Leaf, Series, Parallel]
 
 
-def element_kind(name: str) -> str:
-    """Classify an identifier as spring or dashpot by its prefix."""
+def element_kind(name: str, position: int) -> str:
+    """Classify an identifier (at ``position`` in the text) as spring or dashpot by its prefix."""
     if name.startswith("eta") or name.startswith("n"):
         return DASHPOT
     if name.startswith("E") or name.startswith("k"):
         return SPRING
     raise ParseError(
         f"cannot tell whether {name!r} is a spring or a dashpot; "
-        'use a name starting with "E"/"k" (spring) or "n"/"eta" (dashpot)'
+        'use a name starting with "E"/"k" (spring) or "n"/"eta" (dashpot)',
+        position,
     )
 
 
@@ -156,7 +184,7 @@ class _Parser:
             if name in self.seen:
                 raise ParseError(f"duplicate parameter name {name!r}", pos)
             self.seen.add(name)
-            return Leaf(Element(element_kind(name), name))
+            return Leaf(Element(element_kind(name, pos), name))
         if kind == "(":
             _, _, pos = self.take()
             self.depth += 1

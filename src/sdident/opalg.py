@@ -39,24 +39,26 @@ therefore nonzero at positive points unless zero, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import reduce
 from itertools import compress, cycle
 from operator import or_
-from typing import Iterable, NamedTuple, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence, Union
 
 from .network import (
     DASHPOT,
-    SPRING,
     Leaf,
     NetworkExpr,
     Parallel,
+    Record,
     Series,
     params,
 )
 
-Rat = Union[int, Fraction]
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+# a Fraction comes only from the exact rational path, which imports it
+Rat = Union[int, "Fraction"]
 
 # Most monomials ``constitutive`` derives; past it, it raises ValueError
 # before deriving anything.  Terms grow exponentially with depth and width:
@@ -300,30 +302,21 @@ class DiffOperator:
         return f"DiffOperator(low={self.low}, orders={self.low}..{self.high})"
 
 
-@dataclass(frozen=True)
-class ConstitutiveEq:
+class ConstitutiveEq(Record):
     """``eps eps(t) = sig sigma(t)``, denominators cleared, up to scale."""
 
-    eps: DiffOperator
-    sig: DiffOperator
+    __slots__ = ("eps", "sig")
 
-    def __post_init__(self):
-        if self.sig.low != 0:
+    def __init__(self, eps: DiffOperator, sig: DiffOperator):
+        if sig.low != 0:
             raise InvariantViolation(
-                f"stress operator must have a constant term, shape {self.sig.shape}"
+                f"stress operator must have a constant term, shape {sig.shape}"
             )
+        self.eps, self.sig = eps, sig
 
     @property
     def nvars(self) -> int:
         return self.eps.nvars
-
-
-def _leaf(kind: str, value, unit: DiffOperator) -> ConstitutiveEq:
-    if kind == SPRING:
-        return ConstitutiveEq(DiffOperator(0, [value]), unit)
-    if kind == DASHPOT:
-        return ConstitutiveEq(DiffOperator(1, [value]), unit)
-    raise ValueError(f"unknown element kind {kind!r}")
 
 
 def combine_series(eq1: ConstitutiveEq, eq2: ConstitutiveEq) -> ConstitutiveEq:
@@ -377,8 +370,9 @@ def fold_constitutive(expr: NetworkExpr, values: Sequence, one) -> ConstitutiveE
     unit = DiffOperator(0, [one])  # every leaf's stress operator
 
     def walk(node: NetworkExpr) -> ConstitutiveEq:
-        if isinstance(node, Leaf):
-            return _leaf(node.element.kind, next(cursor), unit)
+        if isinstance(node, Leaf):  # a spring's value has order 0, a dashpot's order 1
+            low = 1 if node.element.kind == DASHPOT else 0
+            return ConstitutiveEq(DiffOperator(low, [next(cursor)]), unit)
         combine = combine_series if isinstance(node, Series) else combine_parallel
         acc = walk(node.children[0])
         for child in node.children[1:]:

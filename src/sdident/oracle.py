@@ -20,18 +20,19 @@ Each CLI command loads only what it runs: ``tables``, ``derive``,
 ``analyze`` and ``gen`` load neither module; ``verify`` and ``analyze
 --verify`` load this one; ``fiber`` loads both, and numpy.  ``import
 sdident`` loads neither: the package resolves their names on first use.
+A trial draws integers, so a certified ``verify`` builds no Fraction and
+does not load ``fractions``; ``sample_point``, ``jacobian_rank`` and a
+short rank's elimination over the rationals do.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .ident import exact_rank
-from .network import NetworkExpr, params
+from .network import NetworkExpr, Record, params
 from .opalg import InvariantViolation, Rat, coefficient_map, fold_constitutive
 
 # The fiber search's public names resolve here as well, loading ``fiber``
@@ -48,15 +49,15 @@ def __getattr__(name: str):
     return getattr(fiber, name)
 
 
-@dataclass(frozen=True)
-class ParamPoint:
+class ParamPoint(Record):
     """Positive exact-rational parameter values in canonical order."""
 
-    values: tuple[Fraction, ...]
+    __slots__ = ("values",)
 
-    def __post_init__(self):
-        if any(v <= 0 for v in self.values):
+    def __init__(self, values: tuple[Rat, ...]):
+        if any(v <= 0 for v in values):
             raise ValueError("parameter values must be strictly positive")
+        self.values = values
 
 
 def _grid(n_params: int, seed: int) -> list[int]:
@@ -67,6 +68,8 @@ def _grid(n_params: int, seed: int) -> list[int]:
 
 def sample_point(n_params: int, seed: int = 0) -> ParamPoint:
     """Positive rational point on the 1..10**6 grid scaled by 1/1000."""
+    from fractions import Fraction
+
     return ParamPoint(tuple(Fraction(k, 1000) for k in _grid(n_params, seed)))
 
 
@@ -141,6 +144,8 @@ def _jacobian_rows(expr: NetworkExpr, point: Sequence[int], scale: int) -> tuple
 def _integer_point(theta: Sequence[Rat]) -> tuple[list[int], int]:
     """A positive rational point as integers over their least common
     denominator."""
+    from fractions import Fraction
+
     values = [Fraction(v) for v in theta]
     if any(v <= 0 for v in values):
         raise ValueError("parameter values must be strictly positive")

@@ -2,12 +2,34 @@
 the verdicts, the rank oracle and the fiber search use, and the
 test-only API stays out of the package (its references live in
 ``tests/helpers.py``).  The rank oracle's and the fiber search's names
-resolve on first use."""
+resolve on first use.  The record types compare, hash and print by
+their fields."""
+
+from fractions import Fraction as F
 
 import pytest
 
 import sdident
-from sdident import fiber, ident, nettypes, opalg, oracle
+from sdident import (
+    ConstitutiveEq,
+    DiffOperator,
+    Element,
+    FiberReport,
+    FiberSolution,
+    InvariantViolation,
+    Leaf,
+    ParamPoint,
+    Verdict,
+    analyze,
+    constitutive,
+    fiber,
+    ident,
+    nettypes,
+    opalg,
+    oracle,
+    parse,
+    type_trace,
+)
 
 PUBLIC = {
     # network
@@ -83,3 +105,121 @@ def test_removed_name_is_gone(name):
 )
 def test_removed_member_is_gone(owner, name):
     assert not hasattr(owner, name)
+
+
+def _report(stalled):
+    return FiberReport(ParamPoint((F(1),)), (FiberSolution((1.0,), "base"),), False, 0, 0, stalled)
+
+
+# (make, a record of the same class with another field, repr): each repr
+# is the one the dataclass versions of these classes printed
+RECORDS = {
+    "Element": (
+        lambda: Element("spring", "E1"),
+        Element("spring", "E2"),
+        "Element(kind='spring', name='E1')",
+    ),
+    "Leaf": (
+        lambda: Leaf(Element("spring", "E1")),
+        Leaf(Element("dashpot", "E1")),
+        "Leaf(element=Element(kind='spring', name='E1'))",
+    ),
+    "Series": (
+        lambda: parse("E1 & n1"),
+        parse("E1 & n2"),
+        "Series(children=(Leaf(element=Element(kind='spring', name='E1')),"
+        " Leaf(element=Element(kind='dashpot', name='n1'))))",
+    ),
+    "Parallel": (
+        lambda: parse("E1 | n1"),
+        parse("E1 | E2"),
+        "Parallel(children=(Leaf(element=Element(kind='spring', name='E1')),"
+        " Leaf(element=Element(kind='dashpot', name='n1'))))",
+    ),
+    "ConstitutiveEq": (
+        lambda: constitutive(parse("E1 | n1")),
+        constitutive(parse("E1 & n1")),
+        "ConstitutiveEq(eps=DiffOperator(low=0, orders=0..1),"
+        " sig=DiffOperator(low=0, orders=0..0))",
+    ),
+    "TraceStep": (
+        lambda: type_trace(parse("E1 | n1"))[1][0],
+        type_trace(parse("E1 & n1"))[1][0],
+        "TraceStep(connection='parallel', left=<NetType.A: 'A'>, right=<NetType.B: 'B'>,"
+        " result=<NetType.C: 'C'>, node='E1 | n1', depth=0)",
+    ),
+    "Verdict": (
+        lambda: analyze(parse("E1 & n1")),
+        analyze(parse("E1 & n2")),
+        "Verdict(locally_identifiable=True, global_status=<GlobalStatus.GLOBAL: 'global'>,"
+        " param_count=2, nonmonic_count=2, net_type=<NetType.D: 'D'>,"
+        " shape_type=<NetType.D: 'D'>, index=1, constructible=True,"
+        " trace=(TraceStep(connection='series', left=<NetType.A: 'A'>,"
+        " right=<NetType.B: 'B'>, result=<NetType.D: 'D'>, node='E1 & n1', depth=0),),"
+        " ones=ConstitutiveEq(eps=DiffOperator(low=1, orders=1..1),"
+        " sig=DiffOperator(low=0, orders=0..1)))",
+    ),
+    "ParamPoint": (
+        lambda: ParamPoint((F(1, 2), F(3))),
+        ParamPoint((F(1, 2), F(4))),
+        "ParamPoint(values=(Fraction(1, 2), Fraction(3, 1)))",
+    ),
+    "FiberSolution": (
+        lambda: FiberSolution((1.0, 2.5), "base"),
+        FiberSolution((1.0, 2.5), "multistart"),
+        "FiberSolution(values=(1.0, 2.5), method='base')",
+    ),
+    "FiberReport": (
+        lambda: _report(0),
+        _report(1),
+        "FiberReport(base=ParamPoint(values=(Fraction(1, 1),)),"
+        " solutions=(FiberSolution(values=(1.0,), method='base'),), truncated=False,"
+        " multistarts=0, converged=0, stalled=0)",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_records_compare_hash_and_print_by_fields(name):
+    make, other, text = RECORDS[name]
+    a, b = make(), make()
+    assert type(a).__name__ == name
+    assert a is not b and a == b and not a != b
+    assert a != other and other != a
+    # no record equals a tuple of its fields
+    assert a != tuple(getattr(a, field) for field in a.__slots__)
+    assert repr(a) == text
+    if name == "ConstitutiveEq":  # its operators are unhashable
+        with pytest.raises(TypeError):
+            hash(a)
+    else:
+        assert hash(a) == hash(b)
+        assert len({a, b, other}) == 2
+
+
+def test_series_is_not_parallel():
+    children = parse("E1 & n1").children
+    assert sdident.Series(children) != sdident.Parallel(children)
+    assert sdident.Series(children) == sdident.Series(children)
+
+
+def test_verdict_ignores_ones():
+    verdict = analyze(parse("E1 & n1"))
+    fields = [getattr(verdict, field) for field in Verdict.__slots__ if field != "ones"]
+    twin = Verdict(*fields, ones=analyze(parse("E1 | n1")).ones)
+    assert twin.ones != verdict.ones
+    assert twin == verdict and hash(twin) == hash(verdict)
+
+
+@pytest.mark.parametrize(
+    "build, error",
+    [
+        (lambda: Element("resistor", "R1"), ValueError),
+        (lambda: ConstitutiveEq(DiffOperator(0, [1]), DiffOperator(1, [1])), InvariantViolation),
+        (lambda: ParamPoint((F(1), F(0))), ValueError),
+    ],
+    ids=["element-kind", "stress-low-order", "point-positive"],
+)
+def test_record_constructor_checks(build, error):
+    with pytest.raises(error):
+        build()

@@ -1,5 +1,5 @@
 import collections
-import dataclasses
+import copy
 import json
 import os
 import subprocess
@@ -65,6 +65,26 @@ def test_closed_reader_exits_quietly():
         err = proc.stderr.read()
         assert proc.wait(timeout=120) == EXIT_BROKEN_PIPE
     assert "Traceback" not in err and "Exception ignored" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["analyze", MAXWELL, "--json"], ["derive", MAXWELL, "--json"], ["verify", MAXWELL]],
+    ids=["analyze", "derive", "verify"],
+)
+def test_command_loads_no_dataclasses_or_fractions(argv):
+    # importtime's last column names each module a process imported; a
+    # certified verify builds no Fraction, and the records are slotted
+    # classes.  Modules the bare interpreter loads (site hooks) are not
+    # the command's.
+    def imported(*args):
+        proc = run_python("-X", "importtime", *args)
+        assert proc.returncode == 0, proc.stderr
+        return {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
+
+    modules = imported("-m", "sdident.cli", *argv) - imported("-c", "pass")
+    assert "sdident" in modules
+    assert not modules & {"dataclasses", "inspect", "fractions", "decimal"}, modules
 
 
 class TestAnalyze:
@@ -383,8 +403,9 @@ class TestVerify:
         import sdident.oracle as oracle_mod
 
         def lowered(expr):
-            verdict = analyze(expr)
-            return dataclasses.replace(verdict, nonmonic_count=verdict.nonmonic_count - 1)
+            verdict = copy.copy(analyze(expr))
+            verdict.nonmonic_count -= 1
+            return verdict
 
         monkeypatch.setattr(cli_mod, "analyze", lowered)
         code, out, err = run(capsys, "analyze", MAXWELL, "--verify", "--json")

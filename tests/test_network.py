@@ -18,6 +18,7 @@ from sdident import (
     render,
 )
 
+from sdident.cli import main
 from sdident.network import MAX_NESTING
 
 from helpers import BURGERS, GEN_KELVIN_VOIGT, LADDER_8, nested_chain
@@ -66,6 +67,14 @@ class TestParse:
     def test_unknown_prefix_rejected(self):
         with pytest.raises(ParseError):
             parse("x1 & n1")
+
+    @pytest.mark.parametrize("text, position", [("x1", 0), ("E1 & x2", 5)])
+    def test_unknown_prefix_reports_position(self, text, position, capsys):
+        with pytest.raises(ParseError, match=rf"\(at position {position}\)$") as err:
+            parse(text)
+        assert err.value.position == position
+        assert main(["analyze", text]) == 2
+        assert capsys.readouterr().err == f"parse error: {err.value}\n"
 
     def test_duplicate_name_rejected(self):
         with pytest.raises(ParseError, match="duplicate"):
