@@ -47,18 +47,12 @@ from .nettypes import (
 )
 from .ident import (
     GlobalStatus,
-    Quadruple,
     Verdict,
     analyze,
-    block_determinant,
     constructible_one_at_a_time,
-    exact_det,
     exact_rank,
     factor_matrix,
-    factor_matrix_size,
     nonmonic_count,
-    resultant,
-    sylvester,
 )
 
 # The rank oracle and the fiber search load on first use, so that a
@@ -118,18 +112,12 @@ __all__ = [
     "table_series",
     "type_trace",
     "GlobalStatus",
-    "Quadruple",
     "Verdict",
     "analyze",
-    "block_determinant",
     "constructible_one_at_a_time",
-    "exact_det",
     "exact_rank",
     "factor_matrix",
-    "factor_matrix_size",
     "nonmonic_count",
-    "resultant",
-    "sylvester",
     "CompiledMap",
     "FiberReport",
     "FiberSolution",

@@ -435,8 +435,11 @@ def fiber_solutions(
     damped Newton, both verified against ``_FIBER_TOL``; duplicates
     within relative distance 1e-6 are merged and the base point is
     always included.  The report holds at most ``_MAX_SOLUTIONS`` points,
-    and ``truncated`` says that a further distinct point was found.  The
-    multistart starts depend only on ``seed`` and the parameter count.
+    the first ones found, in the order found: the base, then the root
+    exchanges node by node in partition order, then the multistarts in
+    start order; ``truncated`` says that a further distinct point was
+    found.  The multistart starts depend only on ``seed`` and the
+    parameter count.
     A search whose multistart batch would pass ``MAX_BATCH_CELLS`` raises
     ValueError before deriving anything.
     """
@@ -510,8 +513,6 @@ def fiber_solutions(
     converged = [p for p, ok in zip(found, verified(found)) if ok]
     candidates += [(p, "multistart") for p in converged]
 
-    order = {"base": 0, "root-exchange": 1, "multistart": 2}
-    candidates.sort(key=lambda item: (order[item[1]], tuple(item[0])))
     # the kept points and each one's merge radius, 1e-6 * (1 + its norm)
     kept, radii, methods = np.empty((_MAX_SOLUTIONS, n)), np.empty(_MAX_SOLUTIONS), []
     truncated = False

@@ -16,13 +16,14 @@ a composition step is written as f = L1*L3, g = L1*L4 + L2*L3, the
 unknown pair (L4, L2) solves a banded linear system whose matrix is
 square precisely when parameters and non-monic coefficients balance,
 and a square such matrix is generically invertible because it hides a
-Sylvester matrix of L1 and L3 between two triangular blocks.
-``factor_matrix`` builds the system for any number of operators, over
-ints, rationals or floats: ``sylvester`` is one at balanced shapes, and
-the fiber search's root exchange solves one at every exchange node.
-``fractions`` loads only where a Fraction is built (``_rational``): the
-elimination over the rationals (``exact_det``, and ``exact_rank`` when
-the rank mod p falls short) and the Sylvester layer.
+Sylvester matrix of L1 and L3 between two triangular blocks; the tests
+check that argument against a reference Sylvester layer in
+``tests/helpers.py``.  ``factor_matrix`` builds the system for any
+number of operators, over ints, rationals or floats: the fiber search's
+root exchange solves one at every exchange node.  ``fractions`` loads
+only where a Fraction is built (``_rational``): the elimination over the
+rationals that ``exact_rank`` falls back to when the rank mod p falls
+short.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from .opalg import ConstitutiveEq, InvariantViolation, Rat, Shape, fold_constitu
 if TYPE_CHECKING:
     from fractions import Fraction
 
-Quadruple = tuple[Shape, Shape, Shape, Shape]
 _MODULUS = 2**61 - 1  # a Mersenne prime, for ``exact_rank``
 
 
@@ -142,16 +142,6 @@ def analyze(expr: NetworkExpr) -> Verdict:
 # exact linear algebra: one elimination over GF(p) or the rationals
 
 
-def exact_det(matrix: Sequence[Sequence[Rat]]) -> Fraction:
-    """Exact determinant: the signed product of the pivots of Gaussian
-    elimination over the rationals, or 0 when a column has no pivot."""
-    n = len(matrix)
-    if any(len(row) != n for row in matrix):
-        raise ValueError("determinant of a non-square matrix")
-    rank, det = _eliminate(matrix)
-    return _rational([det if rank == n else 0])[0]
-
-
 def exact_rank(rows: list[list[int]]) -> int:
     """Exact rank of integer rows (scale rational rows to integers first;
     a positive row scale keeps the rank).  A nonzero r x r minor mod the
@@ -161,34 +151,29 @@ def exact_rank(rows: list[list[int]]) -> int:
     if not rows:
         return 0
     bound = min(len(rows), len(rows[0]))
-    return bound if _eliminate(rows, _MODULUS)[0] == bound else _eliminate(rows)[0]
+    return bound if _eliminate(rows, _MODULUS) == bound else _eliminate(rows)
 
 
-def _eliminate(rows: Sequence[Sequence[Rat]], p: int = 0) -> tuple[int, Rat]:
-    """Gaussian elimination over GF(p) on integer rows, or over the
-    rationals when p = 0; returns the rank and the signed product of the
-    pivots (mod p), which is the determinant of a square matrix of full
-    rank.  Rows are replaced, never mutated.  Over GF(p) an entry is
-    reduced only when a pivot or a factor reads it."""
+def _eliminate(rows: Sequence[Sequence[Rat]], p: int = 0) -> int:
+    """Rank by Gaussian elimination over GF(p) on integer rows, or over
+    the rationals when p = 0.  Rows are replaced, never mutated.  Over
+    GF(p) an entry is reduced only when a pivot or a factor reads it."""
     rows = list(rows) if p else [_rational(row) for row in rows]
-    rank, det = 0, 1
+    rank = 0
     for col in range(len(rows[0]) if rows else 0):
         pivot_row = next(
             (i for i in range(rank, len(rows)) if (rows[i][col] % p if p else rows[i][col])), None
         )
         if pivot_row is None:
             continue
-        if pivot_row != rank:
-            rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
-            det = -det
+        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
         pivot = [x % p for x in rows[rank]] if p else rows[rank]
-        det *= pivot[col]
         inverse = pow(pivot[col], -1, p) if p else 1 / pivot[col]
         for i in range(rank + 1, len(rows)):
             factor = rows[i][col] * inverse % p if p else rows[i][col] * inverse
             rows[i] = [x - factor * y for x, y in zip(rows[i], pivot)]
         rank += 1
-    return rank, det % p if p else det
+    return rank
 
 
 def _rational(vec: Sequence[Rat]) -> list[Fraction]:
@@ -199,39 +184,10 @@ def _rational(vec: Sequence[Rat]) -> list[Fraction]:
 
 
 # ---------------------------------------------------------------------------
-# Sylvester matrices and resultants
-
-CoeffVec = Sequence[Rat]  # polynomial coefficients, constant term first
-
-
-def sylvester(p: CoeffVec, q: CoeffVec) -> list[list[Fraction]]:
-    """Sylvester matrix of two polynomials (ascending coefficient vectors).
-
-    For deg p = m and deg q = n the matrix is (n+m) square: n shifted
-    copies of p's coefficients as columns (unknown L4 of degree n - 1),
-    then m of q's (L2 of degree m - 1).  Degenerate degree-0 inputs give
-    the smaller diagonal matrix whose determinant matches the convention
-    res(p, c) = c**deg(p).
-    """
-    if not any(p) or not any(q):
-        raise ValueError("sylvester matrix of a zero polynomial")
-    if p[-1] == 0 or q[-1] == 0:
-        raise ValueError("leading coefficient must be nonzero (trim the vector)")
-    p, q = _rational(p), _rational(q)
-    m, n = len(p) - 1, len(q) - 1
-    return factor_matrix([(p, Shape(m, 0), Shape(n - 1, 0)), (q, Shape(n, 0), Shape(m - 1, 0))])
-
-
-def resultant(p: CoeffVec, q: CoeffVec) -> Fraction:
-    """Determinant of the Sylvester matrix; zero iff p and q share a root."""
-    return exact_det(sylvester(p, q))
-
-
-# ---------------------------------------------------------------------------
 # the shape factorization problem
 
 
-def factor_matrix(blocks: Sequence[tuple[CoeffVec, Shape, Shape]]) -> list[list]:
+def factor_matrix(blocks: Sequence[tuple[Sequence[Rat], Shape, Shape]]) -> list[list]:
     """Coefficient matrix of the composition system sum_i L_i * X_i = g:
     each block is a known L_i (a tight ascending vector), its shape and
     the shape of the unknown X_i.  Rows are monomial degrees from
@@ -254,36 +210,3 @@ def factor_matrix(blocks: Sequence[tuple[CoeffVec, Shape, Shape]]) -> list[list]
         [vec[d - k - m] if m <= d - k <= n else zero for vec, n, m, k, zero in columns]
         for d in range(top, bottom - 1, -1)
     ]
-
-
-def factor_matrix_size(quad: Quadruple) -> tuple[int, int]:
-    (n1, m1), (n2, m2), (n3, m3), (n4, m4) = quad
-    rows = max(n1 + n4, n2 + n3) - min(m1 + m4, m2 + m3) + 1
-    cols = (n2 - m2 + 1) + (n4 - m4 + 1)
-    return rows, cols
-
-
-def block_determinant(
-    l1: CoeffVec, shape1: Shape, l3: CoeffVec, shape3: Shape, shape2: Shape, shape4: Shape
-) -> Fraction:
-    """Predicted |det| of the square factor matrix from its block form.
-
-    Reordering columns turns the matrix into triangular blocks around a
-    Sylvester matrix of the shifted L1, L3, so the determinant is, up to
-    sign, (leading overhang)**e_top * (trailing overhang)**e_bot * res.
-    """
-    n1, m1 = shape1
-    n2, m2 = shape2
-    n3, m3 = shape3
-    n4, m4 = shape4
-    l1, l3 = _rational(l1), _rational(l3)
-    det = resultant(l1, l3)
-    if n1 + n4 > n2 + n3:
-        det *= l1[-1] ** (n1 + n4 - n2 - n3)
-    elif n2 + n3 > n1 + n4:
-        det *= l3[-1] ** (n2 + n3 - n1 - n4)
-    if m1 + m4 < m2 + m3:
-        det *= l1[0] ** (m2 + m3 - m1 - m4)
-    elif m2 + m3 < m1 + m4:
-        det *= l3[0] ** (m1 + m4 - m2 - m3)
-    return abs(det)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from enum import Enum
 
-from .network import Leaf, NetworkExpr, Record, Series, subtree_texts
+from .network import SPRING, Leaf, NetworkExpr, Record, Series, subtree_texts
 from .opalg import ConstitutiveEq, InvariantViolation, Shape
 
 
@@ -102,7 +102,7 @@ class TraceStep(Record):
 
 
 def leaf_type(leaf: Leaf) -> NetType:
-    return NetType.A if leaf.element.kind == "spring" else NetType.B
+    return NetType.A if leaf.element.kind == SPRING else NetType.B
 
 
 def type_trace(expr: NetworkExpr) -> tuple[NetType, tuple[TraceStep, ...]]:

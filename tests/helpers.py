@@ -3,14 +3,18 @@ row data and class shapes, builders for random identifiable components
 of a given shape class and stress index, exact evaluation of symbolic
 polynomials, the reference polynomial printer, the symbolic reference
 Jacobian, schoolbook operator products and sums, the oracle's Jacobian
-as Fractions, a plain Fraction rank, a cofactor-expansion determinant,
-the random probe of the shape factorization problem, and the
-coprimality spot check for the composition rules."""
+as Fractions, one plain Fraction elimination behind a rank and a
+determinant, a cofactor-expansion determinant, the paper's Sylvester
+layer (Sylvester matrices, resultants, factor-matrix sizes and the
+predicted block determinant), the random probe of the shape
+factorization problem, and the coprimality spot check for the
+composition rules."""
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from typing import Sequence
 
 from sdident import (
     ConstitutiveEq,
@@ -22,19 +26,15 @@ from sdident import (
     Parallel,
     ParamPoint,
     ParamPoly,
-    Quadruple,
     Series,
     Shape,
     coefficient_map,
     constitutive,
-    exact_det,
     factor_matrix,
-    factor_matrix_size,
     flatten,
     params,
-    resultant,
 )
-from sdident.opalg import fold_constitutive
+from sdident.opalg import Rat, fold_constitutive
 from sdident.oracle import _integer_point, _jacobian_rows
 
 # classic textbook models and the two larger literature networks
@@ -350,22 +350,42 @@ def jacobian_matrix(expr: NetworkExpr, theta) -> list[list[Fraction]]:
     return [[Fraction(x, scale**d) for x in row] for row, d in zip(rows, degrees)]
 
 
-def fraction_rank(mat) -> int:
-    """Rank by plain Gauss-Jordan elimination over Fractions."""
+def _gauss_jordan(mat) -> tuple[int, Fraction]:
+    """Plain Gauss-Jordan elimination over Fractions: the rank and the
+    signed product of the pivots, which is the determinant of a square
+    matrix of full rank."""
     rows = [list(map(Fraction, row)) for row in mat]
-    rank = 0
-    n_cols = len(rows[0])
+    rank, det = 0, Fraction(1)
+    n_cols = len(rows[0]) if rows else 0
     for col in range(n_cols):
         pivot = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
         if pivot is None:
             continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        if pivot != rank:
+            rows[rank], rows[pivot] = rows[pivot], rows[rank]
+            det = -det
+        det *= rows[rank][col]
         for i in range(len(rows)):
             if i != rank and rows[i][col] != 0:
                 factor = rows[i][col] / rows[rank][col]
                 rows[i] = [a - factor * b for a, b in zip(rows[i], rows[rank])]
         rank += 1
-    return rank
+    return rank, det
+
+
+def fraction_rank(mat) -> int:
+    """Rank by plain Gauss-Jordan elimination over Fractions."""
+    return _gauss_jordan(mat)[0]
+
+
+def exact_det(matrix) -> Fraction:
+    """Exact determinant: the signed product of the pivots of Gauss-Jordan
+    elimination over Fractions, or 0 when a column has no pivot."""
+    n = len(matrix)
+    if any(len(row) != n for row in matrix):
+        raise ValueError("determinant of a non-square matrix")
+    rank, det = _gauss_jordan(matrix)
+    return det if rank == n else Fraction(0)
 
 
 def laplace_det(mat) -> Fraction:
@@ -376,6 +396,68 @@ def laplace_det(mat) -> Fraction:
         (-1) ** j * Fraction(x) * laplace_det([row[:j] + row[j + 1 :] for row in mat[1:]])
         for j, x in enumerate(mat[0])
     )
+
+
+# the paper's Sylvester layer: why a square factor matrix is invertible
+
+Quadruple = tuple[Shape, Shape, Shape, Shape]
+CoeffVec = Sequence[Rat]  # polynomial coefficients, constant term first
+
+
+def sylvester(p: CoeffVec, q: CoeffVec) -> list[list[Fraction]]:
+    """Sylvester matrix of two polynomials (ascending coefficient vectors).
+
+    For deg p = m and deg q = n the matrix is (n+m) square: n shifted
+    copies of p's coefficients as columns (unknown L4 of degree n - 1),
+    then m of q's (L2 of degree m - 1).  Degenerate degree-0 inputs give
+    the smaller diagonal matrix whose determinant matches the convention
+    res(p, c) = c**deg(p).
+    """
+    if not any(p) or not any(q):
+        raise ValueError("sylvester matrix of a zero polynomial")
+    if p[-1] == 0 or q[-1] == 0:
+        raise ValueError("leading coefficient must be nonzero (trim the vector)")
+    p, q = list(map(Fraction, p)), list(map(Fraction, q))
+    m, n = len(p) - 1, len(q) - 1
+    return factor_matrix([(p, Shape(m, 0), Shape(n - 1, 0)), (q, Shape(n, 0), Shape(m - 1, 0))])
+
+
+def resultant(p: CoeffVec, q: CoeffVec) -> Fraction:
+    """Determinant of the Sylvester matrix; zero iff p and q share a root."""
+    return exact_det(sylvester(p, q))
+
+
+def factor_matrix_size(quad: Quadruple) -> tuple[int, int]:
+    (n1, m1), (n2, m2), (n3, m3), (n4, m4) = quad
+    rows = max(n1 + n4, n2 + n3) - min(m1 + m4, m2 + m3) + 1
+    cols = (n2 - m2 + 1) + (n4 - m4 + 1)
+    return rows, cols
+
+
+def block_determinant(
+    l1: CoeffVec, shape1: Shape, l3: CoeffVec, shape3: Shape, shape2: Shape, shape4: Shape
+) -> Fraction:
+    """Predicted |det| of the square factor matrix from its block form.
+
+    Reordering columns turns the matrix into triangular blocks around a
+    Sylvester matrix of the shifted L1, L3, so the determinant is, up to
+    sign, (leading overhang)**e_top * (trailing overhang)**e_bot * res.
+    """
+    n1, m1 = shape1
+    n2, m2 = shape2
+    n3, m3 = shape3
+    n4, m4 = shape4
+    l1, l3 = list(map(Fraction, l1)), list(map(Fraction, l3))
+    det = resultant(l1, l3)
+    if n1 + n4 > n2 + n3:
+        det *= l1[-1] ** (n1 + n4 - n2 - n3)
+    elif n2 + n3 > n1 + n4:
+        det *= l3[-1] ** (n2 + n3 - n1 - n4)
+    if m1 + m4 < m2 + m3:
+        det *= l1[0] ** (m2 + m3 - m1 - m4)
+    elif m2 + m3 < m1 + m4:
+        det *= l3[0] ** (m1 + m4 - m2 - m3)
+    return abs(det)
 
 
 def good_quadruple(quad: Quadruple, samples: int = 3, seed: int = 0) -> bool:

@@ -15,22 +15,18 @@ from sdident import (
     ParamPoint,
     Shape,
     analyze,
-    block_determinant,
     classify,
     coefficient_map,
     combine_parallel,
     combine_series,
     constitutive,
-    exact_det,
     factor_matrix,
-    factor_matrix_size,
     fiber_solutions,
     jacobian_rank,
     nonmonic_count,
     params,
     parse,
     random_network,
-    resultant,
     sample_point,
     table_parallel,
     table_series,
@@ -46,9 +42,13 @@ from helpers import (
     PARALLEL_ROWS,
     SERIES_ROWS,
     VOIGT,
+    block_determinant,
     embedded_pair,
     eval_coeffs,
+    exact_det,
+    factor_matrix_size,
     poly_from_roots,
+    resultant,
     typed_network,
     valid_indices,
 )

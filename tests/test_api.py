@@ -1,7 +1,7 @@
 """The public surface: ``sdident.__all__`` is exactly the names the CLI,
 the verdicts, the rank oracle and the fiber search use, and the
-test-only API stays out of the package (its references live in
-``tests/helpers.py``).  The rank oracle's and the fiber search's names
+test-only API stays out of the package: its references, the paper's
+Sylvester layer among them, live in ``tests/helpers.py``.  The rank oracle's and the fiber search's names
 resolve on first use.  The record types compare, hash and print by
 their fields."""
 
@@ -43,16 +43,18 @@ PUBLIC = {
     "NetType", "TraceStep", "classify", "format_tables", "table_parallel", "table_series",
     "type_trace",
     # ident
-    "GlobalStatus", "Quadruple", "Verdict", "analyze", "block_determinant",
-    "constructible_one_at_a_time", "exact_det", "exact_rank", "factor_matrix",
-    "factor_matrix_size", "nonmonic_count", "resultant", "sylvester",
+    "GlobalStatus", "Verdict", "analyze", "constructible_one_at_a_time", "exact_rank",
+    "factor_matrix", "nonmonic_count",
     # oracle
     "ParamPoint", "jacobian_rank", "sample_point", "verify_local",
     # fiber
     "CompiledMap", "FiberReport", "FiberSolution", "fiber_solutions",
 }
 
-REMOVED = ["good_quadruple", "jacobian_matrix", "leaf_equation", "predicted_shapes", "type_of"]
+REMOVED = [
+    "Quadruple", "block_determinant", "exact_det", "factor_matrix_size", "good_quadruple",
+    "jacobian_matrix", "leaf_equation", "predicted_shapes", "resultant", "sylvester", "type_of",
+]
 
 
 def test_all_is_the_pipeline_surface():

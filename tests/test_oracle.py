@@ -262,7 +262,7 @@ class TestCoprimality:
     def test_equation_sides_generically_coprime(self):
         # strain and stress sides of a derived equation share no root,
         # so the cleared equation is already fully reduced
-        from sdident import resultant
+        from helpers import resultant
 
         rng = random.Random(15)
         for text in (MAXWELL, VOIGT, BURGERS, LADDER_8):
@@ -547,6 +547,29 @@ class TestFiber:
         assert len(report) == 64 and report.truncated
         assert sum(s.method == "root-exchange" for s in report.solutions) == 63
         assert max(rows for rows, _ in child_batches) <= 64
+
+    @pytest.mark.parametrize("modes", [5, 6])
+    def test_rounding_noise_keeps_the_truncated_points(self, modes, monkeypatch):
+        # a truncated report keeps the first points found, in the order
+        # found, so noise far below the merge radius on each root-exchange
+        # candidate moves every kept point by about that noise and never
+        # swaps it for another point of the fiber
+        import sdident.fiber as fiber_mod
+
+        expr = parse(maxwell_bank(modes))
+        plain = fiber_solutions(expr, multistarts=0)
+        exchange = fiber_mod._root_exchange_candidates
+        noise = np.random.default_rng(0)
+
+        def noisy(*args):
+            return [p * (1 + 1e-12 * noise.standard_normal()) for p in exchange(*args)]
+
+        monkeypatch.setattr(fiber_mod, "_root_exchange_candidates", noisy)
+        report = fiber_solutions(expr, multistarts=0)
+        assert plain.truncated and report.truncated and len(report) == len(plain) == 64
+        for got, want in zip(report.solutions, plain.solutions):
+            assert got.method == want.method
+            assert np.allclose(got.values, want.values, rtol=1e-9, atol=0)
 
     @pytest.mark.parametrize("modes,refused", [(8, False), (12, True), (14, True)])
     def test_batch_budget(self, modes, refused, monkeypatch):
