@@ -4,7 +4,8 @@ Subcommands:
 
     analyze EXPR   full identifiability report (add --verify for the
                    numeric cross-check, --json for machine output)
-    derive EXPR    constitutive equation, text and JSON
+    derive EXPR    constitutive equation and its normalized coefficients
+                   (--json adds the per-order coefficient texts they read)
     tables         the two composition tables
     fiber EXPR     enumerate parameter sets with the same equation
     gen            random networks with verdicts
@@ -30,7 +31,7 @@ from typing import Sequence
 from .ident import analyze
 from .nettypes import format_tables
 from .network import NetworkExpr, ParseError, parse, params, random_network, render
-from .opalg import ConstitutiveEq, InvariantViolation, constitutive, equation_to_json
+from .opalg import ConstitutiveEq, InvariantViolation, coefficient_map, constitutive, equation_to_json
 
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE
 
@@ -45,17 +46,15 @@ def _symbol(base: str, order: int) -> str:
     return f"{base}^({order})"
 
 
-def equation_text(eq: ConstitutiveEq, names: Sequence[str]) -> str:
-    """One-line rendering, highest orders first, denominators cleared."""
+def equation_text(equation: dict) -> str:
+    """One-line rendering of ``equation_to_json``'s texts, highest orders
+    first, denominators cleared."""
 
-    def side(op, base):
+    def side(terms: list[dict], base: str) -> str:
         parts = []
-        for order in range(op.high, op.low - 1, -1):
-            poly = op.coeff(order)
-            if not poly:
-                continue
-            text = poly.to_string(names)
-            sym = _symbol(base, order)
+        # no text is "0": leaves, gapless 0/1 products and sums from order 0/1 are gapless
+        for term in reversed(terms):
+            text, sym = term["poly"], _symbol(base, term["order"])
             if text == "1":
                 parts.append(sym)
             elif "+" in text:
@@ -64,24 +63,21 @@ def equation_text(eq: ConstitutiveEq, names: Sequence[str]) -> str:
                 parts.append(f"{text}·{sym}")
         return " + ".join(parts)
 
-    return f"{side(eq.eps, _EPS)} = {side(eq.sig, _SIGMA)}"
+    return f"{side(equation['eps'], _EPS)} = {side(equation['sigma'], _SIGMA)}"
 
 
-def normalized_coefficients(eq: ConstitutiveEq, names: Sequence[str]) -> list[dict]:
-    """Non-monic coefficients as strings, divided by the pivot exactly
-    when the division is polynomial, as num/den otherwise."""
-    pivot = eq.sig.coeffs[-1]
+def normalized_coefficients(eq: ConstitutiveEq, equation: dict, names: Sequence[str]) -> list[dict]:
+    """``coefficient_map(eq)`` as strings: the exact quotient when the
+    division is polynomial, else ``(num) / (pivot)`` over the texts of
+    ``equation``, which is ``equation_to_json(eq, names)``."""
+    pivot = equation["sigma"][-1]["poly"]
+    printed = [("eps", t) for t in reversed(equation["eps"])]
+    printed += [("sigma", t) for t in reversed(equation["sigma"][:-1])]
     out = []
-    for side, op in (("eps", eq.eps), ("sigma", eq.sig)):
-        top = op.high - 1 if side == "sigma" else op.high
-        for order in range(top, op.low - 1, -1):
-            poly = op.coeff(order)
-            quotient = poly.try_divide(pivot)
-            if quotient is not None:
-                text = quotient.to_string(names)
-            else:
-                text = f"({poly.to_string(names)}) / ({pivot.to_string(names)})"
-            out.append({"side": side, "order": order, "value": text})
+    for (side, term), (num, den) in zip(printed, coefficient_map(eq), strict=True):
+        quotient = num.try_divide(den)
+        text = f"({term['poly']}) / ({pivot})" if quotient is None else quotient.to_string(names)
+        out.append({"side": side, "order": term["order"], "value": text})
     return out
 
 
@@ -188,12 +184,13 @@ def cmd_derive(args) -> int:
     expr = parse(args.expression)
     eq = constitutive(expr)
     names = params(expr)
+    equation = equation_to_json(eq, names)
     payload = {
         "expression": args.expression,
         "canonical": render(expr),
-        "equation": equation_text(eq, names),
-        "constitutive": equation_to_json(eq, names),
-        "normalized": normalized_coefficients(eq, names),
+        "equation": equation_text(equation),
+        "constitutive": equation,
+        "normalized": normalized_coefficients(eq, equation, names),
     }
     if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))

@@ -1,10 +1,12 @@
-"""Shared test machinery: named example networks, the frozen composition
-row data and class shapes, builders for random identifiable components
-of a given shape class and stress index, exact evaluation of symbolic
-polynomials, the reference polynomial printer, the symbolic reference
-Jacobian, schoolbook operator products and sums, the oracle's Jacobian
-as Fractions, one plain Fraction elimination behind a rank and a
-determinant, a cofactor-expansion determinant, the paper's Sylvester
+"""Shared test machinery: named example networks, the enumeration of
+every small series-parallel network, the frozen composition row data
+and class shapes, builders for random identifiable components of a
+given shape class and stress index, exact evaluation of symbolic
+polynomials, the reference polynomial printer, the former renderers of
+``sdident derive``'s equation line and normal form, the symbolic
+reference Jacobian, schoolbook operator products and sums, the oracle's
+Jacobian as Fractions, one plain Fraction elimination behind a rank and
+a determinant, a cofactor-expansion determinant, the paper's Sylvester
 layer (Sylvester matrices, resultants, factor-matrix sizes and the
 predicted block determinant), the random probe of the shape
 factorization problem, and the coprimality spot check for the
@@ -12,11 +14,14 @@ composition rules."""
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 from typing import Sequence
 
 from sdident import (
+    DASHPOT,
+    SPRING,
     ConstitutiveEq,
     DiffOperator,
     Element,
@@ -34,6 +39,7 @@ from sdident import (
     flatten,
     params,
 )
+from sdident.cli import _symbol
 from sdident.opalg import Rat, fold_constitutive
 from sdident.oracle import _integer_point, _jacobian_rows
 
@@ -64,6 +70,52 @@ def maxwell_bank(modes: int) -> str:
     arms, E0 | (E1 & n1) | ...; locally identifiable, local-only from
     two modes on."""
     return " | ".join(["E0"] + [f"(E{i} & n{i})" for i in range(1, modes + 1)])
+
+
+def _compositions(n):
+    if n == 0:
+        yield ()
+        return
+    for first in range(1, n + 1):
+        for rest in _compositions(n - first):
+            yield (first,) + rest
+
+
+def structures(n, banned_root=None):
+    """All flattened tree shapes over n leaves (leaf kinds unassigned)."""
+    if n == 1:
+        yield "leaf"
+        return
+    for root in ("S", "P"):
+        if root == banned_root:
+            continue
+        for comp in _compositions(n):
+            if len(comp) < 2:
+                continue
+            child_options = [list(structures(k, root)) for k in comp]
+            for choice in itertools.product(*child_options):
+                yield (root, choice)
+
+
+def _materialize(structure, kinds, cursor):
+    if structure == "leaf":
+        kind = kinds[cursor[0]]
+        cursor[0] += 1
+        name = f"{'E' if kind == SPRING else 'n'}{cursor[0]}"
+        return Leaf(Element(kind, name))
+    root, children = structure
+    node = Series if root == "S" else Parallel
+    return node(tuple(_materialize(c, kinds, cursor) for c in children))
+
+
+def all_networks(max_elements):
+    """Every flattened series-parallel network of 1..max_elements leaves,
+    each shape with every spring/dashpot assignment (2, 8, 48, 352, 2880
+    networks of sizes 1..5)."""
+    for n in range(1, max_elements + 1):
+        for structure in structures(n):
+            for kinds in itertools.product((SPRING, DASHPOT), repeat=n):
+                yield _materialize(structure, list(kinds), [0])
 
 
 # Expected outcome of combining two identifiable components, keyed by the
@@ -283,6 +335,49 @@ def to_string_reference(poly: ParamPoly, names) -> str:
     return " + ".join(
         ["*".join([n for i, n in enumerate(names) if mask >> i & 1]) or "1" for mask in order]
     )
+
+
+def reference_equation_text(eq: ConstitutiveEq, names) -> str:
+    """``sdident derive``'s equation line rendered from the operators, one
+    ``to_string`` per coefficient: the former ``cli.equation_text``, kept
+    as the reference for the line built from ``equation_to_json``."""
+
+    def side(op, base):
+        parts = []
+        for order in range(op.high, op.low - 1, -1):
+            poly = op.coeff(order)
+            if not poly:
+                continue
+            text = poly.to_string(names)
+            sym = _symbol(base, order)
+            if text == "1":
+                parts.append(sym)
+            elif "+" in text:
+                parts.append(f"({text})·{sym}")
+            else:
+                parts.append(f"{text}·{sym}")
+        return " + ".join(parts)
+
+    return f"{side(eq.eps, 'ε')} = {side(eq.sig, 'σ')}"
+
+
+def reference_normalized(eq: ConstitutiveEq, names) -> list[dict]:
+    """``sdident derive``'s normalized coefficients from the operators,
+    rendering each numerator and the pivot anew: the former
+    ``cli.normalized_coefficients``, kept as the reference."""
+    pivot = eq.sig.coeffs[-1]
+    out = []
+    for side, op in (("eps", eq.eps), ("sigma", eq.sig)):
+        top = op.high - 1 if side == "sigma" else op.high
+        for order in range(top, op.low - 1, -1):
+            poly = op.coeff(order)
+            quotient = poly.try_divide(pivot)
+            if quotient is not None:
+                text = quotient.to_string(names)
+            else:
+                text = f"({poly.to_string(names)}) / ({pivot.to_string(names)})"
+            out.append({"side": side, "order": order, "value": text})
+    return out
 
 
 def derivative(poly: ParamPoly, index: int) -> ParamPoly:

@@ -11,7 +11,9 @@ import pytest
 
 import sdident
 from sdident import (
+    ParamPoly,
     analyze,
+    constitutive,
     fiber_solutions,
     jacobian_rank,
     params,
@@ -29,8 +31,11 @@ from helpers import (
     GEN_KELVIN_VOIGT,
     LADDER_8,
     MAXWELL,
+    all_networks,
     maxwell_bank,
     nested_chain,
+    reference_equation_text,
+    reference_normalized,
 )
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(sdident.__file__)))
@@ -249,6 +254,40 @@ class TestDerive:
         sigma = {i["order"]: i["poly"] for i in payload["constitutive"]["sigma"]}
         assert sigma[2] == "nv*nm"
         assert sigma[0] == "Ev*Em"
+
+    @pytest.mark.parametrize(
+        "text", ["(E1 | n1) & E2 & n2", maxwell_bank(3)], ids=["four-element", "bank-3"]
+    )
+    def test_renders_each_coefficient_once(self, capsys, monkeypatch, text):
+        # the equation line and the normal form read equation_to_json's
+        # texts; only an exact quotient is rendered anew
+        calls = []
+        to_string = ParamPoly.to_string
+        monkeypatch.setattr(
+            ParamPoly, "to_string", lambda poly, names: calls.append(1) or to_string(poly, names)
+        )
+        code, out, _ = run(capsys, "derive", text, "--json")
+        assert code == 0
+        eq = constitutive(parse(text))
+        quotients = [i for i in json.loads(out)["normalized"] if " / " not in i["value"]]
+        assert len(calls) == len(eq.eps.coeffs) + len(eq.sig.coeffs) + len(quotients)
+
+    def test_output_matches_the_reference_renderers(self, capsys):
+        # every network of up to four elements, banks of 1-6 modes and
+        # chains of depth 1-8, in text and --json
+        texts = [render(expr) for expr in all_networks(4)]
+        texts += [maxwell_bank(m) for m in range(1, 7)] + [nested_chain(d) for d in range(1, 9)]
+        for text in texts:
+            expr = parse(text)
+            eq = constitutive(expr)
+            equation = reference_equation_text(eq, params(expr))
+            normalized = reference_normalized(eq, params(expr))
+            code, out, _ = run(capsys, "derive", text, "--json")
+            payload = json.loads(out)
+            assert (code, payload["equation"], payload["normalized"]) == (0, equation, normalized)
+            lines = [f"  {i['side']}[{i['order']}] = {i['value']}" for i in normalized]
+            header = "normalized coefficients (pivot: leading sigma coefficient):"
+            assert run(capsys, "derive", text)[:2] == (0, "\n".join([equation, header, *lines, ""]))
 
 
 class TestTables:

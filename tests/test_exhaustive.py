@@ -11,18 +11,13 @@ network's fiber search finds a second preimage by root exchange alone,
 and the multistarts find nothing the root exchanges miss.  Up to six
 elements, the composition system at every root-exchange node is square."""
 
-import itertools
 from collections import Counter
 from fractions import Fraction as F
 
 from sdident import (
-    DASHPOT,
-    SPRING,
-    Element,
     GlobalStatus,
     Leaf,
     NetType,
-    Parallel,
     Series,
     analyze,
     classify,
@@ -39,56 +34,20 @@ from sdident import fiber
 from sdident.opalg import fold_constitutive
 from sdident.oracle import _integer_point, _jacobian_rows
 
-from helpers import fraction_rank, jacobian_matrix, predicted_shapes, reference_jacobian_matrix
-
-
-def _compositions(n):
-    if n == 0:
-        yield ()
-        return
-    for first in range(1, n + 1):
-        for rest in _compositions(n - first):
-            yield (first,) + rest
-
-
-def _structures(n, banned_root=None):
-    """All flattened tree shapes over n leaves (leaf kinds unassigned)."""
-    if n == 1:
-        yield "leaf"
-        return
-    for root in ("S", "P"):
-        if root == banned_root:
-            continue
-        for comp in _compositions(n):
-            if len(comp) < 2:
-                continue
-            child_options = [list(_structures(k, root)) for k in comp]
-            for choice in itertools.product(*child_options):
-                yield (root, choice)
-
-
-def _materialize(structure, kinds, cursor):
-    if structure == "leaf":
-        kind = kinds[cursor[0]]
-        cursor[0] += 1
-        name = f"{'E' if kind == SPRING else 'n'}{cursor[0]}"
-        return Leaf(Element(kind, name))
-    root, children = structure
-    node = Series if root == "S" else Parallel
-    return node(tuple(_materialize(c, kinds, cursor) for c in children))
+from helpers import (
+    all_networks,
+    fraction_rank,
+    jacobian_matrix,
+    predicted_shapes,
+    reference_jacobian_matrix,
+    structures,
+)
 
 
 def _leaf_total(structure):
     if structure == "leaf":
         return 1
     return sum(_leaf_total(c) for c in structure[1])
-
-
-def all_networks(max_elements):
-    for n in range(1, max_elements + 1):
-        for structure in _structures(n):
-            for kinds in itertools.product((SPRING, DASHPOT), repeat=n):
-                yield _materialize(structure, list(kinds), [0])
 
 
 def test_every_network_up_to_four_elements():
@@ -146,7 +105,7 @@ def test_jacobian_rows_are_the_nonmonic_count_up_to_five_elements():
 def test_structure_counts():
     # flattened series-parallel shapes per leaf count: 1, 2, 6, 22
     for n, expected in ((1, 1), (2, 2), (3, 6), (4, 22)):
-        shapes = list(_structures(n))
+        shapes = list(structures(n))
         assert len(shapes) == expected
         assert all(_leaf_total(s) == n for s in shapes)
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from sdident import (
     GlobalStatus,
+    InvariantViolation,
     NetType,
     Shape,
     analyze,
@@ -19,6 +20,7 @@ from sdident import (
     nonmonic_count,
     parse,
 )
+from sdident import ident
 from sdident.ident import _MODULUS, _eliminate
 
 from helpers import (
@@ -83,6 +85,12 @@ class TestLocalVerdicts:
         assert (verdict.net_type != NetType.U) == identifiable
         assert (verdict.param_count == verdict.nonmonic_count) == identifiable
 
+    def test_counting_must_agree_with_the_table_type(self, monkeypatch):
+        # Maxwell counts as identifiable; force the table type u
+        monkeypatch.setattr(ident, "type_trace", lambda expr: (NetType.U, ()))
+        with pytest.raises(InvariantViolation, match="disagrees with table type"):
+            analyze(parse(MAXWELL))
+
     def test_trace_present(self):
         verdict = analyze(parse(BURGERS))
         assert len(verdict.trace) == 3
@@ -120,6 +128,9 @@ class TestGlobalVerdicts:
     def test_examples(self, text, expected):
         assert analyze(parse(text)).global_status == expected
 
+    def test_prints_its_value(self):
+        assert str(GlobalStatus.LOCAL_ONLY) == f"{GlobalStatus.LOCAL_ONLY}" == "local-only"
+
     def test_global_implies_local(self):
         for seed in range(60):
             from sdident import random_network
@@ -155,6 +166,9 @@ class TestExactLinearAlgebra:
     def test_rank_detects_dependent_rows(self):
         mat = [[1, 2, 3], [2, 4, 6], [0, 1, 1]]
         assert exact_rank(mat) == 2
+
+    def test_empty_rank(self):
+        assert exact_rank([]) == 0
 
     def test_empty_det(self):
         assert exact_det([]) == 1

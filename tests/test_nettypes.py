@@ -4,6 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sdident import (
+    ConstitutiveEq,
+    DiffOperator,
+    InvariantViolation,
     Leaf,
     NetType,
     Shape,
@@ -45,6 +48,12 @@ class TestClassify:
     )
     def test_examples(self, text, expected):
         assert classify(constitutive(parse(text))) == expected
+
+    def test_strain_shape_of_no_class_raises(self):
+        # strain shape (2, 0) over stress shape (0, 0) is none of A-D
+        eq = ConstitutiveEq(DiffOperator(0, [1, 1, 1]), DiffOperator(0, [1]))
+        with pytest.raises(InvariantViolation, match="does not match any class"):
+            classify(eq)
 
     def test_unidentifiable_networks_still_classify(self):
         # counting says unidentifiable, but the equation still has a class

@@ -129,6 +129,9 @@ class TestFlatten:
     def test_leaf_identity(self):
         assert flatten(E("E1")) == E("E1")
 
+    def test_one_child_node_is_its_child(self):
+        assert flatten(Series((E("E1"),))) == E("E1")
+
     def test_idempotent(self):
         raw = Series((Series((E("E1"), N("n1"))), Parallel((E("E2"), N("n2")))))
         once = flatten(raw)

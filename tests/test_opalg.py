@@ -96,6 +96,18 @@ class TestParamPoly:
         with pytest.raises(TypeError):
             2 * x
 
+    def test_foreign_operands(self):
+        # a string is no polynomial: unequal, and no sum or product
+        x = ParamPoly(1)
+        assert (x == "x") is False
+        with pytest.raises(TypeError):
+            x + "x"
+        with pytest.raises(TypeError):
+            x * "x"
+
+    def test_repr(self):
+        assert repr(ParamPoly(2, [1, 2])) == "ParamPoly(2, [1, 2])"
+
     def test_const_is_zero_or_one(self):
         with pytest.raises(ValueError):
             ParamPoly.const(2, 2)
@@ -175,6 +187,16 @@ class TestDiffOperator:
     def test_all_zero_rejected(self):
         with pytest.raises(InvariantViolation):
             DiffOperator(0, [ParamPoly(1)])
+
+    def test_empty_and_negative_order_rejected(self):
+        x = ParamPoly.var(1, 0)
+        with pytest.raises(InvariantViolation, match="no coefficients"):
+            DiffOperator(0, [])
+        with pytest.raises(InvariantViolation, match="negative"):
+            DiffOperator(-1, [x])
+
+    def test_foreign_operand_is_unequal(self):
+        assert (DiffOperator(0, [ParamPoly.var(1, 0)]) == 1) is False
 
     def test_multiplication_convolves_orders(self):
         x = ParamPoly.var(2, 0)

@@ -10,6 +10,7 @@ import pytest
 from sdident import (
     CompiledMap,
     GlobalStatus,
+    InvariantViolation,
     NetType,
     ParamPoint,
     analyze,
@@ -28,7 +29,7 @@ from sdident import (
 )
 from sdident.opalg import ConstitutiveEq, DiffOperator, ParamPoly, fold_constitutive
 from sdident.fiber import _newton_batch
-from sdident.oracle import local_ranks
+from sdident.oracle import _Dual, local_ranks
 
 from helpers import (
     BRANCHED_10,
@@ -134,6 +135,10 @@ class TestPointPasses:
         for expr in networks:
             theta = [rng.choice(extremes) for _ in params(expr)]
             assert jacobian_matrix(expr, theta) == reference_jacobian_matrix(expr, theta), expr
+
+    def test_dual_sum_of_different_degrees_raises(self):
+        with pytest.raises(InvariantViolation, match="different degrees"):
+            _Dual(1, 0, 1) + _Dual(1, 0, 2)
 
     def test_float_pass_matches_symbolic_values(self):
         expr = parse(GEN_KELVIN_VOIGT)
