@@ -8,9 +8,9 @@ the node's square ``ident.factor_matrix`` system, and multistart damped
 Newton on c(theta) = c(base).
 
 Newton runs on ``CompiledMap``, one float stack of the coefficient map's
-monomials: every exponent is 0 or 1, so the same terms give the values
-and the Jacobian, and no derivative polynomial is built.  All the
-multistarts run as one batch (``_newton_batch``): one stacked solve per
+monomials, a run of terms per coefficient: every exponent is 0 or 1, so
+the same terms give the values and the Jacobian, and no derivative
+polynomial is built.  All the multistarts run as one batch (``_newton_batch``): one stacked solve per
 iteration, and a backtracking line search that evaluates its step
 lengths, 1 down to 2**-15, in blocks of ``_LADDER_BLOCK`` per ``value``
 call.  A start stops when no length lowers its residual, and a
@@ -74,14 +74,14 @@ class CompiledMap:
     Jacobian (positive theta only), at one point ``(n,)`` or a batch
     ``(k, n)``.
 
-    One stack of terms t = exp(E @ log theta), E the 0/1 exponent matrix
-    of the monomial masks, summed per polynomial (the ``dim`` numerators,
-    then the pivot) by a 0/1 matrix S holding a 1 for each term in its
-    polynomial's row.  A multilinear term has dt/dtheta_i = t*E_i/theta_i,
-    so the gradients are ((S*t) @ E)/theta from the same terms.  Each
-    point of a batch is a matrix product of its own, so a row's result
-    is bitwise that of the point alone and never depends on its
-    neighbours.
+    The terms t = exp(E @ log theta), E the 0/1 exponent matrix of the
+    monomial masks, form one stack in which each polynomial (the ``dim``
+    numerators, then the pivot) is one run, starting at its entry of
+    ``_starts``, that sums to it.  A multilinear term has dt/dtheta_i =
+    t*E_i/theta_i, so the gradients are the run sums of t*E, over theta.
+    Each point of a batch has its own products and sums, so a row's result
+    is bitwise that of the point alone.  An empty coefficient raises
+    ValueError.
     """
 
     def __init__(self, eq: ConstitutiveEq):
@@ -90,29 +90,30 @@ class CompiledMap:
         entries = coefficient_map(eq)
         self.dim = len(entries)
         polys = [num for num, _ in entries] + [entries[0][1]]
+        if not all(polys):  # reduceat would sum an empty run as its next term
+            raise ValueError("a coefficient with no terms has no run of terms to sum")
         # each polynomial's masks in ascending order, so the sums do not
         # depend on the iteration order of a frozenset
-        terms = [(row, mask) for row, p in enumerate(polys) for mask in sorted(p.terms)]
+        masks = [mask for p in polys for mask in sorted(p.terms)]
         self._exps = np.array(
-            [[mask >> i & 1 for i in range(self.nparams)] for _, mask in terms], dtype=float
+            [[mask >> i & 1 for i in range(self.nparams)] for mask in masks], dtype=float
         )
-        self._sums = np.zeros((len(polys), len(terms)))
-        for col, (row, _) in enumerate(terms):
-            self._sums[row, col] = 1
+        self._starts = np.cumsum([0] + [len(p.terms) for p in polys[:-1]])
 
     def _terms(self, theta: np.ndarray) -> np.ndarray:
-        """Term values, shape (..., 1, terms): one row per point."""
+        """Term values, shape (..., terms): one row per point."""
         exponents = np.log(theta)[..., None, :] @ self._exps.T
-        return np.exp(exponents, out=exponents)
+        return np.exp(exponents, out=exponents)[..., 0, :]
 
     def value(self, theta: np.ndarray) -> np.ndarray:
-        sums = (self._terms(theta) @ self._sums.T)[..., 0, :]
+        sums = np.add.reduceat(self._terms(theta), self._starts, axis=-1)
         return sums[..., : self.dim] / sums[..., self.dim, None]
 
     def jacobian(self, theta: np.ndarray) -> np.ndarray:
-        weighted = self._sums * self._terms(theta)
-        sums = weighted.sum(axis=-1)
-        grads = weighted @ self._exps / theta[..., None, :]
+        terms = self._terms(theta)
+        sums = np.add.reduceat(terms, self._starts, axis=-1)
+        grads = np.add.reduceat(terms[..., None] * self._exps, self._starts, axis=-2)
+        grads /= theta[..., None, :]
         nums, den = sums[..., : self.dim, None], sums[..., self.dim, None, None]
         return (grads[..., : self.dim, :] * den - nums * grads[..., self.dim, None, :]) / den**2
 
@@ -139,9 +140,9 @@ MAX_BATCH_CELLS = 2 * 10**7
 
 
 def _row_cells(dim: int, terms: int) -> int:
-    """Floats one batch row puts in its largest array: the Jacobian's
-    (dim + 1, terms) products or the line search's (_LADDER_BLOCK, terms)
-    term values."""
+    """Floats one batch row may put in its largest array: the Jacobian's
+    (terms, nparams) products t*E, nparams = dim on every map the search
+    builds, or the line search's (_LADDER_BLOCK, terms) term values."""
     return max(dim + 1, _LADDER_BLOCK) * terms
 
 
@@ -272,8 +273,8 @@ class FiberSolution(Record):
 
 
 class FiberReport(Record):
-    """``converged`` counts the multistarts whose Newton reached a verified
-    point, ``stalled`` those a failed line search or the stall window ended."""
+    """``converged`` counts the multistarts that reached ``_NEWTON_TOL``,
+    ``stalled`` those a failed line search or the stall window ended."""
 
     __slots__ = ("base", "solutions", "truncated", "multistarts", "converged", "stalled")
 
@@ -431,10 +432,10 @@ def fiber_solutions(
 
     The network must be locally identifiable (finite fiber).  Candidates
     come from root exchanges at every node that has two or more internal
-    children (the paper's local-only criterion) and from multistart
-    damped Newton, both verified against ``_FIBER_TOL``; duplicates
-    within relative distance 1e-6 are merged and the base point is
-    always included.  The report holds at most ``_MAX_SOLUTIONS`` points,
+    children (the paper's local-only criterion), verified against
+    ``_FIBER_TOL``, and from multistart damped Newton, converged within
+    ``_NEWTON_TOL``; duplicates within relative distance 1e-6 are merged
+    and the base point is always included.  The report holds at most ``_MAX_SOLUTIONS`` points,
     the first ones found, in the order found: the base, then the root
     exchanges node by node in partition order, then the multistarts in
     start order; ``truncated`` says that a further distinct point was
@@ -476,14 +477,6 @@ def fiber_solutions(
     target = cmap.value(base_floats)
     scale = 1.0 + np.abs(target)
 
-    def verified(points) -> np.ndarray:
-        """Which rows of ``points`` are positive and map within
-        ``_FIBER_TOL`` of the target, in one ``value`` call."""
-        points = np.reshape(points, (-1, n))
-        ok = np.all(points > 0, axis=1) & np.all(np.isfinite(points), axis=1)
-        ok[ok] = _norms(cmap.value(points[ok]) - target, scale) <= _FIBER_TOL
-        return ok
-
     candidates: list[tuple[np.ndarray, str]] = [(base_floats, "base")]
 
     # A subtree's equation enters the fold homogeneously and normalization
@@ -505,12 +498,16 @@ def fiber_solutions(
             walk(child, start + offset)
 
     walk(expr, 0)
-    candidates += [(p, "root-exchange") for p, ok in zip(exchanged, verified(exchanged)) if ok]
+    # an exchanged point must be positive and map within _FIBER_TOL
+    points = np.reshape(exchanged, (-1, n))
+    ok = np.all(points > 0, axis=1) & np.all(np.isfinite(points), axis=1)
+    ok[ok] = _norms(cmap.value(points[ok]) - target, scale) <= _FIBER_TOL
+    candidates += [(p, "root-exchange") for p in points[ok]]
 
+    # a converged start already is, within _NEWTON_TOL
     stalled = np.zeros(multistarts, dtype=bool)
     found = _newton_batch(cmap, target, base_floats * jitters, stalled=stalled)
-    found = [p for p in found if p is not None]
-    converged = [p for p, ok in zip(found, verified(found)) if ok]
+    converged = [p for p in found if p is not None]
     candidates += [(p, "multistart") for p in converged]
 
     # the kept points and each one's merge radius, 1e-6 * (1 + its norm)

@@ -45,6 +45,7 @@ from helpers import (
     evaluate,
     jacobian_matrix,
     maxwell_bank,
+    nested_chain,
     reference_jacobian_matrix,
 )
 
@@ -315,6 +316,9 @@ COMPILED_MAP_CASES = [
     pytest.param(parse(LADDER_8), id="LADDER_8"),
     pytest.param(parse(GEN_KELVIN_VOIGT), id="GEN_KELVIN_VOIGT"),
     pytest.param(parse(BURGERS), id="BURGERS"),
+    # runs of tens of terms: 320 terms in 14 runs, and 233 in 12
+    pytest.param(parse(maxwell_bank(6)), id="bank6"),
+    pytest.param(parse(nested_chain(5)), id="chain5"),
 ] + [pytest.param(e, id=f"random-{k}") for k, e in enumerate(_identifiable_random_networks(20))]
 
 
@@ -386,6 +390,15 @@ class TestCompiledMap:
         cmap, twin_map = CompiledMap(eq), CompiledMap(twin)
         assert cmap.value(theta).tobytes() == twin_map.value(theta).tobytes()
         assert cmap.jacobian(theta).tobytes() == twin_map.jacobian(theta).tobytes()
+
+    def test_empty_coefficient_rejected(self):
+        # (E + 0 D + E*n D^2) eps = (1 + n D) sigma: the zero first-order
+        # coefficient has no run of terms to sum; no derived equation has one
+        e, n = ParamPoly.var(2, 0), ParamPoly.var(2, 1)
+        eps = DiffOperator(0, [e, ParamPoly(2), ParamPoly(2, [0b11])])
+        eq = ConstitutiveEq(eps, DiffOperator(0, [ParamPoly.const(2, 1), n]))
+        with pytest.raises(ValueError, match="no terms"):
+            CompiledMap(eq)
 
 
 class TestNewtonBatch:
