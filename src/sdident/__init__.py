@@ -62,7 +62,6 @@ _LAZY = {
     "jacobian_rank": "oracle",
     "sample_point": "oracle",
     "verify_local": "oracle",
-    "CompiledMap": "fiber",
     "FiberReport": "fiber",
     "FiberSolution": "fiber",
     "fiber_solutions": "fiber",
@@ -118,7 +117,6 @@ __all__ = [
     "exact_rank",
     "factor_matrix",
     "nonmonic_count",
-    "CompiledMap",
     "FiberReport",
     "FiberSolution",
     "ParamPoint",

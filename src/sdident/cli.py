@@ -211,7 +211,7 @@ def cmd_fiber(args) -> int:
     from .fiber import fiber_solutions
 
     expr = parse(args.expression)
-    report = fiber_solutions(expr, multistarts=args.starts, seed=args.seed)
+    report = fiber_solutions(expr, seed=args.seed)
     payload = {
         "expression": args.expression,
         "base": [str(v) for v in report.base.values],
@@ -220,18 +220,17 @@ def cmd_fiber(args) -> int:
             for sol in report.solutions
         ],
         "count": len(report.solutions),
+        "degree": report.degree,
         "truncated": report.truncated,
-        "multistarts": report.multistarts,
-        "converged": report.converged,
-        "stalled": report.stalled,
+        "dropped": dict(report.dropped),
     }
     if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         print(f"base point: {', '.join(payload['base'])}")
+        print(f"fiber degree: {report.degree}")
         print(f"solutions found: {payload['count']}" + (" (truncated)" if report.truncated else ""))
-        print(f"multistarts converged: {report.converged} of {report.multistarts}")
-        print(f"multistarts stalled: {report.stalled} of {report.multistarts}")
+        print("dropped: " + ", ".join(f"{reason} {count}" for reason, count in report.dropped))
         for sol in report.solutions:
             values = ", ".join(f"{v:.9g}" for v in sol.values)
             print(f"  [{sol.method}] {values}")
@@ -300,7 +299,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     p = sub.add_parser("fiber", help="enumerate equivalent parameter sets")
     p.add_argument("expression")
     add_common(p)
-    p.add_argument("--starts", type=int, default=200, help="multistart count")
     p.set_defaults(func=cmd_fiber)
 
     p = sub.add_parser("gen", help="generate random networks with verdicts")

@@ -1,32 +1,53 @@
 """Fiber search: the parameter sets that share a network's equation.
 
-Global identifiability is probed by enumerating the fiber of the
-coefficient map over a base point: root exchanges between the
-composition factors at every node with two or more internal children
-(swapping twin branches is one such exchange), each exchange closed by
-the node's square ``ident.factor_matrix`` system, and multistart damped
-Newton on c(theta) = c(base).
+The paper's global criterion is constructive: a network is global when
+it can be undone one element at a time, and a local-only network's
+other preimages come from redistributing the roots of the composition
+factors at a node.  ``fiber_solutions`` lists the fiber of the
+coefficient map over a base point by inverting the network node by
+node, given a node's strain and stress operators up to one scale:
 
-Newton runs on ``CompiledMap``, one float stack of the coefficient map's
-monomials, a run of terms per coefficient: every exponent is 0 or 1, so
-the same terms give the values and the Jacobian, and no derivative
-polynomial is built.  All the multistarts run as one batch (``_newton_batch``): one stacked solve per
-iteration, and a backtracking line search that evaluates its step
-lengths, 1 down to 2**-15, in blocks of ``_LADDER_BLOCK`` per ``value``
-call.  A start stops when no length lowers its residual, and a
-multistart also stops when its residual has not halved in
-``_STALL_WINDOW`` iterations; the report counts both as ``stalled``.
-Each start takes the same iterates it would take alone, bit for bit.
-A root exchange solves each child's parameters the same way, one batch
-per child with one target row per exchange, retrying failed rows from
-jittered starts and without the stall window.  The multistarts draw
-their starts first, so those retries cannot move them.
+* take the exchanged side (the strain operator at a series node, the
+  stress operator at a parallel one), make it monic, take its roots;
+* deal the roots to the children by their root counts r_i, the high
+  minus low order of each child's exchanged side, and rebuild each
+  child's monic factor from its roots (``_poly_from_roots``);
+* solve the node's square composition system (``_exchange_matrix``)
+  for the children's other sides, the right side being the node's
+  other side in the monic scale;
+* recurse into each child with its two sides, a leaf reading its value
+  off them, and take the Cartesian product of the children's results.
 
-One cap, ``_MAX_SOLUTIONS``, bounds both the root partitions one node
-tries and the points one report holds; a report cut at the cap says
-``truncated``.  One budget, ``MAX_BATCH_CELLS``, bounds every batch
-array: the multistart batch must fit it or the search is refused, and a
-child's exchange rows are split into chunks that fit it.
+So the fiber has at most d points, d the fiber's degree: the number
+of distributions, the product over internal nodes of the multinomial
+(sum r_i)! / prod r_i!, which is 1 at a node where at most one r_i is
+positive.  d = 1 exactly when the network is constructible; the search
+checks that against ``analyze``.  No symbolic equation is built: the
+root counts and the base's sides are each child's float fold at the
+base point.
+
+The distributions are listed lazily in partition order.  The first is
+the base's own at every node (each node deals its children's own roots
+back to them), and is reported with the base's exact values.  Each
+later one is checked against the base's normalized coefficients with
+the float fold, to ``_FIBER_TOL``, and a distribution that gives no
+point is counted in the report's ``dropped``, by reason: a group that
+splits a complex-conjugate pair, a singular system, a point that is
+not positive, or a failed check.  One cap, ``_MAX_SOLUTIONS``, bounds
+both the distributions tried and the points listed; a report that
+lists fewer than d points says ``truncated``.
+
+Unproven step: which distributions give a positive point.  At
+``sample_point`` bases every one did, on all 11,526 identifiable
+networks of up to 7 elements; the modulus's real, interlacing poles and
+zeros (the RC/Foster structure) are the likely reason.  It is not
+true at every base: at (E1 | n2) & (E3 | n4 & (n5 | E6)) with values
+spread over six decades, two of the three distributions give real
+points with parameters near -1e13, dropped as non-positive, so d bounds
+the positive fiber and need not equal it.  Known limit: float64
+separates fiber points only to about depth 13 (a nested chain of 14
+levels inverts to a wrong point whose coefficients match to 1e-15), so
+a listed point is evidence, not a certificate.
 
 This is the package's float code.  Only the ``fiber`` command imports
 this module.  numpy binds on first use through ``_numpy``, so a process
@@ -36,21 +57,14 @@ in every CLI process it times) does not load numpy.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
-import random
-from typing import Sequence
+from collections import Counter
+from typing import Iterator, Sequence
 
 from .ident import analyze, factor_matrix
 from .network import Leaf, NetworkExpr, Record, Series, leaves
-from .opalg import (
-    ConstitutiveEq,
-    InvariantViolation,
-    coefficient_map,
-    constitutive,
-    fold_constitutive,
-)
+from .opalg import InvariantViolation, coefficient_map, fold_constitutive
 from .oracle import ParamPoint, sample_point
 
 np = None  # numpy, bound by _numpy() when a float path first runs
@@ -65,225 +79,36 @@ def _numpy():
     return np
 
 
-# ---------------------------------------------------------------------------
-# compiled float evaluation of the coefficient map
-
-
-class CompiledMap:
-    """Float evaluation of a derived equation's coefficient map and its
-    Jacobian (positive theta only), at one point ``(n,)`` or a batch
-    ``(k, n)``.
-
-    The terms t = exp(E @ log theta), E the 0/1 exponent matrix of the
-    monomial masks, form one stack in which each polynomial (the ``dim``
-    numerators, then the pivot) is one run, starting at its entry of
-    ``_starts``, that sums to it.  A multilinear term has dt/dtheta_i =
-    t*E_i/theta_i, so the gradients are the run sums of t*E, over theta.
-    Each point of a batch has its own products and sums, so a row's result
-    is bitwise that of the point alone.  An empty coefficient raises
-    ValueError.
-    """
-
-    def __init__(self, eq: ConstitutiveEq):
-        _numpy()
-        self.nparams = eq.nvars
-        entries = coefficient_map(eq)
-        self.dim = len(entries)
-        polys = [num for num, _ in entries] + [entries[0][1]]
-        if not all(polys):  # reduceat would sum an empty run as its next term
-            raise ValueError("a coefficient with no terms has no run of terms to sum")
-        # each polynomial's masks in ascending order, so the sums do not
-        # depend on the iteration order of a frozenset
-        masks = [mask for p in polys for mask in sorted(p.terms)]
-        self._exps = np.array(
-            [[mask >> i & 1 for i in range(self.nparams)] for mask in masks], dtype=float
-        )
-        self._starts = np.cumsum([0] + [len(p.terms) for p in polys[:-1]])
-
-    def _terms(self, theta: np.ndarray) -> np.ndarray:
-        """Term values, shape (..., terms): one row per point."""
-        exponents = np.log(theta)[..., None, :] @ self._exps.T
-        return np.exp(exponents, out=exponents)[..., 0, :]
-
-    def value(self, theta: np.ndarray) -> np.ndarray:
-        sums = np.add.reduceat(self._terms(theta), self._starts, axis=-1)
-        return sums[..., : self.dim] / sums[..., self.dim, None]
-
-    def jacobian(self, theta: np.ndarray) -> np.ndarray:
-        terms = self._terms(theta)
-        sums = np.add.reduceat(terms, self._starts, axis=-1)
-        grads = np.add.reduceat(terms[..., None] * self._exps, self._starts, axis=-2)
-        grads /= theta[..., None, :]
-        nums, den = sums[..., : self.dim, None], sums[..., self.dim, None, None]
-        return (grads[..., : self.dim, :] * den - nums * grads[..., self.dim, None, :]) / den**2
-
-
-# Newton's backtracking ladder: the step lengths 1, 1/2, ..., 2**-15, tried
-# in blocks of _LADDER_BLOCK per value call; a step that needs a shorter
-# length is a failed line search
-_STEP_LENGTHS = tuple(2.0**-k for k in range(16))
-_LADDER_BLOCK = 8
-# the stall window: a multistart stops when its best norm has not fallen
-# below _STALL_FACTOR times its value _STALL_WINDOW iterations earlier
-_STALL_WINDOW = 20
-_STALL_FACTOR = 0.5
-# Newton's iteration cap and the residual norm at which a row has converged
-_NEWTON_ITERATIONS = 60
-_NEWTON_TOL = 1e-12
+# most distributions one report tries, and so most points it lists
+_MAX_SOLUTIONS = 64
 # the residual norm within which a fiber candidate verifies
 _FIBER_TOL = 1e-8
-
-# Most float cells in one batch array: rows x _row_cells.  A 9-mode Maxwell
-# bank at 200 starts (1.3e7 cells) took 10 s and 150 MB peak RSS on a
-# 2-vCPU Xeon; the 14-mode bank (8.8e8 cells) would need a 6.6 GiB array.
-MAX_BATCH_CELLS = 2 * 10**7
-
-
-def _row_cells(dim: int, terms: int) -> int:
-    """Floats one batch row may put in its largest array: the Jacobian's
-    (terms, nparams) products t*E, nparams = dim on every map the search
-    builds, or the line search's (_LADDER_BLOCK, terms) term values."""
-    return max(dim + 1, _LADDER_BLOCK) * terms
-
-
-def _newton_batch(
-    cmap: CompiledMap,
-    target: np.ndarray,
-    starts: np.ndarray,
-    *,
-    stalled: np.ndarray | None = None,
-) -> list[np.ndarray | None]:
-    """Damped Newton on c(theta) = target from each row of ``starts``
-    ``(k, n)``, all rows as one array; returns each row's converged point
-    or None.  ``target`` holds one row per start, ``(k, dim)``, or one
-    ``(dim,)`` vector for them all.
-
-    A row's residual norm is max |c(theta) - target| / (1 + |target|),
-    over its own target row.
-    Each iteration moves every active row by its Newton step times the
-    first ladder length that keeps theta positive and lowers the norm,
-    so a row follows exactly the iterates it would follow alone.  A row
-    stops when its norm reaches ``_NEWTON_TOL``, when its step is not
-    finite, or when no length lowers the norm (a failed line search); a
-    start that is not positive and finite gives None.  Diverging rows
-    overflow quietly and die on their non-finite step.
-
-    Given ``stalled``, a boolean array with one entry per start, the
-    stall window applies as well: a row whose best norm has not halved
-    in ``_STALL_WINDOW`` iterations stops.  Every row stopped by either
-    rule is then marked True in ``stalled``.  Both rules read only the
-    row's own history, so batching still changes no row's iterates.
-    """
-    theta = np.array(starts, dtype=float).reshape(-1, cmap.nparams)
-    target = np.broadcast_to(target, (len(theta), cmap.dim))
-    scale = 1.0 + np.abs(target)
-    best = np.full(len(theta), np.inf)
-    residual = np.zeros((len(theta), cmap.dim))
-    with np.errstate(all="ignore"):
-        active = np.all(theta > 0, axis=1) & np.all(np.isfinite(theta), axis=1)
-        residual[active] = cmap.value(theta[active]) - target[active]
-        best[active] = _norms(residual[active], scale[active])
-        history = [best.copy()]  # best before each iteration, for the stall window
-        for _ in range(_NEWTON_ITERATIONS):
-            active &= ~(best <= _NEWTON_TOL)
-            rows = np.flatnonzero(active)
-            if not len(rows):
-                break
-            step = _newton_steps(cmap.jacobian(theta[rows]), -residual[rows])
-            finite = np.all(np.isfinite(step), axis=1)
-            active[rows[~finite]] = False
-            rows, step = rows[finite], step[finite]
-            moved = _line_search(cmap, target, scale, theta, residual, best, rows, step)
-            active[rows[~moved]] = False
-            if stalled is None:
-                continue
-            stalled[rows[~moved]] = True
-            history.append(best.copy())
-            if len(history) > _STALL_WINDOW:
-                rows = rows[moved]
-                halved = best[rows] < _STALL_FACTOR * history[-1 - _STALL_WINDOW][rows]
-                stuck = rows[~halved & (best[rows] > _NEWTON_TOL)]
-                active[stuck] = False
-                stalled[stuck] = True
-    return [point if norm <= _NEWTON_TOL else None for point, norm in zip(theta, best)]
-
-
-def _norms(residual: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    """max |residual| / scale over the last axis; NaN if any entry is.
-    Column by column: a reduction over a short last axis is slow."""
-    return functools.reduce(np.maximum, np.moveaxis(np.abs(residual) / scale, -1, 0))
-
-
-def _newton_steps(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Newton steps for a stack of Jacobians, one stacked solve; on a
-    singular or non-square matrix, row by row with a least-squares
-    fallback.  A row whose Jacobian or residual is not finite gets a NaN
-    step."""
-    finite = np.all(np.isfinite(jac), axis=(1, 2)) & np.all(np.isfinite(rhs), axis=1)
-    steps = np.full(rhs.shape[:1] + jac.shape[2:], np.nan)
-    try:
-        steps[finite] = np.linalg.solve(jac[finite], rhs[finite, :, None])[..., 0]
-    except np.linalg.LinAlgError:
-        for i in np.flatnonzero(finite):
-            try:
-                steps[i] = np.linalg.solve(jac[i], rhs[i])
-            except np.linalg.LinAlgError:
-                steps[i] = np.linalg.lstsq(jac[i], rhs[i], rcond=None)[0]
-    return steps
-
-
-def _line_search(cmap, target, scale, theta, residual, best, rows, step) -> np.ndarray:
-    """Backtrack each of ``rows`` along its ``step``: move it, in place, to
-    the first ladder length whose point is positive and lowers ``best``.
-    Returns which rows moved."""
-    searching = np.ones(len(rows), dtype=bool)
-    for first in range(0, len(_STEP_LENGTHS), _LADDER_BLOCK):
-        index = np.flatnonzero(searching)
-        if not len(index):
-            break
-        lengths = np.array(_STEP_LENGTHS[first : first + _LADDER_BLOCK])
-        at = rows[index]
-        cand = theta[at, None, :] + lengths[:, None] * step[index, None, :]
-        cand = cand.reshape(-1, theta.shape[1])  # each row's lengths in ladder order
-        positive = np.flatnonzero(functools.reduce(np.minimum, cand.T) > 0)
-        owner = positive // len(lengths)
-        owner_rows = at[owner]
-        cand_res = cmap.value(cand[positive]) - target[owner_rows]
-        cand_norm = _norms(cand_res, scale[owner_rows])
-        lowered = np.flatnonzero(cand_norm < best[owner_rows])
-        # lowered ascends, so each row's first index is its longest good step
-        hit, first_hit = np.unique(owner[lowered], return_index=True)
-        pick = lowered[first_hit]
-        theta[at[hit]] = cand[positive[pick]]
-        residual[at[hit]] = cand_res[pick]
-        best[at[hit]] = cand_norm[pick]
-        searching[index[hit]] = False
-    return ~searching
-
-
-# ---------------------------------------------------------------------------
-# fiber enumeration
+# why a distribution gives no point, in report order
+DROP_REASONS = ("split-pair", "singular", "non-positive", "failed-check")
 
 
 class FiberSolution(Record):
     __slots__ = ("values", "method")
 
     def __init__(self, values: tuple[float, ...], method: str):
-        self.values, self.method = values, method  # "base" | "root-exchange" | "multistart"
+        self.values, self.method = values, method  # "base" | "root-exchange"
 
 
 class FiberReport(Record):
-    """``converged`` counts the multistarts that reached ``_NEWTON_TOL``,
-    ``stalled`` those a failed line search or the stall window ended."""
+    """``degree`` is d, the number of root distributions; ``dropped``
+    pairs each of ``DROP_REASONS`` with the distributions it dropped."""
 
-    __slots__ = ("base", "solutions", "truncated", "multistarts", "converged", "stalled")
+    # multistarts: ignored, and echoed for the benchmark's fiber workload,
+    # which passes and reads it.  To delete when that workload is redefined
+    # (ROADMAP: a benchmark that sweeps size, width and depth).
+    __slots__ = ("base", "solutions", "truncated", "degree", "dropped", "multistarts")
 
     def __init__(
         self, base: ParamPoint, solutions: tuple[FiberSolution, ...], truncated: bool,
-        multistarts: int, converged: int, stalled: int,
+        degree: int, dropped: tuple[tuple[str, int], ...], multistarts: int,
     ):
         self.base, self.solutions, self.truncated = base, solutions, truncated
-        self.multistarts, self.converged, self.stalled = multistarts, converged, stalled
+        self.degree, self.dropped, self.multistarts = degree, dropped, multistarts
 
     def __len__(self) -> int:
         return len(self.solutions)
@@ -318,96 +143,6 @@ def _poly_from_roots(roots: Sequence[complex]) -> np.ndarray | None:
     return coeffs.real[::-1]
 
 
-# most points one report holds, and most root partitions one node tries
-_MAX_SOLUTIONS = 64
-# a child's solve starts from its base values, then from jittered ones, at
-# most _CHILD_ATTEMPTS starts in all
-_CHILD_ATTEMPTS = 8
-
-
-def _root_exchange_candidates(
-    expr: NetworkExpr,
-    children: list[tuple[NetworkExpr, int, int]],
-    base: np.ndarray,
-    rng: random.Random,
-) -> list[np.ndarray]:
-    """Alternative fiber points from redistributing the roots of the
-    composition factors at one node among its ``children`` (each with its
-    offset and size), as values of that node's parameters.  The children's
-    other sides solve the node's square ``_exchange_matrix`` system; a
-    partition that splits a conjugate pair or makes it singular is skipped.
-    Each child's parameters for every exchange still alive are one Newton
-    batch, and an exchange that fails a child is dropped.  At most
-    ``_MAX_SOLUTIONS`` partitions are tried."""
-    series = isinstance(expr, Series)
-
-    # per child: the exchanged side's tight monic vector (ascending) and its
-    # power of x, and the other side in that scale, highest order first
-    factors, powers, others, other_shapes = [], [], [], []
-    for child, start, n in children:
-        eq = fold_constitutive(child, base[start : start + n].tolist(), 1.0)
-        p_op, q_op = (eq.eps, eq.sig) if series else (eq.sig, eq.eps)
-        lead = p_op.coeffs[-1]
-        factors.append(np.array(p_op.coeffs) / lead)
-        powers.append(p_op.low)
-        others.append(np.array(q_op.coeffs[::-1]) / lead)
-        other_shapes.append(q_op.shape)
-
-    matrix = _exchange_matrix(factors, powers, other_shapes)
-    if matrix.shape[0] != matrix.shape[1]:
-        raise InvariantViolation(f"root exchange system of shape {matrix.shape} is not square")
-    rhs = matrix @ np.concatenate(others)
-    sizes = [len(f) - 1 for f in factors]
-    all_roots = np.concatenate([np.roots(f[::-1]) for f in factors])
-
-    # per child, one row per exchange: the child's normalized map values,
-    # NaN where the pivot is zero.  The first partition is the base's own.
-    targets: list[list[np.ndarray]] = [[] for _ in children]
-    partitions = _index_partitions(tuple(range(len(all_roots))), sizes)
-    for groups in itertools.islice(partitions, 1, 1 + _MAX_SOLUTIONS):
-        new_factors = [_poly_from_roots([all_roots[i] for i in g]) for g in groups]
-        if any(vec is None for vec in new_factors):
-            continue
-        try:
-            solution = np.linalg.solve(_exchange_matrix(new_factors, powers, other_shapes), rhs)
-        except np.linalg.LinAlgError:
-            continue
-        new_others = np.split(solution, np.cumsum([len(q) for q in others])[:-1])
-        for child_rows, p_new, q_new in zip(targets, new_factors, new_others):
-            eps_vec, sig_vec = (p_new[::-1], q_new) if series else (q_new, p_new[::-1])
-            child_rows.append(np.concatenate([eps_vec, sig_vec[1:]]) / (sig_vec[0] or np.nan))
-
-    points = np.tile(base, (len(targets[0]), 1))
-    alive = list(range(len(points)))
-    for (child, start, n), target in zip(children, map(np.array, targets)):
-        if not alive:
-            break
-        cmap = CompiledMap(constitutive(child))
-        if target.shape[1] != cmap.dim:
-            raise InvariantViolation(f"{target.shape[1]} exchange values for {cmap.dim} map values")
-        # rows per _newton_batch call, so that no array passes the budget
-        chunk = max(1, MAX_BATCH_CELLS // _row_cells(cmap.dim, len(cmap._exps)))
-        child_base = base[start : start + n]
-        starts = np.tile(child_base, (len(points), 1))
-        pending = alive
-        for attempt in range(_CHILD_ATTEMPTS):
-            if attempt:  # jitter each failed row, drawn in row order
-                for row in pending:
-                    jitter = [math.exp(rng.uniform(math.log(0.2), math.log(5.0))) for _ in range(n)]
-                    starts[row] = child_base * np.array(jitter)
-            failed = []
-            for first in range(0, len(pending), chunk):
-                rows = pending[first : first + chunk]
-                for row, theta in zip(rows, _newton_batch(cmap, target[rows], starts[rows])):
-                    if theta is None:
-                        failed.append(row)
-                    else:
-                        points[row, start : start + n] = theta
-            pending = failed
-        alive = [row for row in alive if row not in pending]
-    return list(points[alive])
-
-
 def _exchange_matrix(factors, powers, other_shapes) -> np.ndarray:
     """A node's composition system as a ``factor_matrix``: the other side
     of the whole is sum_i (prod_{j != i} x**powers[j] * factors[j]) * X_i,
@@ -422,112 +157,167 @@ def _exchange_matrix(factors, powers, other_shapes) -> np.ndarray:
     return np.array(factor_matrix(blocks))
 
 
+def _node_table(expr: NetworkExpr, values: list[float]) -> tuple[dict, int]:
+    """Each internal node's children, by the node's id, each with its
+    equation folded at its slice of ``values``, and the node's degree;
+    and the degree of ``expr``."""
+    table: dict[int, tuple[list, int]] = {}
+
+    def walk(node: NetworkExpr, start: int) -> int:
+        if isinstance(node, Leaf):
+            return 1
+        kids, degree, counts = [], 1, []
+        for child, offset, size in _child_slices(node):
+            eq = fold_constitutive(child, values[start + offset : start + offset + size], 1.0)
+            kids.append((child, eq))
+            degree *= walk(child, start + offset)
+            side = eq.eps if isinstance(node, Series) else eq.sig
+            counts.append(side.high - side.low)
+        degree *= math.factorial(sum(counts)) // math.prod(map(math.factorial, counts))
+        table[id(node)] = (kids, degree)
+        return degree
+
+    return table, walk(expr, 0)
+
+
+def _degree(table: dict, node: NetworkExpr) -> int:
+    return 1 if isinstance(node, Leaf) else table[id(node)][1]
+
+
+def _distributions(table: dict, node: NetworkExpr, eps, sig, own: bool) -> Iterator:
+    """Each of ``node``'s distributions in partition order: the node's
+    parameter values, or the one of ``DROP_REASONS`` that dropped it.
+    ``eps`` and ``sig`` are the node's strain and stress coefficients,
+    ascending from each side's lowest order, up to one common scale;
+    ``own`` says they are the base's, so that the first distribution
+    deals each child its own roots and is the base's own."""
+    if isinstance(node, Leaf):  # a spring's E or a dashpot's eta, over the stress side's 1
+        value = float(eps[0] / sig[0])
+        yield [value] if 0 < value < math.inf else "non-positive"
+        return
+    kids, _ = table[id(node)]
+    series = isinstance(node, Series)
+    exchanged = [eq.eps if series else eq.sig for _, eq in kids]
+    others = [eq.sig if series else eq.eps for _, eq in kids]
+    if own:
+        roots = np.concatenate([np.roots(op.coeffs[::-1]) for op in exchanged])
+    else:
+        roots = np.roots((eps if series else sig)[::-1])
+    sizes = [op.high - op.low for op in exchanged]
+    for k, groups in enumerate(_index_partitions(tuple(range(len(roots))), sizes)):
+        if own and not k:
+            sides = [(eq.eps.coeffs, eq.sig.coeffs) for _, eq in kids]
+        else:
+            factors = [_poly_from_roots(roots[list(group)]) for group in groups]
+            sides = _other_sides(exchanged, others, series, factors, eps, sig)
+        if isinstance(sides, str):
+            yield from itertools.repeat(sides, math.prod(_degree(table, c) for c, _ in kids))
+        else:
+            children = [(child, side) for (child, _), side in zip(kids, sides)]
+            yield from _product(table, children, own and not k)
+
+
+def _other_sides(exchanged, others, series: bool, factors, eps, sig) -> list | str:
+    """Each child's (strain, stress) when the children's ``exchanged``
+    sides are the monic ``factors``, their ``others`` solved from the
+    node's square composition system; or why there are none."""
+    if any(factor is None for factor in factors):
+        return "split-pair"
+    matrix = _exchange_matrix(factors, [op.low for op in exchanged], [op.shape for op in others])
+    whole, other = (eps, sig) if series else (sig, eps)
+    if matrix.shape != (len(other), len(other)):
+        raise InvariantViolation(
+            f"root exchange system of shape {matrix.shape} for {len(other)} coefficients"
+        )
+    # the rows run from the whole's other side's highest order down; at a
+    # series node that side is shifted by x**K, the factors' common power
+    try:
+        solution = np.linalg.solve(matrix, np.asarray(other[::-1]) / whole[-1])
+    except np.linalg.LinAlgError:
+        return "singular"
+    if not np.isfinite(solution).all():  # overflowed: numerically singular
+        return "singular"
+    parts = np.split(solution, np.cumsum([len(op.coeffs) for op in others])[:-1])
+    return [(f, x[::-1]) if series else (x[::-1], f) for f, x in zip(factors, parts)]
+
+
+def _product(table: dict, children: list, own: bool) -> Iterator:
+    """The children's distributions combined in lexicographic order, the
+    first child's slowest: the concatenated values, or the first reason
+    that dropped a part.  Each later child's distributions are listed
+    anew for every combination before it, so nothing is listed that the
+    caller does not take."""
+    if not children:
+        yield []
+        return
+    (child, (eps, sig)), rest = children[0], children[1:]
+    for head in _distributions(table, child, eps, sig, own):
+        if isinstance(head, str):
+            yield from itertools.repeat(head, math.prod(_degree(table, c) for c, _ in rest))
+            continue
+        for tail in _product(table, rest, own):
+            yield tail if isinstance(tail, str) else head + tail
+
+
+def _normalized(eq) -> list[float]:
+    return [num / den for num, den in coefficient_map(eq)]
+
+
 def fiber_solutions(
     expr: NetworkExpr,
     base: ParamPoint | None = None,
-    multistarts: int = 200,
+    multistarts: int = 0,  # ignored, echoed: see FiberReport's slots
     seed: int = 0,
 ) -> FiberReport:
-    """All found preimages of c(base) under the coefficient map.
+    """The preimages of c(base) under the coefficient map, by recursive
+    inversion (see the module docstring).
 
-    The network must be locally identifiable (finite fiber).  Candidates
-    come from root exchanges at every node that has two or more internal
-    children (the paper's local-only criterion), verified against
-    ``_FIBER_TOL``, and from multistart damped Newton, converged within
-    ``_NEWTON_TOL``; duplicates within relative distance 1e-6 are merged
-    and the base point is always included.  The report holds at most ``_MAX_SOLUTIONS`` points,
-    the first ones found, in the order found: the base, then the root
-    exchanges node by node in partition order, then the multistarts in
-    start order; ``truncated`` says that a further distinct point was
-    found.  The multistart starts depend only on ``seed`` and the
-    parameter count.
-    A search whose multistart batch would pass ``MAX_BATCH_CELLS`` raises
-    ValueError before deriving anything.
+    The network must be locally identifiable (finite fiber).  ``seed``
+    picks the base point when ``base`` is None.  The report lists the
+    base, then each later distribution's point that verifies, in
+    partition order, over the first ``_MAX_SOLUTIONS`` of the d
+    distributions.  It raises ``InvariantViolation`` when d = 1 and
+    ``analyze``'s constructibility disagree.
     """
-    if multistarts < 0:
-        raise ValueError(f"multistarts must be non-negative, got {multistarts}")
     _numpy()
     verdict = analyze(expr)
     if not verdict.locally_identifiable:
         raise ValueError("fiber enumeration requires a locally identifiable network")
     n = verdict.param_count
-    # every coefficient at theta = 1 is its term count
-    terms = sum(verdict.ones.eps.coeffs + verdict.ones.sig.coeffs)
-    cells = max(multistarts, 1) * _row_cells(n, terms)
-    if cells > MAX_BATCH_CELLS:
-        raise ValueError(
-            f"the fiber search would hold {cells} floats in one array with {multistarts}"
-            f" starts, over the budget of {MAX_BATCH_CELLS}"
-        )
     if base is None:
         base = sample_point(n, seed)
     if len(base.values) != n:
         raise ValueError(f"base point has {len(base.values)} values, expected {n}")
+    values = [float(v) for v in base.values]
+    table, degree = _node_table(expr, values)
+    if (degree == 1) != verdict.constructible:
+        raise InvariantViolation(
+            f"fiber degree {degree} but constructible is {verdict.constructible}"
+        )
 
-    cmap = CompiledMap(constitutive(expr, verdict.ones))
-    rng = random.Random(seed)
-    # drawn first, so the root exchange's retries cannot move them
-    jitters = np.array(
-        [
-            [math.exp(rng.uniform(math.log(0.1), math.log(10.0))) for _ in range(n)]
-            for _ in range(multistarts)
-        ]
-    ).reshape(-1, n)
-    base_floats = np.array(base.values, dtype=float)
-    target = cmap.value(base_floats)
-    scale = 1.0 + np.abs(target)
-
-    candidates: list[tuple[np.ndarray, str]] = [(base_floats, "base")]
-
-    # A subtree's equation enters the fold homogeneously and normalization
-    # drops the scalar, so a preimage of one node's map lifts to a
-    # preimage of the whole network's.
-    exchanged: list[np.ndarray] = []
-
-    def walk(node: NetworkExpr, start: int) -> None:
-        if isinstance(node, Leaf):
-            return
-        slices = _child_slices(node)
-        if sum(not isinstance(child, Leaf) for child, _, _ in slices) >= 2:
-            end = start + sum(size for _, _, size in slices)
-            for sub in _root_exchange_candidates(node, slices, base_floats[start:end], rng):
-                point = base_floats.copy()
-                point[start:end] = sub
-                exchanged.append(point)
-        for child, offset, _ in slices:
-            walk(child, start + offset)
-
-    walk(expr, 0)
-    # an exchanged point must be positive and map within _FIBER_TOL
-    points = np.reshape(exchanged, (-1, n))
-    ok = np.all(points > 0, axis=1) & np.all(np.isfinite(points), axis=1)
-    ok[ok] = _norms(cmap.value(points[ok]) - target, scale) <= _FIBER_TOL
-    candidates += [(p, "root-exchange") for p in points[ok]]
-
-    # a converged start already is, within _NEWTON_TOL
-    stalled = np.zeros(multistarts, dtype=bool)
-    found = _newton_batch(cmap, target, base_floats * jitters, stalled=stalled)
-    converged = [p for p in found if p is not None]
-    candidates += [(p, "multistart") for p in converged]
-
-    # the kept points and each one's merge radius, 1e-6 * (1 + its norm)
-    kept, radii, methods = np.empty((_MAX_SOLUTIONS, n)), np.empty(_MAX_SOLUTIONS), []
-    truncated = False
-    for values, method in candidates:
-        count = len(methods)
-        gaps = kept[:count] - values
-        if (np.sqrt((gaps * gaps).sum(axis=1)) <= radii[:count]).any():
-            continue
-        if count == _MAX_SOLUTIONS:
-            truncated = True
-            break
-        kept[count], radii[count] = values, 1e-6 * (1.0 + np.linalg.norm(values))
-        methods.append(method)
+    solutions = [FiberSolution(tuple(values), "base")]
+    dropped = Counter()
+    if degree > 1:
+        whole = fold_constitutive(expr, values, 1.0)
+        target = _normalized(whole)
+        with np.errstate(all="ignore"):
+            stream = _distributions(table, expr, whole.eps.coeffs, whole.sig.coeffs, True)
+            next(stream)  # the base's own, listed with its exact values
+            for point in itertools.islice(stream, min(degree, _MAX_SOLUTIONS) - 1):
+                if isinstance(point, str):
+                    dropped[point] += 1
+                    continue
+                got = _normalized(fold_constitutive(expr, point, 1.0))
+                close = (abs(g - t) <= _FIBER_TOL * (1.0 + abs(t)) for g, t in zip(got, target))
+                if len(got) == len(target) and all(close):
+                    solutions.append(FiberSolution(tuple(point), "root-exchange"))
+                else:
+                    dropped["failed-check"] += 1
     return FiberReport(
         base=base,
-        solutions=tuple(FiberSolution(tuple(map(float, v)), m) for v, m in zip(kept, methods)),
-        truncated=truncated,
+        solutions=tuple(solutions),
+        truncated=len(solutions) < degree,
+        degree=degree,
+        dropped=tuple((reason, dropped[reason]) for reason in DROP_REASONS),
         multistarts=multistarts,
-        converged=len(converged),
-        stalled=int(stalled.sum()),
     )

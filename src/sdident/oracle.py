@@ -37,8 +37,10 @@ from .opalg import InvariantViolation, Rat, coefficient_map, fold_constitutive
 
 # The fiber search's public names resolve here as well, loading ``fiber``
 # on first access: the benchmark's tracer (perfbench/tracer.py) times
-# them as ``oracle.fiber_solutions`` and ``oracle.CompiledMap``.
-_FIBER_NAMES = frozenset({"CompiledMap", "FiberReport", "FiberSolution", "fiber_solutions"})
+# ``oracle.fiber_solutions``.  To delete when the benchmark's fiber
+# workload is redefined (ROADMAP: a benchmark that sweeps size, width and
+# depth), with ``multistarts``.
+_FIBER_NAMES = frozenset({"FiberReport", "FiberSolution", "fiber_solutions"})
 
 
 def __getattr__(name: str):

@@ -1,6 +1,7 @@
 import collections
 import copy
 import json
+import math
 import os
 import subprocess
 import sys
@@ -301,53 +302,50 @@ class TestTables:
 
 class TestFiber:
     def test_spring(self, capsys):
-        code, out, _ = run(capsys, "fiber", "E1", "--starts", "10")
+        code, out, _ = run(capsys, "fiber", "E1")
         assert code == 0
         assert "solutions found: 1" in out
 
     def test_gen_kelvin_voigt_json(self, capsys):
-        code, out, _ = run(
-            capsys, "fiber", GEN_KELVIN_VOIGT, "--starts", "20", "--json", "--seed", "3"
-        )
+        code, out, _ = run(capsys, "fiber", GEN_KELVIN_VOIGT, "--json", "--seed", "3")
         assert code == 0
         payload = json.loads(out)
-        assert payload["count"] >= 6
+        assert payload["count"] == payload["degree"] == 6
         methods = {s["method"] for s in payload["solutions"]}
         assert "root-exchange" in methods
+        assert set(payload) == {
+            "expression", "base", "solutions", "count", "degree", "truncated", "dropped",
+        }
 
-    def test_reports_converged_starts(self, capsys):
-        code, out, _ = run(capsys, "fiber", MAXWELL, "--starts", "12")
+    def test_reports_degree(self, capsys):
+        code, out, _ = run(capsys, "fiber", MAXWELL)
         assert code == 0
-        assert "multistarts converged: 12 of 12" in out
-        code, out, _ = run(capsys, "fiber", MAXWELL, "--starts", "12", "--json")
+        assert "fiber degree: 1\nsolutions found: 1\n" in out
+        code, out, _ = run(capsys, "fiber", maxwell_bank(5), "--json")
         payload = json.loads(out)
-        assert (payload["converged"], payload["multistarts"]) == (12, 12)
+        assert (payload["degree"], payload["count"], payload["truncated"]) == (120, 64, True)
 
-    def test_reports_stalled_starts(self, capsys):
-        code, out, _ = run(capsys, "fiber", MAXWELL, "--starts", "12")
+    def test_reports_dropped(self, capsys):
+        code, out, _ = run(capsys, "fiber", LADDER_8)
         assert code == 0
-        assert "multistarts stalled: 0 of 12" in out
-        code, out, _ = run(capsys, "fiber", LADDER_8, "--starts", "40", "--seed", "1", "--json")
-        payload = json.loads(out)
-        assert payload["stalled"] > 0
-        assert payload["converged"] + payload["stalled"] <= payload["multistarts"] == 40
+        assert "dropped: split-pair 0, singular 0, non-positive 0, failed-check 0\n" in out
+        code, out, _ = run(capsys, "fiber", LADDER_8, "--seed", "1", "--json")
+        assert json.loads(out)["dropped"] == {
+            "split-pair": 0, "singular": 0, "non-positive": 0, "failed-check": 0,
+        }
 
     def test_unidentifiable_refused(self, capsys):
-        code, _, err = run(capsys, "fiber", BRANCHED_10, "--starts", "5")
+        code, _, err = run(capsys, "fiber", BRANCHED_10)
         assert code == 1
         assert err == "error: fiber enumeration requires a locally identifiable network\n"
 
-    def test_negative_starts_refused(self, capsys):
-        code, out, err = run(capsys, "fiber", "E1&n1", "--starts", "-5")
-        assert code == 1
-        assert out == ""
-        assert err == "error: multistarts must be non-negative, got -5\n"
-
-    def test_batch_budget_refused(self, capsys):
-        code, out, err = run(capsys, "fiber", maxwell_bank(14))
-        assert code == 1
-        assert out == ""
-        assert err.startswith("error: the fiber search would hold 884736000 floats in one array")
+    def test_fourteen_mode_bank_reports(self, capsys):
+        # the Newton search refused it: its batch would have held 8.8e8 floats
+        code, out, err = run(capsys, "fiber", maxwell_bank(14), "--json")
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert payload["degree"] == math.factorial(14)
+        assert payload["count"] == 64 and payload["truncated"]
 
 
 class TestGen:
@@ -563,7 +561,7 @@ class TestOnePassPerRequest:
             ["derive", GEN_KELVIN_VOIGT, "--json"],
             ["verify", BURGERS],
             ["gen", "--elements", "9", "--count", "4", "--seed", "3"],
-            ["fiber", GEN_KELVIN_VOIGT, "--starts", "5", "--json"],
+            ["fiber", GEN_KELVIN_VOIGT, "--json"],
         ],
     )
     def test_every_command(self, capsys, folds, argv):
@@ -587,10 +585,11 @@ class TestOnePassPerRequest:
         assert folds == {("int", key): 1, ("_Dual", key): 1}
 
     def test_fiber_folds_the_tree_once_at_theta_one(self, folds):
+        # analyze's integer pass, and no symbolic derivation of any subtree
         expr = parse(GEN_KELVIN_VOIGT)
-        fiber_solutions(expr, multistarts=0)
+        fiber_solutions(expr)
         assert folds["int", render(expr)] == 1
-        assert folds["ParamPoly", render(expr)] == 1
+        assert not [key for key in folds if key[0] == "ParamPoly"]
 
 
 # Runs in a fresh interpreter: prints, per step, the argv, its exit code
@@ -623,7 +622,7 @@ def test_only_fiber_loads_numpy():
         ["verify", BURGERS],
         ["analyze", BURGERS, "--verify", "--json"],
     ]
-    fiber = ["fiber", BURGERS, "--starts", "5", "--json"]
+    fiber = ["fiber", BURGERS, "--json"]
     proc = run_python("-c", IMPORT_PROBE, json.dumps(symbolic + rank + [fiber]))
     assert proc.returncode == 0, proc.stderr
     steps = json.loads(proc.stdout)

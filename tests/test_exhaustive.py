@@ -6,10 +6,11 @@ equation must land in a shape class consistent with the tables, and the
 point-evaluated passes (shapes at theta = 1, forward-mode Jacobian) must
 match the symbolic equation exactly, and every coefficient must be a
 multilinear polynomial whose monomials all have coefficient 1.  Up to
-five elements, the Jacobian has nonmonic_count rows, every local-only
-network's fiber search finds a second preimage by root exchange alone,
-and the multistarts find nothing the root exchanges miss.  Up to six
-elements, the composition system at every root-exchange node is square."""
+five elements, the Jacobian has nonmonic_count rows, and the fiber
+search lists exactly min(d, 64) positive points of every identifiable
+network, each verified by the float fold; the degree d is 1 exactly on
+the global networks.  Up to six elements, the composition system at
+every root-exchange node is square."""
 
 from collections import Counter
 from fractions import Fraction as F
@@ -21,6 +22,7 @@ from sdident import (
     Series,
     analyze,
     classify,
+    coefficient_map,
     constitutive,
     exact_rank,
     fiber_solutions,
@@ -110,28 +112,36 @@ def test_structure_counts():
         assert all(_leaf_total(s) == n for s in shapes)
 
 
-def test_every_local_only_network_up_to_five_elements_has_a_witness():
-    # the paper: local-only exactly when some node has two or more
-    # internal children, and a root exchange at that node is a witness
-    local_only = 0
-    for expr in all_networks(5):
-        if analyze(expr).global_status != GlobalStatus.LOCAL_ONLY:
-            continue
-        local_only += 1
-        report = fiber_solutions(expr, multistarts=0)
-        assert len(report) >= 2, expr
-    assert local_only == 120
-
-
 def test_fiber_methods_up_to_five_elements():
-    # pinned totals: stopping stalled multistarts must not change which
-    # preimages the search reports
-    methods = Counter()
+    # each identifiable network lists min(d, 64) positive points: the base,
+    # then root exchanges that the float fold verifies; the paper's
+    # local-only networks are those with d > 1, a node with two or more
+    # internal children, and the global ones list the base alone
+    methods, local_only, seen = Counter(), 0, 0
     for expr in all_networks(5):
-        if analyze(expr).locally_identifiable:
-            report = fiber_solutions(expr, multistarts=40, seed=3)
+        verdict = analyze(expr)
+        if not verdict.locally_identifiable:
+            continue
+        seen += 1
+        local_only += verdict.global_status == GlobalStatus.LOCAL_ONLY
+        for seed in range(3):
+            report = fiber_solutions(expr, seed=seed)
+            assert (report.degree > 1) == (verdict.global_status == GlobalStatus.LOCAL_ONLY)
+            assert len(report) == min(report.degree, 64), (expr, seed)
+            assert report.truncated == (report.degree > 64)
+            base = [float(v) for v in report.base.values]
+            target = [num / den for num, den in coefficient_map(fold_constitutive(expr, base, 1.0))]
+            for sol in report.solutions:
+                assert min(sol.values) > 0, (expr, seed)
+                eq = fold_constitutive(expr, list(sol.values), 1.0)
+                got = [num / den for num, den in coefficient_map(eq)]
+                assert len(got) == len(target)
+                for g, t in zip(got, target):
+                    assert abs(g - t) <= fiber._FIBER_TOL * (1.0 + abs(t)), (expr, seed)
             methods.update(s.method for s in report.solutions)
-    assert methods == Counter({"base": 422, "root-exchange": 120, "multistart": 0})
+    # every local-only network of up to five elements has d = 2
+    assert (seen, local_only) == (422, 120)
+    assert methods == Counter({"base": 3 * 422, "root-exchange": 3 * 120})
 
 
 def test_root_exchange_systems_are_square_up_to_six_elements():
