@@ -112,6 +112,20 @@ def test_structure_counts():
         assert all(_leaf_total(s) == n for s in shapes)
 
 
+def test_every_local_only_network_up_to_five_elements_has_a_witness():
+    # the paper: local-only exactly when some node has two or more
+    # internal children, and a root exchange at that node is a witness
+    local_only = 0
+    for expr in all_networks(5):
+        if analyze(expr).global_status != GlobalStatus.LOCAL_ONLY:
+            continue
+        local_only += 1
+        report = fiber_solutions(expr)
+        assert len(report) >= 2, expr
+        assert any(s.method == "root-exchange" for s in report.solutions), expr
+    assert local_only == 120
+
+
 def test_fiber_methods_up_to_five_elements():
     # each identifiable network lists min(d, 64) positive points: the base,
     # then root exchanges that the float fold verifies; the paper's
