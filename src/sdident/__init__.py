@@ -31,8 +31,6 @@ from .opalg import (
     ParamPoly,
     Shape,
     coefficient_map,
-    combine_parallel,
-    combine_series,
     constitutive,
     equation_to_json,
 )
@@ -99,8 +97,6 @@ __all__ = [
     "ParamPoly",
     "Shape",
     "coefficient_map",
-    "combine_parallel",
-    "combine_series",
     "constitutive",
     "equation_to_json",
     "NetType",

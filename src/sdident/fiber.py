@@ -11,7 +11,9 @@ node, given a node's strain and stress operators up to one scale:
   stress operator at a parallel one), make it monic, take its roots;
 * deal the roots to the children by their root counts r_i, the high
   minus low order of each child's exchanged side, and rebuild each
-  child's monic factor from its roots (``_poly_from_roots``);
+  child's monic factor from its roots (``_poly_from_roots``); where at
+  most one r_i is positive there is one distribution, and that child's
+  factor is the exchanged side made monic, with no roots taken;
 * solve the node's square composition system (``_exchange_matrix``)
   for the children's other sides, the right side being the node's
   other side in the monic scale;
@@ -34,8 +36,9 @@ the float fold, to ``_FIBER_TOL``, and a distribution that gives no
 point is counted in the report's ``dropped``, by reason: a group that
 splits a complex-conjugate pair, a singular system, a point that is
 not positive, or a failed check.  One cap, ``_MAX_SOLUTIONS``, bounds
-both the distributions tried and the points listed; a report that
-lists fewer than d points says ``truncated``.
+both the distributions tried and the points listed; a report says
+``truncated`` when the cap cut the distributions tried (d above it),
+and ``dropped`` says why any other point is missing.
 
 Unproven step: which distributions give a positive point.  At
 ``sample_point`` bases every one did, on all 11,526 identifiable
@@ -199,16 +202,22 @@ def _distributions(table: dict, node: NetworkExpr, eps, sig, own: bool) -> Itera
     series = isinstance(node, Series)
     exchanged = [eq.eps if series else eq.sig for _, eq in kids]
     others = [eq.sig if series else eq.eps for _, eq in kids]
-    if own:
-        roots = np.concatenate([np.roots(op.coeffs[::-1]) for op in exchanged])
-    else:
-        roots = np.roots((eps if series else sig)[::-1])
     sizes = [op.high - op.low for op in exchanged]
-    for k, groups in enumerate(_index_partitions(tuple(range(len(roots))), sizes)):
+    whole = np.asarray(eps if series else sig)
+    if sum(map(bool, sizes)) < 2:  # one distribution: a child with roots takes them all
+        partitions, factor = [sizes], lambda size: whole / whole[-1] if size else np.ones(1)
+    else:
+        if own:
+            roots = np.concatenate([np.roots(op.coeffs[::-1]) for op in exchanged])
+        else:
+            roots = np.roots(whole[::-1])
+        partitions = _index_partitions(tuple(range(len(roots))), sizes)
+        factor = lambda group: _poly_from_roots(roots[list(group)])
+    for k, groups in enumerate(partitions):
         if own and not k:
             sides = [(eq.eps.coeffs, eq.sig.coeffs) for _, eq in kids]
         else:
-            factors = [_poly_from_roots(roots[list(group)]) for group in groups]
+            factors = [factor(group) for group in groups]
             sides = _other_sides(exchanged, others, series, factors, eps, sig)
         if isinstance(sides, str):
             yield from itertools.repeat(sides, math.prod(_degree(table, c) for c, _ in kids))
@@ -316,7 +325,7 @@ def fiber_solutions(
     return FiberReport(
         base=base,
         solutions=tuple(solutions),
-        truncated=len(solutions) < degree,
+        truncated=degree > _MAX_SOLUTIONS,
         degree=degree,
         dropped=tuple((reason, dropped[reason]) for reason in DROP_REASONS),
         multistarts=multistarts,

@@ -75,9 +75,8 @@ class Verdict(Record):
 
 
 def nonmonic_count(eq: ConstitutiveEq) -> int:
-    """Coefficient slots of the normalized equation minus the single pivot."""
-    if eq.sig.low != 0:
-        raise InvariantViolation("stress operator without constant term")
+    """Coefficient slots of the normalized equation minus the single pivot
+    (the stress side starts at order 0, as ``ConstitutiveEq`` checks)."""
     n_eps, m_eps = eq.eps.shape
     n_sig = eq.sig.high
     return (n_eps - m_eps + 1) + (n_sig + 1) - 1

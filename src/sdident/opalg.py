@@ -5,21 +5,23 @@ Three layers:
 * ``ParamPoly``     multilinear polynomial in the element parameters
                     with every coefficient 1, a set of parameter
                     bitmasks.
-* ``DiffOperator``  polynomial in the time-derivative operator; its
-                    shape is the pair (highest order, lowest order).
+* ``DiffOperator``  polynomial in the time-derivative operator, a
+                    fold's result; its shape is the pair (highest
+                    order, lowest order).
 * ``ConstitutiveEq`` the pair (eps_op, sig_op) meaning
                     ``eps_op eps = sig_op sigma`` with denominators
                     cleared; defined up to one global nonzero scalar.
 
 Composition rules: a series connection shares the stress and adds the
 strains, a parallel connection shares the strain and adds the stresses.
-In operator form, for sub-equations (L1, L2) and (L3, L4):
+For sub-equations (L1, L2) and (L3, L4), with k = min(m(L1), m(L3)):
 
-    series:    (L1*L3, L1*L4 + L2*L3), then exact division by x**k
-               with k = min(m(L1), m(L3)) removing the structural
-               common factor of the strain operators,
-    parallel:  (L1*L4 + L2*L3, L2*L4), no division needed because
-               stress operators always have a constant term.
+    series:    (L1*L3, L1*L4 + L2*L3) / x**k, the division removing the
+               structural common factor of the strain operators,
+    parallel:  (L1*L4 + L2*L3, L2*L4).
+
+``fold_constitutive`` holds the package's one implementation of both, a
+kernel over plain coefficient lists (see its docstring).
 
 Each parameter enters once and the rules only add, shift and multiply
 operators over disjoint parameter sets, so every coefficient is a
@@ -261,43 +263,6 @@ class DiffOperator:
 
     __hash__ = None  # type: ignore[assignment]
 
-    def __mul__(self, other: "DiffOperator") -> "DiffOperator":
-        # out[k] sums a_i * b_(k-i) in ascending i: row i adds into the
-        # orders row i - 1 reached and opens one more
-        first, *rest = self.coeffs
-        b = other.coeffs
-        out = [first * c for c in b]
-        for i, a in enumerate(rest, 1):
-            out[i:] = [s + a * c for s, c in zip(out[i:], b)]
-            out.append(a * b[-1])
-        return DiffOperator(self.low + other.low, out)
-
-    def __add__(self, other: "DiffOperator") -> "DiffOperator":
-        # An order only one operand holds keeps its coefficient; the
-        # common orders [lo, hi) add self's to other's, and a gap between
-        # disjoint operands holds zeros.
-        a, b = self.coeffs, other.coeffs
-        lo, hi = max(self.low, other.low), min(self.low + len(a), other.low + len(b))
-        below = self if self.low < other.low else other
-        above = self if self.low + len(a) > other.low + len(b) else other
-        out = [
-            *below.coeffs[: lo - below.low],
-            *[x + y for x, y in zip(a[lo - self.low :], b[lo - other.low :])],
-            *[below.coeffs[0] * 0] * (lo - hi),
-            *above.coeffs[max(hi - above.low, 0) :],
-        ]
-        return DiffOperator(min(self.low, other.low), out)
-
-    def shift_down(self, k: int) -> "DiffOperator":
-        """Exact division by x**k (x = d/dt)."""
-        if k == 0:
-            return self
-        if k < 0 or self.low < k:
-            raise InvariantViolation(
-                f"inexact division by x^{k} of operator with shape {self.shape}"
-            )
-        return DiffOperator(self.low - k, self.coeffs)
-
     def __repr__(self) -> str:
         return f"DiffOperator(low={self.low}, orders={self.low}..{self.high})"
 
@@ -319,25 +284,41 @@ class ConstitutiveEq(Record):
         return self.eps.nvars
 
 
-def combine_series(eq1: ConstitutiveEq, eq2: ConstitutiveEq) -> ConstitutiveEq:
-    """Series connection: equal stresses, strains add.
+def _product(a: Sequence, b: Sequence, unit) -> Sequence:
+    """a * b of ascending lists; one * c is c in every ring, so a product
+    with a leaf's ``unit`` stress list is its other factor."""
+    if b is unit or a is unit:
+        return a if b is unit else b
+    # out[k] sums a_i * b_(k-i) in ascending i: row i adds into the
+    # orders row i - 1 reached and opens one more
+    first, *rest = a
+    out = [first * c for c in b]
+    for i, x in enumerate(rest, 1):
+        out[i:] = [s + x * c for s, c in zip(out[i:], b)]
+        out.append(x * b[-1])
+    return out
 
-    Both sub-equations must already live in the joint parameter space
-    with disjoint supports (see ``fold_constitutive``).
-    """
-    l1, l2 = eq1.eps, eq1.sig
-    l3, l4 = eq2.eps, eq2.sig
-    k = min(l1.low, l3.low)
-    eps = (l1 * l3).shift_down(k)
-    sig = (l1 * l4 + l2 * l3).shift_down(k)
-    return ConstitutiveEq(eps, sig)
+
+def _sum(p: Sequence, a: int, q: Sequence, b: int) -> list:
+    """x**a * p + x**b * q from order 0, one of a and b zero and the other
+    at most 1, as every strain low order is: no gap between the lists."""
+    first, second, pairs = (q, p, zip(p, q[a:])) if a else (p, q, zip(p[b:], q))
+    shift = a or b
+    rest = len(first) - shift  # orders of first from the shift on
+    tail = first[shift + len(second) :] if rest > len(second) else second[rest:]
+    return [*first[:shift], *[x + y for x, y in pairs], *tail]
 
 
-def combine_parallel(eq1: ConstitutiveEq, eq2: ConstitutiveEq) -> ConstitutiveEq:
-    """Parallel connection: equal strains, stresses add."""
-    l1, l2 = eq1.eps, eq1.sig
-    l3, l4 = eq2.eps, eq2.sig
-    return ConstitutiveEq(l1 * l4 + l2 * l3, l2 * l4)
+def _step(series: bool, eq1: tuple, eq2: tuple, unit) -> tuple:
+    """One composition of two triples.  Both rules hold E1*S4 + S2*E3,
+    aligned at k, the lower strain low order: a series step's stress
+    list, beside E1*E3 / x**k, and a parallel step's strain, beside S2*S4."""
+    (lo1, e1, s2), (lo3, e3, s4) = eq1, eq2
+    k = min(lo1, lo3)
+    mixed = _sum(_product(e1, s4, unit), lo1 - k, _product(s2, e3, unit), lo3 - k)
+    if series:
+        return lo1 + lo3 - k, _product(e1, e3, unit), mixed
+    return k, mixed, _product(s2, s4, unit)
 
 
 def constitutive(expr: NetworkExpr, ones: ConstitutiveEq | None = None) -> ConstitutiveEq:
@@ -365,18 +346,27 @@ def fold_constitutive(expr: NetworkExpr, values: Sequence, one) -> ConstitutiveE
     """Constitutive equation of a flattened network folding children left
     to right, with ``values`` (one per parameter in canonical order) and
     ``one`` from a ring whose elements add, multiply (also by the int 0)
-    and are falsy exactly when zero."""
-    cursor = iter(values)
-    unit = DiffOperator(0, [one])  # every leaf's stress operator
+    and are falsy exactly when zero.
 
-    def walk(node: NetworkExpr) -> ConstitutiveEq:
+    The fold is one kernel over plain lists: each sub-equation is the
+    triple (strain low order, ascending strain list, ascending stress
+    list), and only the result becomes operators, with their checks.  A
+    stress side always starts at order 0 (a leaf's is the constant one,
+    and each step keeps a constant term), so it carries no low order.
+    The leaves share one ``unit`` stress list, whose products are
+    skipped: exact in every ring.  Each product and sum keeps the
+    schoolbook order, so a float fold rounds as that order does.
+    """
+    cursor = iter(values)
+    unit = [one]  # every leaf's stress list
+
+    def walk(node: NetworkExpr) -> tuple:
         if isinstance(node, Leaf):  # a spring's value has order 0, a dashpot's order 1
-            low = 1 if node.element.kind == DASHPOT else 0
-            return ConstitutiveEq(DiffOperator(low, [next(cursor)]), unit)
-        combine = combine_series if isinstance(node, Series) else combine_parallel
+            return (1 if node.element.kind == DASHPOT else 0), [next(cursor)], unit
+        series = isinstance(node, Series)
         acc = walk(node.children[0])
         for child in node.children[1:]:
-            acc = combine(acc, walk(child))
+            acc = _step(series, acc, walk(child), unit)
         return acc
 
     try:
@@ -385,7 +375,8 @@ def fold_constitutive(expr: NetworkExpr, values: Sequence, one) -> ConstitutiveE
         eq = None
     if eq is None or any(True for _ in cursor):
         raise ValueError(f"expected {len(params(expr))} parameter values, got {len(values)}")
-    return eq
+    low, eps, sig = eq
+    return ConstitutiveEq(DiffOperator(low, eps), DiffOperator(0, sig))
 
 
 def coefficient_map(eq: ConstitutiveEq) -> list[tuple]:

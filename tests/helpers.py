@@ -4,8 +4,10 @@ and class shapes, builders for random identifiable components of a
 given shape class and stress index, exact evaluation of symbolic
 polynomials, the reference polynomial printer, the former renderers of
 ``sdident derive``'s equation line and normal form, the symbolic
-reference Jacobian, schoolbook operator products and sums, the oracle's
-Jacobian as Fractions, one plain Fraction elimination behind a rank and
+reference Jacobian, schoolbook operator products and sums, the fold on
+operator objects that the package's coefficient-list kernel replaced
+(the kernel's reference) and that kernel's step on two equations, the
+oracle's Jacobian as Fractions, one plain Fraction elimination behind a rank and
 a determinant, a cofactor-expansion determinant, the paper's Sylvester
 layer (Sylvester matrices, resultants, factor-matrix sizes and the
 predicted block determinant), the random probe of the shape
@@ -25,6 +27,7 @@ from sdident import (
     ConstitutiveEq,
     DiffOperator,
     Element,
+    InvariantViolation,
     Leaf,
     NetType,
     NetworkExpr,
@@ -40,7 +43,7 @@ from sdident import (
     params,
 )
 from sdident.cli import _symbol
-from sdident.opalg import Rat, fold_constitutive
+from sdident.opalg import Rat, _step, fold_constitutive
 from sdident.oracle import _integer_point, _jacobian_rows
 
 # classic textbook models and the two larger literature networks
@@ -435,6 +438,97 @@ def schoolbook_sum(p: DiffOperator, q: DiffOperator) -> DiffOperator:
             out[k] = out[k] + c if k in out else c
     low, zero = min(out), p.coeffs[0] * 0
     return DiffOperator(low, [out.get(k, zero) for k in range(low, max(out) + 1)])
+
+
+# The fold before the coefficient-list kernel, on operator objects: the
+# reference for ``fold_constitutive`` and its two steps.
+
+
+def operator_product(p: DiffOperator, q: DiffOperator) -> DiffOperator:
+    """p * q, order k summing a_i * b_(k-i) in ascending i: row i adds
+    into the orders row i - 1 reached and opens one more."""
+    first, *rest = p.coeffs
+    b = q.coeffs
+    out = [first * c for c in b]
+    for i, a in enumerate(rest, 1):
+        out[i:] = [s + a * c for s, c in zip(out[i:], b)]
+        out.append(a * b[-1])
+    return DiffOperator(p.low + q.low, out)
+
+
+def operator_sum(p: DiffOperator, q: DiffOperator) -> DiffOperator:
+    """p + q: an order only one operand holds keeps its coefficient; the
+    common orders [lo, hi) add p's to q's, and a gap between disjoint
+    operands holds zeros."""
+    a, b = p.coeffs, q.coeffs
+    lo, hi = max(p.low, q.low), min(p.low + len(a), q.low + len(b))
+    below = p if p.low < q.low else q
+    above = p if p.low + len(a) > q.low + len(b) else q
+    out = [
+        *below.coeffs[: lo - below.low],
+        *[x + y for x, y in zip(a[lo - p.low :], b[lo - q.low :])],
+        *[below.coeffs[0] * 0] * (lo - hi),
+        *above.coeffs[max(hi - above.low, 0) :],
+    ]
+    return DiffOperator(min(p.low, q.low), out)
+
+
+def shift_down(op: DiffOperator, k: int) -> DiffOperator:
+    """Exact division by x**k (x = d/dt)."""
+    if k == 0:
+        return op
+    if k < 0 or op.low < k:
+        raise InvariantViolation(f"inexact division by x^{k} of operator with shape {op.shape}")
+    return DiffOperator(op.low - k, op.coeffs)
+
+
+def reference_series(eq1: ConstitutiveEq, eq2: ConstitutiveEq) -> ConstitutiveEq:
+    l1, l2, l3, l4 = eq1.eps, eq1.sig, eq2.eps, eq2.sig
+    k = min(l1.low, l3.low)
+    sig = operator_sum(operator_product(l1, l4), operator_product(l2, l3))
+    return ConstitutiveEq(shift_down(operator_product(l1, l3), k), shift_down(sig, k))
+
+
+def reference_parallel(eq1: ConstitutiveEq, eq2: ConstitutiveEq) -> ConstitutiveEq:
+    l1, l2, l3, l4 = eq1.eps, eq1.sig, eq2.eps, eq2.sig
+    eps = operator_sum(operator_product(l1, l4), operator_product(l2, l3))
+    return ConstitutiveEq(eps, operator_product(l2, l4))
+
+
+def _kernel_step(series: bool, eq1: ConstitutiveEq, eq2: ConstitutiveEq) -> ConstitutiveEq:
+    triples = [(eq.eps.low, eq.eps.coeffs, eq.sig.coeffs) for eq in (eq1, eq2)]
+    low, eps, sig = _step(series, *triples, None)
+    return ConstitutiveEq(DiffOperator(low, eps), DiffOperator(0, sig))
+
+
+def combine_series(eq1: ConstitutiveEq, eq2: ConstitutiveEq) -> ConstitutiveEq:
+    """The package kernel's series step on two sub-equations in their
+    joint parameter space with disjoint supports."""
+    return _kernel_step(True, eq1, eq2)
+
+
+def combine_parallel(eq1: ConstitutiveEq, eq2: ConstitutiveEq) -> ConstitutiveEq:
+    """The package kernel's parallel step."""
+    return _kernel_step(False, eq1, eq2)
+
+
+def reference_fold(expr: NetworkExpr, values: Sequence, one) -> ConstitutiveEq:
+    """``fold_constitutive`` on operator objects: every leaf's stress
+    operator is ``one``, multiplied like any other."""
+    cursor = iter(values)
+    unit = DiffOperator(0, [one])
+
+    def walk(node: NetworkExpr) -> ConstitutiveEq:
+        if isinstance(node, Leaf):
+            low = 1 if node.element.kind == DASHPOT else 0
+            return ConstitutiveEq(DiffOperator(low, [next(cursor)]), unit)
+        combine = reference_series if isinstance(node, Series) else reference_parallel
+        acc = walk(node.children[0])
+        for child in node.children[1:]:
+            acc = combine(acc, walk(child))
+        return acc
+
+    return walk(expr)
 
 
 def jacobian_matrix(expr: NetworkExpr, theta) -> list[list[Fraction]]:

@@ -16,8 +16,6 @@ from sdident import (
     analyze,
     classify,
     coefficient_map,
-    combine_parallel,
-    combine_series,
     constitutive,
     factor_matrix,
     fiber_solutions,
@@ -43,6 +41,8 @@ from helpers import (
     SERIES_ROWS,
     VOIGT,
     block_determinant,
+    combine_parallel,
+    combine_series,
     embedded_pair,
     eval_coeffs,
     exact_det,

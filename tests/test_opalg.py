@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,8 +15,6 @@ from sdident import (
     Shape,
     analyze,
     coefficient_map,
-    combine_parallel,
-    combine_series,
     constitutive,
     equation_to_json,
     params,
@@ -24,19 +23,29 @@ from sdident import (
 )
 from sdident.network import DASHPOT, leaves
 from sdident.opalg import fold_constitutive
+from sdident.oracle import _Dual, _grid
 
 from helpers import (
     BURGERS,
     LADDER_8,
     _shifted_equation,
+    all_networks,
     child_equations,
+    combine_parallel,
+    combine_series,
     derivative,
     embedded_pair,
     eval_coeffs,
     evaluate,
     nested_chain,
+    operator_product,
+    operator_sum,
+    reference_fold,
+    reference_parallel,
+    reference_series,
     schoolbook_product,
     schoolbook_sum,
+    shift_down,
     to_string_reference,
 )
 
@@ -178,6 +187,9 @@ class TestParamPoly:
 
 
 class TestDiffOperator:
+    """The operator record, and the reference fold's operator arithmetic
+    (``tests/helpers.py``), which the package no longer holds."""
+
     def test_trims_to_tight_shape(self):
         zero = ParamPoly(1)
         one = ParamPoly.const(1, 1)
@@ -204,7 +216,7 @@ class TestDiffOperator:
         one = ParamPoly.const(2, 1)
         a = DiffOperator(1, [x])  # x * d/dt
         b = DiffOperator(0, [one, y])  # 1 + y d/dt
-        prod = a * b
+        prod = operator_product(a, b)
         assert prod.shape == Shape(2, 1)
         assert prod.coeff(1) == x
         assert prod.coeff(2) == x * y
@@ -220,11 +232,11 @@ class TestDiffOperator:
     def test_shift_down_requires_exactness(self):
         one = ParamPoly.const(1, 1)
         with pytest.raises(InvariantViolation):
-            DiffOperator(0, [one]).shift_down(1)
+            shift_down(DiffOperator(0, [one]), 1)
 
     def test_sum_of_disjoint_operators_holds_zeros_between(self):
         x, y = ParamPoly.var(2, 0), ParamPoly.var(2, 1)
-        total = DiffOperator(3, [y]) + DiffOperator(0, [x])
+        total = operator_sum(DiffOperator(3, [y]), DiffOperator(0, [x]))
         assert total.low == 0
         assert total.coeffs == (x, ParamPoly(2), ParamPoly(2), y)
 
@@ -485,6 +497,45 @@ class TestInvariants:
             assert [len(poly.terms) for poly in op.coeffs] == list(counts.coeffs)
 
 
+def _exact(op):
+    return op.low, list(op.coeffs)
+
+
+def _dual_slots(op):
+    return op.low, [(d.value, d.grad, d.exp) for d in op.coeffs]
+
+
+def test_kernel_matches_reference_fold_up_to_five_elements():
+    # the coefficient-list kernel against the fold on operator objects
+    # (tests/helpers.py), in every ring it serves: ints at theta = 1
+    # (analyze) and at a grid point, ParamPoly (constitutive), floats bit
+    # for bit (fiber), and the rank oracle's duals slot by slot, each
+    # gradient packed at any width, since both folds form the same ints;
+    # and the kernel's step on two equations against the reference's, on
+    # each root's children
+    seen = 0
+    for expr in all_networks(5):
+        n = len(params(expr))
+        grid = _grid(n, seen)
+        rings = [
+            ([1] * n, 1, _exact),
+            (grid, 1, _exact),
+            ([ParamPoly.var(n, i) for i in range(n)], ParamPoly.const(n, 1), _exact),
+            ([k / 1000 for k in grid], 1.0, _bits),
+            ([_Dual(k, 1000 << (64 * i), 1) for i, k in enumerate(grid)], _Dual(1, 0, 0), _dual_slots),
+        ]
+        for values, one, key in rings:
+            got, want = fold_constitutive(expr, values, one), reference_fold(expr, values, one)
+            assert (key(got.eps), key(got.sig)) == (key(want.eps), key(want.sig)), expr
+        if isinstance(expr, (Series, Parallel)):
+            series = isinstance(expr, Series)
+            kids = child_equations(expr)
+            got = reduce(combine_series if series else combine_parallel, kids)
+            assert got == reduce(reference_series if series else reference_parallel, kids), expr
+        seen += 1
+    assert seen == 3290
+
+
 class TestSerialization:
     def test_burgers_round_trip_schema(self):
         expr = parse(BURGERS)
@@ -609,10 +660,10 @@ def _bits(op):
 @settings(max_examples=300, deadline=None)
 @given(FLOAT_OPERATORS, FLOAT_OPERATORS)
 def test_float_operator_arithmetic_matches_schoolbook_bitwise(p, q):
-    # the product adds order k's terms in ascending i, so a float fold
-    # (root exchange) rounds exactly as the schoolbook order does
-    assert _bits(p * q) == _bits(schoolbook_product(p, q))
-    assert _bits(p + q) == _bits(schoolbook_sum(p, q))
+    # the reference product adds order k's terms in ascending i, so its
+    # float fold rounds exactly as the schoolbook order does
+    assert _bits(operator_product(p, q)) == _bits(schoolbook_product(p, q))
+    assert _bits(operator_sum(p, q)) == _bits(schoolbook_sum(p, q))
 
 
 def _poly_operators(variables):
@@ -633,5 +684,5 @@ def _outcome(op, p, q):
 def test_param_poly_operator_arithmetic_matches_schoolbook(p, q, r):
     # the same operator, or the same InvariantViolation where two terms
     # share a monomial
-    assert _outcome(DiffOperator.__mul__, p, q) == _outcome(schoolbook_product, p, q)
-    assert _outcome(DiffOperator.__add__, p, r) == _outcome(schoolbook_sum, p, r)
+    assert _outcome(operator_product, p, q) == _outcome(schoolbook_product, p, q)
+    assert _outcome(operator_sum, p, r) == _outcome(schoolbook_sum, p, r)
