@@ -25,8 +25,8 @@ of distributions, the product over internal nodes of the multinomial
 (sum r_i)! / prod r_i!, which is 1 at a node where at most one r_i is
 positive.  d = 1 exactly when the network is constructible; the search
 checks that against ``analyze``.  No symbolic equation is built: the
-root counts and the base's sides are each child's float fold at the
-base point.
+root counts and the base's sides come from one float fold of the
+network at the base point, which records every subtree's equation.
 
 The distributions are listed lazily in partition order.  The first is
 the base's own at every node (each node deals its children's own roots
@@ -66,7 +66,7 @@ from collections import Counter
 from typing import Iterator, Sequence
 
 from .ident import analyze, factor_matrix
-from .network import Leaf, NetworkExpr, Record, Series, leaves
+from .network import Leaf, NetworkExpr, Record, Series
 from .opalg import InvariantViolation, coefficient_map, fold_constitutive
 from .oracle import ParamPoint, sample_point
 
@@ -117,16 +117,6 @@ class FiberReport(Record):
         return len(self.solutions)
 
 
-def _child_slices(expr: NetworkExpr) -> list[tuple[NetworkExpr, int, int]]:
-    out = []
-    cursor = 0
-    for child in expr.children:  # type: ignore[union-attr]
-        n = len(leaves(child))
-        out.append((child, cursor, n))
-        cursor += n
-    return out
-
-
 def _index_partitions(indices: tuple[int, ...], sizes: Sequence[int]):
     if not sizes:
         yield []
@@ -160,45 +150,39 @@ def _exchange_matrix(factors, powers, other_shapes) -> np.ndarray:
     return np.array(factor_matrix(blocks))
 
 
-def _node_table(expr: NetworkExpr, values: list[float]) -> tuple[dict, int]:
-    """Each internal node's children, by the node's id, each with its
-    equation folded at its slice of ``values``, and the node's degree;
-    and the degree of ``expr``."""
-    table: dict[int, tuple[list, int]] = {}
-
-    def walk(node: NetworkExpr, start: int) -> int:
-        if isinstance(node, Leaf):
-            return 1
-        kids, degree, counts = [], 1, []
-        for child, offset, size in _child_slices(node):
-            eq = fold_constitutive(child, values[start + offset : start + offset + size], 1.0)
-            kids.append((child, eq))
-            degree *= walk(child, start + offset)
+def _degree(node: NetworkExpr, eqs: dict, degrees: dict) -> int:
+    """``node``'s degree from the shapes of the base's subtree equations
+    ``eqs``, storing each node's in ``degrees`` by its id: a leaf's is 1,
+    an internal node's the product of its children's and the multinomial
+    of their root counts."""
+    if id(node) in degrees:  # its two places would share one recorded equation
+        raise ValueError("the network holds one node object in two places")
+    degree = 1
+    if not isinstance(node, Leaf):
+        counts = []
+        for child in node.children:
+            degree *= _degree(child, eqs, degrees)
+            eq = eqs[id(child)]
             side = eq.eps if isinstance(node, Series) else eq.sig
             counts.append(side.high - side.low)
         degree *= math.factorial(sum(counts)) // math.prod(map(math.factorial, counts))
-        table[id(node)] = (kids, degree)
-        return degree
-
-    return table, walk(expr, 0)
+    degrees[id(node)] = degree
+    return degree
 
 
-def _degree(table: dict, node: NetworkExpr) -> int:
-    return 1 if isinstance(node, Leaf) else table[id(node)][1]
-
-
-def _distributions(table: dict, node: NetworkExpr, eps, sig, own: bool) -> Iterator:
+def _distributions(eqs: dict, degrees: dict, node: NetworkExpr, eps, sig, own: bool) -> Iterator:
     """Each of ``node``'s distributions in partition order: the node's
     parameter values, or the one of ``DROP_REASONS`` that dropped it.
     ``eps`` and ``sig`` are the node's strain and stress coefficients,
     ascending from each side's lowest order, up to one common scale;
     ``own`` says they are the base's, so that the first distribution
-    deals each child its own roots and is the base's own."""
+    deals each child its own roots and is the base's own.  ``eqs`` and
+    ``degrees`` are the base's, by node id."""
     if isinstance(node, Leaf):  # a spring's E or a dashpot's eta, over the stress side's 1
         value = float(eps[0] / sig[0])
         yield [value] if 0 < value < math.inf else "non-positive"
         return
-    kids, _ = table[id(node)]
+    kids = [(child, eqs[id(child)]) for child in node.children]
     series = isinstance(node, Series)
     exchanged = [eq.eps if series else eq.sig for _, eq in kids]
     others = [eq.sig if series else eq.eps for _, eq in kids]
@@ -220,10 +204,10 @@ def _distributions(table: dict, node: NetworkExpr, eps, sig, own: bool) -> Itera
             factors = [factor(group) for group in groups]
             sides = _other_sides(exchanged, others, series, factors, eps, sig)
         if isinstance(sides, str):
-            yield from itertools.repeat(sides, math.prod(_degree(table, c) for c, _ in kids))
+            yield from itertools.repeat(sides, math.prod(degrees[id(c)] for c, _ in kids))
         else:
             children = [(child, side) for (child, _), side in zip(kids, sides)]
-            yield from _product(table, children, own and not k)
+            yield from _product(eqs, degrees, children, own and not k)
 
 
 def _other_sides(exchanged, others, series: bool, factors, eps, sig) -> list | str:
@@ -250,7 +234,7 @@ def _other_sides(exchanged, others, series: bool, factors, eps, sig) -> list | s
     return [(f, x[::-1]) if series else (x[::-1], f) for f, x in zip(factors, parts)]
 
 
-def _product(table: dict, children: list, own: bool) -> Iterator:
+def _product(eqs: dict, degrees: dict, children: list, own: bool) -> Iterator:
     """The children's distributions combined in lexicographic order, the
     first child's slowest: the concatenated values, or the first reason
     that dropped a part.  Each later child's distributions are listed
@@ -260,11 +244,11 @@ def _product(table: dict, children: list, own: bool) -> Iterator:
         yield []
         return
     (child, (eps, sig)), rest = children[0], children[1:]
-    for head in _distributions(table, child, eps, sig, own):
+    for head in _distributions(eqs, degrees, child, eps, sig, own):
         if isinstance(head, str):
-            yield from itertools.repeat(head, math.prod(_degree(table, c) for c, _ in rest))
+            yield from itertools.repeat(head, math.prod(degrees[id(c)] for c, _ in rest))
             continue
-        for tail in _product(table, rest, own):
+        for tail in _product(eqs, degrees, rest, own):
             yield tail if isinstance(tail, str) else head + tail
 
 
@@ -286,7 +270,9 @@ def fiber_solutions(
     base, then each later distribution's point that verifies, in
     partition order, over the first ``_MAX_SOLUTIONS`` of the d
     distributions.  It raises ``InvariantViolation`` when d = 1 and
-    ``analyze``'s constructibility disagree.
+    ``analyze``'s constructibility disagree, and ``ValueError`` when a
+    value or a coefficient of the base's float fold leaves the float
+    range.
     """
     _numpy()
     verdict = analyze(expr)
@@ -297,8 +283,19 @@ def fiber_solutions(
         base = sample_point(n, seed)
     if len(base.values) != n:
         raise ValueError(f"base point has {len(base.values)} values, expected {n}")
-    values = [float(v) for v in base.values]
-    table, degree = _node_table(expr, values)
+    eqs: dict = {}  # every subtree's equation at the base, by the node's id
+    try:
+        values = [float(v) for v in base.values]
+        whole = fold_constitutive(expr, values, 1.0, eqs)
+    except (OverflowError, InvariantViolation):  # a value overflowed, or an end coefficient is 0
+        whole = None
+    # exact coefficients at a positive point are positive: a float one that
+    # is not has underflowed or overflowed
+    sides = [eq.eps.coeffs + eq.sig.coeffs for eq in eqs.values()]
+    if whole is None or not all(0 < c < math.inf for side in sides for c in side):
+        raise ValueError("the base point's equation leaves the float range, about 1e-308 to 1e308")
+    degrees: dict = {}
+    degree = _degree(expr, eqs, degrees)
     if (degree == 1) != verdict.constructible:
         raise InvariantViolation(
             f"fiber degree {degree} but constructible is {verdict.constructible}"
@@ -307,10 +304,9 @@ def fiber_solutions(
     solutions = [FiberSolution(tuple(values), "base")]
     dropped = Counter()
     if degree > 1:
-        whole = fold_constitutive(expr, values, 1.0)
         target = _normalized(whole)
         with np.errstate(all="ignore"):
-            stream = _distributions(table, expr, whole.eps.coeffs, whole.sig.coeffs, True)
+            stream = _distributions(eqs, degrees, expr, whole.eps.coeffs, whole.sig.coeffs, True)
             next(stream)  # the base's own, listed with its exact values
             for point in itertools.islice(stream, min(degree, _MAX_SOLUTIONS) - 1):
                 if isinstance(point, str):

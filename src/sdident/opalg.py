@@ -342,7 +342,7 @@ def constitutive(expr: NetworkExpr, ones: ConstitutiveEq | None = None) -> Const
     return fold_constitutive(expr, variables, ParamPoly.const(nvars, 1))
 
 
-def fold_constitutive(expr: NetworkExpr, values: Sequence, one) -> ConstitutiveEq:
+def fold_constitutive(expr: NetworkExpr, values: Sequence, one, record=None) -> ConstitutiveEq:
     """Constitutive equation of a flattened network folding children left
     to right, with ``values`` (one per parameter in canonical order) and
     ``one`` from a ring whose elements add, multiply (also by the int 0)
@@ -356,18 +356,24 @@ def fold_constitutive(expr: NetworkExpr, values: Sequence, one) -> ConstitutiveE
     The leaves share one ``unit`` stress list, whose products are
     skipped: exact in every ring.  Each product and sum keeps the
     schoolbook order, so a float fold rounds as that order does.
+    ``record``, a dict, receives every subtree's equation by its node's
+    ``id``, leaves and ``expr`` included: what a fold of the subtree alone
+    at its slice of ``values`` gives.
     """
     cursor = iter(values)
     unit = [one]  # every leaf's stress list
 
     def walk(node: NetworkExpr) -> tuple:
         if isinstance(node, Leaf):  # a spring's value has order 0, a dashpot's order 1
-            return (1 if node.element.kind == DASHPOT else 0), [next(cursor)], unit
-        series = isinstance(node, Series)
-        acc = walk(node.children[0])
-        for child in node.children[1:]:
-            acc = _step(series, acc, walk(child), unit)
-        return acc
+            eq = (1 if node.element.kind == DASHPOT else 0), [next(cursor)], unit
+        else:
+            series = isinstance(node, Series)
+            eq = walk(node.children[0])
+            for child in node.children[1:]:
+                eq = _step(series, eq, walk(child), unit)
+        if record is not None:
+            record[id(node)] = _equation(*eq)
+        return eq
 
     try:
         eq = walk(expr)
@@ -375,7 +381,10 @@ def fold_constitutive(expr: NetworkExpr, values: Sequence, one) -> ConstitutiveE
         eq = None
     if eq is None or any(True for _ in cursor):
         raise ValueError(f"expected {len(params(expr))} parameter values, got {len(values)}")
-    low, eps, sig = eq
+    return record[id(expr)] if record is not None else _equation(*eq)
+
+
+def _equation(low: int, eps: Sequence, sig: Sequence) -> ConstitutiveEq:
     return ConstitutiveEq(DiffOperator(low, eps), DiffOperator(0, sig))
 
 

@@ -20,6 +20,7 @@ from sdident import (
     params,
     parse,
     random_network,
+    render,
 )
 from sdident.network import DASHPOT, leaves
 from sdident.opalg import fold_constitutive
@@ -535,6 +536,41 @@ def test_kernel_matches_reference_fold_up_to_five_elements():
         seen += 1
     assert seen == 3290
 
+
+
+def _subtrees(node, start=0):
+    """Each node of the tree, the root last, with its first leaf's index."""
+    cursor = start
+    for child in getattr(node, "children", ()):
+        yield from _subtrees(child, cursor)
+        cursor += len(leaves(child))
+    yield node, start
+
+
+def test_record_holds_each_subtree_fold_up_to_five_elements():
+    # the fold's record, by node id, against a separate fold of each
+    # subtree at its slice of the values: ints at theta = 1, ParamPoly
+    # over the whole network's variables, and floats bit for bit
+    seen = 0
+    for expr in all_networks(5):
+        n = len(params(expr))
+        rings = [
+            ([1] * n, 1, _exact),
+            ([ParamPoly.var(n, i) for i in range(n)], ParamPoly.const(n, 1), _exact),
+            ([k / 1000 for k in _grid(n, seen)], 1.0, _bits),
+        ]
+        for values, one, key in rings:
+            record = {}
+            whole = fold_constitutive(expr, values, one, record)
+            nodes = list(_subtrees(expr))
+            assert set(record) == {id(node) for node, _ in nodes}, expr
+            assert record[id(expr)] is whole
+            for node, start in nodes:
+                got = record[id(node)]
+                want = fold_constitutive(node, values[start : start + len(leaves(node))], one)
+                assert (key(got.eps), key(got.sig)) == (key(want.eps), key(want.sig)), render(node)
+        seen += 1
+    assert seen == 3290
 
 class TestSerialization:
     def test_burgers_round_trip_schema(self):

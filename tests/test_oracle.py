@@ -11,6 +11,7 @@ from sdident import (
     GlobalStatus,
     InvariantViolation,
     NetType,
+    Parallel,
     ParamPoint,
     analyze,
     classify,
@@ -711,6 +712,28 @@ class TestFiber:
         assert [s.method for s in report.solutions] == ["base"]
         assert report.solutions[0].values == tuple(map(float, report.base.values))
 
+    @pytest.mark.parametrize(
+        "text, values",
+        [
+            ("E1 & n2", (F(1, 10**400), F(1))),  # a value underflows to 0
+            ("E1 & n2", (F(10**400), F(1))),  # a value overflows
+            ("E1 & n2", (F(10**200),) * 2),  # a coefficient overflows to inf
+            ("(E1 & n2) | (E3 & n4)", (F(10**200),) * 4),
+            ("(E1 & n2) | (E3 & n4)", (F(1, 10**200),) * 4),  # an end coefficient underflows
+        ],
+    )
+    def test_base_outside_the_float_range_is_refused(self, text, values):
+        # exact coefficients at a positive point are positive, so a float
+        # one that is 0, inf or nan is the float range's fault, not a bug
+        with pytest.raises(ValueError, match="float range"):
+            fiber_solutions(parse(text), base=ParamPoint(values))
+
+    def test_shared_node_object_is_refused(self):
+        # the base's fold records one equation per node object
+        arm = parse("E1 & n2")
+        with pytest.raises(ValueError, match="two places"):
+            fiber_solutions(Parallel((arm, arm)))
+
     def test_degree_one_is_constructible(self, monkeypatch):
         # d = 1 exactly when the network is constructible; a verdict that
         # says otherwise is an internal inconsistency
@@ -781,9 +804,11 @@ class TestFiber:
 
         def distributions(text, base):
             expr = parse(text)
-            table, degree = fiber_mod._node_table(expr, base)
-            whole = fold_constitutive(expr, base, 1.0)
-            stream = fiber_mod._distributions(table, expr, whole.eps.coeffs, whole.sig.coeffs, True)
+            eqs, degrees = {}, {}
+            whole = fold_constitutive(expr, base, 1.0, eqs)
+            degree = fiber_mod._degree(expr, eqs, degrees)
+            sides = whole.eps.coeffs, whole.sig.coeffs
+            stream = fiber_mod._distributions(eqs, degrees, expr, *sides, True)
             found = list(stream)
             assert len(found) == degree
             return found
@@ -800,8 +825,9 @@ class TestFiber:
         assert distributions("(E1 & n1) | (E2 & n2)", [2.0, 1.0, 2.0, 1.0])[1:] == ["singular"]
 
     def test_root_exchange_builds_each_child_map_once(self, monkeypatch):
-        # no map is built: each subtree is folded once at the base point,
-        # and the whole network once more per candidate, all in floats
+        # no map is built and no subtree is folded on its own: the base's
+        # one float fold records every child's equation, and the whole
+        # network is folded once more per checked distribution
         import collections
 
         import sdident.fiber as fiber_mod
@@ -809,21 +835,34 @@ class TestFiber:
         folds = collections.Counter()
         fold = fiber_mod.fold_constitutive
 
-        def counted(expr, values, one):
-            folds[type(one).__name__, render(expr)] += 1
-            return fold(expr, values, one)
+        def counted(expr, values, one, record=None):
+            folds[type(one).__name__, render(expr), record is not None] += 1
+            return fold(expr, values, one, record)
 
         monkeypatch.setattr(fiber_mod, "fold_constitutive", counted)
         expr = parse(GEN_KELVIN_VOIGT)
         report = fiber_solutions(expr, multistarts=40, seed=1)
-        whole = folds.pop(("float", render(expr)))
-        assert whole == 1 + (len(report) - 1)
-        subtrees, stack = [], list(expr.children)
-        while stack:
-            node = stack.pop()
-            subtrees.append(render(node))
-            stack.extend(getattr(node, "children", ()))
-        assert folds == {("float", text): 1 for text in subtrees}
+        checked = len(report) - 1 + _dropped(report)["failed-check"]
+        assert checked == 5
+        assert folds == {("float", render(expr), True): 1, ("float", render(expr), False): checked}
+
+    def test_deep_chain_folds_the_base_once(self, monkeypatch):
+        # the base's one recording fold serves all 161 nodes of
+        # nested_chain(40), in floats, with no fold of a subtree
+        import sdident.fiber as fiber_mod
+
+        expr = parse(nested_chain(40))
+        calls = []
+        fold = fiber_mod.fold_constitutive
+
+        def counted(node, values, one, record=None):
+            calls.append((node is expr, type(one).__name__))
+            return fold(node, values, one, record)
+
+        monkeypatch.setattr(fiber_mod, "fold_constitutive", counted)
+        report = fiber_solutions(expr)
+        assert (report.degree, len(report)) == (1, 1)
+        assert calls == [(True, "float")]
 
     def test_root_exchange_solves_each_child_in_one_batch(self, monkeypatch):
         # one square system per exchange holds every child of the root, and
