@@ -53,9 +53,18 @@ levels inverts to a wrong point whose coefficients match to 1e-15), so
 a listed point is evidence, not a certificate.
 
 This is the package's float code.  Only the ``fiber`` command imports
-this module.  numpy binds on first use through ``_numpy``, so a process
-that only resolves this module's names (as the benchmark's tracer does
-in every CLI process it times) does not load numpy.
+this module.  Its arithmetic runs on plain Python float lists: the
+systems it solves are mostly 1x1 to 4x4 and its polynomials have a few
+coefficients, where numpy's cost per call outweighs the arithmetic.
+Products are ``opalg``'s one polynomial product, and each system is
+solved by ``_solve``'s elimination with partial pivoting.  numpy serves
+``np.roots`` alone.  It binds through ``_numpy`` at the entry of
+``fiber_solutions``, not at the first root: a process pays its import
+(about 100 ms) in its first fiber request, even one with d = 1 that
+takes no roots, so a caller that warms up on a small network does not
+pay it again in its first request that does.  A process that only
+resolves this module's names (as the benchmark's tracer does in every
+CLI process it times) does not load numpy.
 """
 
 from __future__ import annotations
@@ -68,9 +77,10 @@ from typing import Iterator, Sequence
 from .ident import analyze, factor_matrix
 from .network import Leaf, NetworkExpr, Record, Series
 from .opalg import InvariantViolation, coefficient_map, fold_constitutive
+from .opalg import _product as _poly_product
 from .oracle import ParamPoint, sample_point
 
-np = None  # numpy, bound by _numpy() when a float path first runs
+np = None  # numpy, bound by _numpy() when fiber_solutions first runs
 
 
 def _numpy():
@@ -127,27 +137,62 @@ def _index_partitions(indices: tuple[int, ...], sizes: Sequence[int]):
             yield [head] + tail
 
 
-def _poly_from_roots(roots: Sequence[complex]) -> np.ndarray | None:
-    """Monic ascending real coefficient vector, or None if not conjugate
-    closed."""
-    coeffs = np.atleast_1d(np.poly(list(roots)))  # descending, monic
-    if np.max(np.abs(coeffs.imag)) > 1e-7 * (1.0 + np.max(np.abs(coeffs))):
+def _poly_from_roots(roots: Sequence[complex]) -> list[float] | None:
+    """Monic ascending real coefficient list of prod (x - root), or None
+    if the roots are not conjugate closed."""
+    coeffs = [1.0]
+    for root in roots:
+        coeffs = _poly_product(coeffs, [-root, 1.0], None)
+    if max(abs(c.imag) for c in coeffs) > 1e-7 * (1.0 + max(map(abs, coeffs))):
         return None
-    return coeffs.real[::-1]
+    return [c.real for c in coeffs]
 
 
-def _exchange_matrix(factors, powers, other_shapes) -> np.ndarray:
+def _exchange_matrix(factors, powers, other_shapes) -> list[list[float]]:
     """A node's composition system as a ``factor_matrix``: the other side
     of the whole is sum_i (prod_{j != i} x**powers[j] * factors[j]) * X_i,
     with X_i child i's other side, of shape other_shapes[i]."""
-    blocks = []
-    for i, shape in enumerate(other_shapes):
-        known, low = np.ones(1), 0
-        for j, (factor, power) in enumerate(zip(factors, powers)):
-            if j != i:
-                known, low = np.convolve(known, factor), low + power
-        blocks.append((known, (low + len(known) - 1, low), shape))
-    return np.array(factor_matrix(blocks))
+    # prod_{j != i} is the product of the factors before i times that of
+    # those after it: 3n - 2 products for n children, not n(n - 1), and
+    # those by the empty product ``one`` return the other factor
+    one = [1.0]
+    before = [one]
+    for factor in factors[:-1]:
+        before.append(_poly_product(before[-1], factor, one))
+    blocks, after = [], one
+    for i in reversed(range(len(factors))):
+        known, low = _poly_product(before[i], after, one), sum(powers) - powers[i]
+        blocks.append((known, (low + len(known) - 1, low), other_shapes[i]))
+        if i:
+            after = _poly_product(factors[i], after, one)
+    return factor_matrix(blocks[::-1])
+
+
+def _solve(matrix: Sequence[Sequence], rhs: Sequence) -> list | None:
+    """x with matrix x = rhs for a square ``matrix`` given as rows, by
+    Gaussian elimination with partial pivoting, or None when a pivot is
+    zero (what LAPACK calls singular).  ``abs`` and the field operations
+    are all it asks of the entries, so floats and Fractions both work;
+    float overflow runs on to inf or nan for the caller to test."""
+    n = len(rhs)
+    rows = [[*row, b] for row, b in zip(matrix, rhs)]
+    for k in range(n):
+        p = max(range(k, n), key=lambda i: abs(rows[i][k]))
+        top = rows[p]
+        if not top[k]:
+            return None
+        rows[k], rows[p] = top, rows[k]
+        for row in rows[k + 1 :]:
+            f = row[k] / top[k]
+            for j in range(k + 1, n + 1):
+                row[j] -= f * top[j]
+    x = [0] * n
+    for k in range(n - 1, -1, -1):
+        row, s = rows[k], rows[k][n]
+        for j in range(k + 1, n):
+            s -= row[j] * x[j]
+        x[k] = s / row[k]
+    return x
 
 
 def _degree(node: NetworkExpr, eqs: dict, degrees: dict) -> int:
@@ -179,7 +224,7 @@ def _distributions(eqs: dict, degrees: dict, node: NetworkExpr, eps, sig, own: b
     deals each child its own roots and is the base's own.  ``eqs`` and
     ``degrees`` are the base's, by node id."""
     if isinstance(node, Leaf):  # a spring's E or a dashpot's eta, over the stress side's 1
-        value = float(eps[0] / sig[0])
+        value = eps[0] / sig[0] if sig[0] else math.nan  # x/0 is no value
         yield [value] if 0 < value < math.inf else "non-positive"
         return
     kids = [(child, eqs[id(child)]) for child in node.children]
@@ -187,16 +232,20 @@ def _distributions(eqs: dict, degrees: dict, node: NetworkExpr, eps, sig, own: b
     exchanged = [eq.eps if series else eq.sig for _, eq in kids]
     others = [eq.sig if series else eq.eps for _, eq in kids]
     sizes = [op.high - op.low for op in exchanged]
-    whole = np.asarray(eps if series else sig)
+    whole = eps if series else sig
+    if not whole[-1]:  # no monic scale: the system divides by 0 in every distribution
+        yield from itertools.repeat("singular", degrees[id(node)])
+        return
     if sum(map(bool, sizes)) < 2:  # one distribution: a child with roots takes them all
-        partitions, factor = [sizes], lambda size: whole / whole[-1] if size else np.ones(1)
+        monic = [c / whole[-1] for c in whole]
+        partitions, factor = [sizes], lambda size: monic if size else [1.0]
     else:
         if own:
-            roots = np.concatenate([np.roots(op.coeffs[::-1]) for op in exchanged])
+            roots = [r for op in exchanged for r in np.roots(op.coeffs[::-1]).tolist()]
         else:
-            roots = np.roots(whole[::-1])
+            roots = np.roots(whole[::-1]).tolist()
         partitions = _index_partitions(tuple(range(len(roots))), sizes)
-        factor = lambda group: _poly_from_roots(roots[list(group)])
+        factor = lambda group: _poly_from_roots([roots[i] for i in group])
     for k, groups in enumerate(partitions):
         if own and not k:
             sides = [(eq.eps.coeffs, eq.sig.coeffs) for _, eq in kids]
@@ -218,20 +267,20 @@ def _other_sides(exchanged, others, series: bool, factors, eps, sig) -> list | s
         return "split-pair"
     matrix = _exchange_matrix(factors, [op.low for op in exchanged], [op.shape for op in others])
     whole, other = (eps, sig) if series else (sig, eps)
-    if matrix.shape != (len(other), len(other)):
+    if (len(matrix), len(matrix[0])) != (len(other), len(other)):
         raise InvariantViolation(
-            f"root exchange system of shape {matrix.shape} for {len(other)} coefficients"
+            f"root exchange system of shape {len(matrix)}x{len(matrix[0])}"
+            f" for {len(other)} coefficients"
         )
     # the rows run from the whole's other side's highest order down; at a
-    # series node that side is shifted by x**K, the factors' common power
-    try:
-        solution = np.linalg.solve(matrix, np.asarray(other[::-1]) / whole[-1])
-    except np.linalg.LinAlgError:
+    # series node that side is shifted by x**K, the factors' common power.
+    # _distributions has checked that whole[-1] is not 0
+    solution = _solve(matrix, [c / whole[-1] for c in reversed(other)])
+    if solution is None or not all(map(math.isfinite, solution)):  # overflow: numerically singular
         return "singular"
-    if not np.isfinite(solution).all():  # overflowed: numerically singular
-        return "singular"
-    parts = np.split(solution, np.cumsum([len(op.coeffs) for op in others])[:-1])
-    return [(f, x[::-1]) if series else (x[::-1], f) for f, x in zip(factors, parts)]
+    flat = iter(solution)  # each child's unknowns in turn, highest order first
+    parts = [list(itertools.islice(flat, len(op.coeffs)))[::-1] for op in others]
+    return [(f, x) if series else (x, f) for f, x in zip(factors, parts)]
 
 
 def _product(eqs: dict, degrees: dict, children: list, own: bool) -> Iterator:

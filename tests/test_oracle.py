@@ -608,7 +608,10 @@ class TestFiber:
 
         def noisy(roots):
             factor = rebuild(roots)
-            return None if factor is None else factor * (1 + 1e-12 * noise.standard_normal())
+            if factor is None:
+                return None
+            scale = 1 + 1e-12 * noise.standard_normal()
+            return [c * scale for c in factor]
 
         monkeypatch.setattr(fiber_mod, "_poly_from_roots", noisy)
         report = fiber_solutions(expr, multistarts=0)
@@ -795,34 +798,100 @@ class TestFiber:
             report = fiber_solutions(parse(GEN_KELVIN_VOIGT), multistarts=200, seed=3)
         assert len(report) >= 6
 
-    def test_root_exchange_skips_split_pairs_and_singular_systems(self):
+    @staticmethod
+    def _stream(text, base):
+        # every distribution of the network at ``base``, as fiber_solutions
+        # lists them from the base's own: a point or a drop reason
         import sdident.fiber as fiber_mod
 
         fiber_mod._numpy()
-        assert fiber_mod._poly_from_roots([1j, -1j]).tolist() == [1.0, 0.0, 1.0]
-        assert fiber_mod._poly_from_roots([1j, 2.0]) is None
+        expr = parse(text)
+        eqs, degrees = {}, {}
+        whole = fold_constitutive(expr, base, 1.0, eqs)
+        degree = fiber_mod._degree(expr, eqs, degrees)
+        sides = whole.eps.coeffs, whole.sig.coeffs
+        found = list(fiber_mod._distributions(eqs, degrees, expr, *sides, True))
+        assert len(found) == degree
+        return found
 
-        def distributions(text, base):
-            expr = parse(text)
-            eqs, degrees = {}, {}
-            whole = fold_constitutive(expr, base, 1.0, eqs)
-            degree = fiber_mod._degree(expr, eqs, degrees)
-            sides = whole.eps.coeffs, whole.sig.coeffs
-            stream = fiber_mod._distributions(eqs, degrees, expr, *sides, True)
-            found = list(stream)
-            assert len(found) == degree
-            return found
+    def test_root_exchange_skips_split_pairs_and_singular_systems(self):
+        import sdident.fiber as fiber_mod
+
+        assert fiber_mod._poly_from_roots([1j, -1j]) == [1.0, 0.0, 1.0]
+        assert fiber_mod._poly_from_roots([1j, 2.0]) is None
 
         # at this non-physical base the first child's strain factor has a
         # complex pair, which both exchanges at the root split, each for
         # the 2 distributions of that child's twin arms; the base's own
         # distribution and its arms' swap give points that are not positive
         base = [0.5, -2.0, -2.0, 2.0, 3.0, -1.0, 2.0]
-        found = distributions("(E1 | n2 & E3 | n4 & E5) & (n6 | E7)", base)
+        found = self._stream("(E1 | n2 & E3 | n4 & E5) & (n6 | E7)", base)
         assert found == ["non-positive"] * 2 + ["split-pair"] * 4
         # twin Maxwell arms that share their stress root: the swap's system
         # is singular
-        assert distributions("(E1 & n1) | (E2 & n2)", [2.0, 1.0, 2.0, 1.0])[1:] == ["singular"]
+        assert self._stream("(E1 & n1) | (E2 & n2)", [2.0, 1.0, 2.0, 1.0])[1:] == ["singular"]
+
+    @pytest.mark.parametrize("text, base", [
+        ("(n1 | E2) & (E3 & n4 | n5)", [1.0, -2.0, 6.67880937895254, -3.0, 2.0]),
+        ("(n1 | n2 & E3) & (E4 | n5)", [-3.0, 1.0, -3.0, 5.068092658784143, 2.0]),
+        ("(E1 & n2 | n3) & (n4 | E5)", [2.0, 2.0, -3.0, 1.0, -2.0]),
+    ])
+    def test_zero_divisors_end_in_a_drop_reason(self, text, base):
+        # the root's swap solves a parallel child's stress side with a top
+        # coefficient of exactly 0, so that child has no monic scale: its
+        # system is singular, never a ZeroDivisionError
+        assert self._stream(text, base) == ["non-positive", "singular"]
+
+    @pytest.mark.parametrize("eps", [1.0, 0.0])
+    def test_leaf_over_zero_stress_is_not_positive(self, eps):
+        import sdident.fiber as fiber_mod
+
+        stream = fiber_mod._distributions({}, {}, parse("E1"), [eps], [0.0], False)
+        assert list(stream) == ["non-positive"]
+
+    def test_solve_matches_lapack(self):
+        import sdident.fiber as fiber_mod
+
+        rng = np.random.default_rng(0)
+        for n in range(1, 16):
+            for _ in range(5):
+                # diagonally dominant, so well conditioned, but the rows in
+                # random order so the pivoting has to find them
+                a = rng.standard_normal((n, n)) + np.diag(rng.choice([-1, 1], n) * 2.0 * n)
+                a = a[rng.permutation(n)]
+                b = rng.standard_normal(n)
+                got = fiber_mod._solve(a.tolist(), b.tolist())
+                assert all(type(v) is float for v in got)
+                assert np.allclose(got, np.linalg.solve(a, b), rtol=1e-10, atol=0)
+        # over Fractions the solve is exact
+        assert fiber_mod._solve([[F(0), F(2)], [F(3), F(1)]], [F(4), F(5)]) == [F(1), F(2)]
+
+    def test_solve_refuses_singular_systems(self):
+        import sdident.fiber as fiber_mod
+
+        assert fiber_mod._solve([[1.0, 2.0], [2.0, 4.0]], [1.0, 1.0]) is None
+        assert fiber_mod._solve([[0.0]], [1.0]) is None
+        assert fiber_mod._solve([[F(1), F(2), F(3)], [F(2), F(4), F(6)], [F(0), F(1), F(1)]],
+                                [F(1)] * 3) is None
+
+    def test_overflowing_solve_is_singular(self):
+        # the twin Maxwell arms' exchange at a node whose strain side is
+        # scaled past the float range: the solution overflows to inf
+        import sdident.fiber as fiber_mod
+
+        expr = parse("(E1 & n2) | (E3 & n4)")
+        eqs = {}
+        whole = fold_constitutive(expr, [2.0, 1.0, 3.0, 5.0], 1.0, eqs)
+        kids = [eqs[id(child)] for child in expr.children]
+        exchanged, others = [eq.sig for eq in kids], [eq.eps for eq in kids]
+        factors = [[c / op.coeffs[-1] for c in op.coeffs] for op in exchanged]
+        args = exchanged, others, False, factors
+        eps, sig = list(whole.eps.coeffs), list(whole.sig.coeffs)
+        # in range, each arm's strain side comes back in its monic scale
+        for (got, _), eq in zip(fiber_mod._other_sides(*args, eps, sig), kids):
+            assert np.allclose(got, [c / eq.sig.coeffs[-1] for c in eq.eps.coeffs])
+        eps, sig = [c * 1e300 for c in eps], [c * 1e-300 for c in sig]
+        assert fiber_mod._other_sides(*args, eps, sig) == "singular"
 
     def test_root_exchange_builds_each_child_map_once(self, monkeypatch):
         # no map is built and no subtree is folded on its own: the base's
