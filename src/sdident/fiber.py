@@ -40,35 +40,29 @@ both the distributions tried and the points listed; a report says
 ``truncated`` when the cap cut the distributions tried (d above it),
 and ``dropped`` says why any other point is missing.
 
-Unproven step: which distributions give a positive point.  At
+Unproven step: which distributions give a positive point.  The
+conjecture is that at every positive base each of the d distributions
+does, so that the positive fiber has exactly d points.  At
 ``sample_point`` bases every one did, on all 11,526 identifiable
 networks of up to 7 elements; the modulus's real, interlacing poles and
-zeros (the RC/Foster structure) are the likely reason.  It is not
-true at every base: at (E1 | n2) & (E3 | n4 & (n5 | E6)) with values
-spread over six decades, two of the three distributions give real
-points with parameters near -1e13, dropped as non-positive, so d bounds
-the positive fiber and need not equal it.  Known limit: float64
+zeros (the RC/Foster structure) are the likely reason.  A point dropped
+as non-positive may be a rounding artifact: at (E1 | n2) & (E3 | n4 &
+(n5 | E6)) with values spread over six decades, two of the three
+distributions read parameters near -1e13 in float64, yet 80-digit
+arithmetic gives three positive points.  Known limit: float64
 separates fiber points only to about depth 13 (a nested chain of 14
 levels inverts to a wrong point whose coefficients match to 1e-15), so
 a listed point is evidence, not a certificate.
 
-This is the package's float code.  Only the ``fiber`` command imports
-this module.  Its arithmetic runs on plain Python float lists: the
-systems it solves are mostly 1x1 to 4x4 and its polynomials have a few
-coefficients, where numpy's cost per call outweighs the arithmetic.
-Products are ``opalg``'s one polynomial product, and each system is
-solved by ``_solve``'s elimination with partial pivoting.  numpy serves
-``np.roots`` alone.  It binds through ``_numpy`` at the entry of
-``fiber_solutions``, not at the first root: a process pays its import
-(about 100 ms) in its first fiber request, even one with d = 1 that
-takes no roots, so a caller that warms up on a small network does not
-pay it again in its first request that does.  A process that only
-resolves this module's names (as the benchmark's tracer does in every
-CLI process it times) does not load numpy.
+This is the package's float code, and only the ``fiber`` command
+imports it.  Its arithmetic is plain Python floats and complex numbers:
+``opalg``'s one polynomial product, ``_solve``'s elimination with
+partial pivoting, and ``_roots``, Laguerre's method with deflation.
 """
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 from collections import Counter
@@ -79,18 +73,6 @@ from .network import Leaf, NetworkExpr, Record, Series
 from .opalg import InvariantViolation, coefficient_map, fold_constitutive
 from .opalg import _product as _poly_product
 from .oracle import ParamPoint, sample_point
-
-np = None  # numpy, bound by _numpy() when fiber_solutions first runs
-
-
-def _numpy():
-    global np
-    if np is None:
-        import numpy
-
-        np = numpy
-    return np
-
 
 # most distributions one report tries, and so most points it lists
 _MAX_SOLUTIONS = 64
@@ -135,6 +117,50 @@ def _index_partitions(indices: tuple[int, ...], sizes: Sequence[int]):
         rest = tuple(i for i in indices if i not in head)
         for tail in _index_partitions(rest, sizes[1:]):
             yield [head] + tail
+
+
+def _laguerre(coeffs: Sequence, x: complex) -> complex:
+    """A root of the polynomial with ascending ``coeffs`` by Laguerre's
+    method from ``x``, which converges from any start when every root is
+    real (Wilkinson 1965), as the base's are.  It stops when |p(x)| is
+    within 1e-15 times Horner's running error bound, or after 100 steps;
+    every tenth step is cut to a fraction, which breaks a cycle.  Past
+    the float range the root is nan."""
+    n = len(coeffs) - 1
+    try:
+        for k in range(1, 101):
+            b, d, f, bound = coeffs[-1], 0j, 0j, abs(coeffs[-1])
+            for c in reversed(coeffs[:-1]):  # p, p' and p''/2 at x by Horner's rule
+                f, d, b = x * f + d, x * d + b, x * b + c
+                bound = abs(b) + abs(x) * bound
+            if abs(b) <= 1e-15 * bound:  # also when p(x) is 0, so b divides below
+                return x
+            g = d / b
+            root = cmath.sqrt((n - 1) * (n * (g * g - 2 * f / b) - g * g))
+            den = max(g + root, g - root, key=abs)
+            step = n / den if den else cmath.rect(1 + abs(x), k)  # p' = p'' = 0: a step off
+            if not k % 10:
+                step *= k * 0.0618 % 1  # (k/10) * 0.618 mod 1: no fraction repeats
+            if not abs(step) > 1e-16 * abs(x):  # x stands still, or is nan
+                return x
+            x -= step
+    except OverflowError:  # abs() of a finite complex whose modulus overflows
+        return complex(math.nan, math.nan)
+    return x
+
+
+def _roots(coeffs: Sequence[float]) -> list[complex]:
+    """The roots of the polynomial with ascending real ``coeffs``, the
+    last nonzero, ascending by (real, imag).  Each is found from 0 on the
+    polynomial deflated by the roots before it, then polished on the full
+    one."""
+    roots, rest = [], list(coeffs)
+    while len(rest) > 1:
+        x = _laguerre(rest, 0j)
+        roots.append(_laguerre(coeffs, x))
+        # rest / (z - x) by synthetic division, from the top coefficient down
+        rest = list(itertools.accumulate(reversed(rest[1:]), lambda q, c: c + x * q))[::-1]
+    return sorted(roots, key=lambda r: (r.real, r.imag))
 
 
 def _poly_from_roots(roots: Sequence[complex]) -> list[float] | None:
@@ -240,10 +266,7 @@ def _distributions(eqs: dict, degrees: dict, node: NetworkExpr, eps, sig, own: b
         monic = [c / whole[-1] for c in whole]
         partitions, factor = [sizes], lambda size: monic if size else [1.0]
     else:
-        if own:
-            roots = [r for op in exchanged for r in np.roots(op.coeffs[::-1]).tolist()]
-        else:
-            roots = np.roots(whole[::-1]).tolist()
+        roots = [r for op in exchanged for r in _roots(op.coeffs)] if own else _roots(whole)
         partitions = _index_partitions(tuple(range(len(roots))), sizes)
         factor = lambda group: _poly_from_roots([roots[i] for i in group])
     for k, groups in enumerate(partitions):
@@ -323,7 +346,6 @@ def fiber_solutions(
     value or a coefficient of the base's float fold leaves the float
     range.
     """
-    _numpy()
     verdict = analyze(expr)
     if not verdict.locally_identifiable:
         raise ValueError("fiber enumeration requires a locally identifiable network")
@@ -354,19 +376,18 @@ def fiber_solutions(
     dropped = Counter()
     if degree > 1:
         target = _normalized(whole)
-        with np.errstate(all="ignore"):
-            stream = _distributions(eqs, degrees, expr, whole.eps.coeffs, whole.sig.coeffs, True)
-            next(stream)  # the base's own, listed with its exact values
-            for point in itertools.islice(stream, min(degree, _MAX_SOLUTIONS) - 1):
-                if isinstance(point, str):
-                    dropped[point] += 1
-                    continue
-                got = _normalized(fold_constitutive(expr, point, 1.0))
-                close = (abs(g - t) <= _FIBER_TOL * (1.0 + abs(t)) for g, t in zip(got, target))
-                if len(got) == len(target) and all(close):
-                    solutions.append(FiberSolution(tuple(point), "root-exchange"))
-                else:
-                    dropped["failed-check"] += 1
+        stream = _distributions(eqs, degrees, expr, whole.eps.coeffs, whole.sig.coeffs, True)
+        next(stream)  # the base's own, listed with its exact values
+        for point in itertools.islice(stream, min(degree, _MAX_SOLUTIONS) - 1):
+            if isinstance(point, str):
+                dropped[point] += 1
+                continue
+            got = _normalized(fold_constitutive(expr, point, 1.0))
+            close = (abs(g - t) <= _FIBER_TOL * (1.0 + abs(t)) for g, t in zip(got, target))
+            if len(got) == len(target) and all(close):
+                solutions.append(FiberSolution(tuple(point), "root-exchange"))
+            else:
+                dropped["failed-check"] += 1
     return FiberReport(
         base=base,
         solutions=tuple(solutions),

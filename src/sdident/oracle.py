@@ -18,8 +18,8 @@ The rank oracle is pure integer/rational Python.  The float probe of
 global identifiability, the fiber search, is the module ``fiber``.
 Each CLI command loads only what it runs: ``tables``, ``derive``,
 ``analyze`` and ``gen`` load neither module; ``verify`` and ``analyze
---verify`` load this one; ``fiber`` loads both, and numpy.  ``import
-sdident`` loads neither: the package resolves their names on first use.
+--verify`` load this one; ``fiber`` loads both.  ``import sdident``
+loads neither: the package resolves their names on first use.
 A trial draws integers, so a certified ``verify`` builds no Fraction and
 does not load ``fractions``; ``sample_point``, ``jacobian_rank`` and a
 short rank's elimination over the rationals do.

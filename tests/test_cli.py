@@ -609,9 +609,10 @@ print(json.dumps(steps))
 """
 
 
-def test_only_fiber_loads_numpy():
+def test_no_command_loads_numpy():
     # the commands that load nothing run first, so each step's modules
-    # are the ones that command loaded
+    # are the ones that command loaded; the fiber search finds its roots
+    # in plain Python, so not even ``fiber`` loads numpy
     symbolic = [
         ["tables"],
         ["derive", BURGERS, "--json"],
@@ -631,5 +632,5 @@ def test_only_fiber_loads_numpy():
         [[[], 0, [False, False, False]]]
         + [[argv, 0, [False, False, False]] for argv in symbolic]
         + [[argv, 0, [True, False, False]] for argv in rank]
-        + [[fiber, 0, [True, True, True]]]
+        + [[fiber, 0, [True, True, False]]]
     )

@@ -1,3 +1,4 @@
+import cmath
 import math
 import random
 import time
@@ -761,7 +762,9 @@ class TestFiber:
         assert (twins.degree, len(twins), twins.truncated) == (2, 1, False)
         assert _dropped(twins) == dict(NO_DROPS, singular=1)
         # at this base, spread over six decades, the two exchanges give
-        # real points with parameters near -1e13
+        # real points with parameters near -1e13 in float64; this pins
+        # float64's output, since 80-digit arithmetic gives three
+        # positive points
         spread = ParamPoint(tuple(map(F, [
             "4442631/130826765", "433960029/663989177", "678233221553/772619846",
             "6561766/843104537", "23965570009/178821642", "73940049/873871969",
@@ -778,16 +781,18 @@ class TestFiber:
     def test_single_distribution_nodes_take_no_roots(self, monkeypatch):
         # a node where at most one child has roots has one distribution:
         # only the root of GEN_KELVIN_VOIGT, whose three Voigt arms each
-        # hold a strain root, calls np.roots, once per child; each arm's
+        # hold a strain root, calls _roots, once per child; each arm's
         # two leaves hold none
+        import sdident.fiber as fiber_mod
+
         sides = []
-        roots = np.roots
+        roots = fiber_mod._roots
 
         def counted(coeffs):
             sides.append(len(coeffs))
             return roots(coeffs)
 
-        monkeypatch.setattr(np, "roots", counted)
+        monkeypatch.setattr(fiber_mod, "_roots", counted)
         report = fiber_solutions(parse(GEN_KELVIN_VOIGT))
         assert (report.degree, len(report)) == (6, 6)
         assert sides == [1, 2, 2, 2]
@@ -804,7 +809,6 @@ class TestFiber:
         # lists them from the base's own: a point or a drop reason
         import sdident.fiber as fiber_mod
 
-        fiber_mod._numpy()
         expr = parse(text)
         eqs, degrees = {}, {}
         whole = fold_constitutive(expr, base, 1.0, eqs)
@@ -892,6 +896,57 @@ class TestFiber:
             assert np.allclose(got, [c / eq.sig.coeffs[-1] for c in eq.eps.coeffs])
         eps, sig = [c * 1e300 for c in eps], [c * 1e-300 for c in sig]
         assert fiber_mod._other_sides(*args, eps, sig) == "singular"
+
+    def test_roots_match_known_roots(self):
+        # random real-rooted polynomials of degree 1-15, the roots (of
+        # either sign) and the leading coefficient over six decades
+        import sdident.fiber as fiber_mod
+
+        rng = random.Random(0)
+        for _ in range(3000):
+            degree = rng.randint(1, 15)
+            known = [rng.choice((-1, 1)) * 10 ** rng.uniform(-3, 3) for _ in range(degree)]
+            coeffs = [10 ** rng.uniform(-3, 3)]
+            for root in known:  # times (x - root), ascending
+                coeffs = [a - root * b for a, b in zip([0.0] + coeffs, coeffs + [0.0])]
+            got = fiber_mod._roots(coeffs)
+            assert got == sorted(got, key=lambda r: (r.real, r.imag))
+            for root, want in zip(got, sorted(known)):
+                assert abs(root - want) <= 1e-6 * abs(want), (coeffs, got)
+
+    def test_roots_of_pairs_zeros_and_constants(self):
+        import sdident.fiber as fiber_mod
+
+        pair = fiber_mod._roots([5.0, 2.0, 1.0])  # (x + 1)^2 + 4
+        assert len(pair) == 2 and all(abs(r - w) <= 1e-12 for r, w in zip(pair, [-1 - 2j, -1 + 2j]))
+        assert fiber_mod._roots([0.0, 3.0, 1.0]) == [-3, 0]
+        assert fiber_mod._roots([0.0, 0.0, 2.0]) == [0, 0]
+        assert fiber_mod._roots([4.0]) == []
+
+    def test_roots_of_finite_coefficients_never_raise(self):
+        # coefficients of either sign over the whole float range: Horner's
+        # rule may overflow to inf or nan, and a root may come out
+        # non-finite, but no division by zero or complex overflow escapes
+        import sdident.fiber as fiber_mod
+
+        rng = random.Random(1)
+        for _ in range(2000):
+            degree = rng.randint(1, 15)
+            coeffs = [rng.choice((-1, 1)) * 10 ** rng.uniform(-300, 300) for _ in range(degree + 1)]
+            coeffs[rng.randrange(degree)] = 0.0
+            assert len(fiber_mod._roots(coeffs)) == degree
+        # abs() of a finite complex past the float range raises OverflowError
+        assert cmath.isnan(fiber_mod._laguerre([1.5e308, 1.0], 1.5e308j))
+
+    def test_non_finite_roots_end_in_a_drop_reason(self, monkeypatch):
+        import sdident.fiber as fiber_mod
+
+        for bad in (math.nan, math.inf, complex(math.inf, -math.inf)):
+            monkeypatch.setattr(fiber_mod, "_roots", lambda coeffs: [bad] * (len(coeffs) - 1))
+            for text in (GEN_KELVIN_VOIGT, maxwell_bank(4), "(E1 | n2) & (n3 | (E4 | n5) & E6)"):
+                report = fiber_solutions(parse(text))
+                assert [s.method for s in report.solutions] == ["base"], (bad, text)
+                assert sum(_dropped(report).values()) == min(report.degree, 64) - 1, (bad, text)
 
     def test_root_exchange_builds_each_child_map_once(self, monkeypatch):
         # no map is built and no subtree is folded on its own: the base's
