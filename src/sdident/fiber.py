@@ -24,9 +24,9 @@ So the fiber has at most d points, d the fiber's degree: the number
 of distributions, the product over internal nodes of the multinomial
 (sum r_i)! / prod r_i!, which is 1 at a node where at most one r_i is
 positive.  d = 1 exactly when the network is constructible; the search
-checks that against ``analyze``.  No symbolic equation is built: the
-root counts and the base's sides come from one float fold of the
-network at the base point, which records every subtree's equation.
+checks that against ``analyze``.  No symbolic equation is built: one
+float walk of the network at the base point (``_base``) keeps every
+subtree's strain and stress lists, which give its root counts and sides.
 
 The distributions are listed lazily in partition order.  The first is
 the base's own at every node (each node deals its children's own roots
@@ -65,12 +65,12 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from collections import Counter
+from collections import Counter, namedtuple
 from typing import Iterator, Sequence
 
 from .ident import analyze, factor_matrix
-from .network import Leaf, NetworkExpr, Record, Series
-from .opalg import InvariantViolation, coefficient_map, fold_constitutive
+from .network import DASHPOT, Leaf, NetworkExpr, Record, Series
+from .opalg import InvariantViolation, _equation, _step, coefficient_map, fold_constitutive
 from .opalg import _product as _poly_product
 from .oracle import ParamPoint, sample_point
 
@@ -107,6 +107,11 @@ class FiberReport(Record):
 
     def __len__(self) -> int:
         return len(self.solutions)
+
+
+# a subtree at the base point: its node, its triple (strain low order,
+# ascending strain list, ascending stress list), its degree d and its kids
+_Subtree = namedtuple("_Subtree", "node eq degree kids")
 
 
 def _index_partitions(indices: tuple[int, ...], sizes: Sequence[int]):
@@ -221,65 +226,71 @@ def _solve(matrix: Sequence[Sequence], rhs: Sequence) -> list | None:
     return x
 
 
-def _degree(node: NetworkExpr, eqs: dict, degrees: dict) -> int:
-    """``node``'s degree from the shapes of the base's subtree equations
-    ``eqs``, storing each node's in ``degrees`` by its id: a leaf's is 1,
-    an internal node's the product of its children's and the multinomial
-    of their root counts."""
-    if id(node) in degrees:  # its two places would share one recorded equation
-        raise ValueError("the network holds one node object in two places")
-    degree = 1
-    if not isinstance(node, Leaf):
-        counts = []
-        for child in node.children:
-            degree *= _degree(child, eqs, degrees)
-            eq = eqs[id(child)]
-            side = eq.eps if isinstance(node, Series) else eq.sig
-            counts.append(side.high - side.low)
-        degree *= math.factorial(sum(counts)) // math.prod(map(math.factorial, counts))
-    degrees[id(node)] = degree
-    return degree
+def _base(expr: NetworkExpr, values: Sequence[float]) -> _Subtree:
+    """The network's tree at the base point ``values``, in one walk: each
+    subtree's triple is what ``fold_constitutive`` gives for it alone, and
+    its degree the product of its children's and the multinomial of their
+    root counts.  A coefficient that is 0, inf or nan raises ValueError:
+    exact ones at a positive point are positive, so it left the float range."""
+    cursor, unit = iter(values), [1.0]
+
+    def walk(node: NetworkExpr) -> _Subtree:
+        if isinstance(node, Leaf):  # a spring's value has order 0, a dashpot's order 1
+            kids, degree = [], 1
+            eq = (1 if node.element.kind == DASHPOT else 0), [next(cursor)], unit
+        else:
+            series = isinstance(node, Series)
+            kids = [walk(child) for child in node.children]
+            eq = kids[0].eq
+            for kid in kids[1:]:
+                eq = _step(series, eq, kid.eq, unit)
+            counts = [len(kid.eq[1] if series else kid.eq[2]) - 1 for kid in kids]  # root counts
+            degree = math.prod(kid.degree for kid in kids) * math.factorial(sum(counts))
+            degree //= math.prod(map(math.factorial, counts))
+        if not all(0 < abs(c) < math.inf for c in eq[1] + eq[2]):
+            raise ValueError("the base point's equation leaves the float range, about 1e-308 to 1e308")
+        return _Subtree(node, eq, degree, kids)
+
+    return walk(expr)
 
 
-def _distributions(eqs: dict, degrees: dict, node: NetworkExpr, eps, sig, own: bool) -> Iterator:
-    """Each of ``node``'s distributions in partition order: the node's
+def _distributions(tree: _Subtree, eps, sig, own: bool) -> Iterator:
+    """Each distribution of ``tree``'s node in partition order: its
     parameter values, or the one of ``DROP_REASONS`` that dropped it.
     ``eps`` and ``sig`` are the node's strain and stress coefficients,
     ascending from each side's lowest order, up to one common scale;
     ``own`` says they are the base's, so that the first distribution
-    deals each child its own roots and is the base's own.  ``eqs`` and
-    ``degrees`` are the base's, by node id."""
-    if isinstance(node, Leaf):  # a spring's E or a dashpot's eta, over the stress side's 1
+    deals each child its own roots and is the base's own."""
+    if isinstance(tree.node, Leaf):  # a spring's E or a dashpot's eta, over the stress side's 1
         value = eps[0] / sig[0] if sig[0] else math.nan  # x/0 is no value
         yield [value] if 0 < value < math.inf else "non-positive"
         return
-    kids = [(child, eqs[id(child)]) for child in node.children]
-    series = isinstance(node, Series)
-    exchanged = [eq.eps if series else eq.sig for _, eq in kids]
-    others = [eq.sig if series else eq.eps for _, eq in kids]
-    sizes = [op.high - op.low for op in exchanged]
+    kids, series = tree.kids, isinstance(tree.node, Series)
+    # each child's two sides as (low order, ascending list)
+    exchanged = [(low, e) if series else (0, s) for low, e, s in (kid.eq for kid in kids)]
+    others = [(0, s) if series else (low, e) for low, e, s in (kid.eq for kid in kids)]
+    sizes = [len(side) - 1 for _, side in exchanged]
     whole = eps if series else sig
     if not whole[-1]:  # no monic scale: the system divides by 0 in every distribution
-        yield from itertools.repeat("singular", degrees[id(node)])
+        yield from itertools.repeat("singular", tree.degree)
         return
     if sum(map(bool, sizes)) < 2:  # one distribution: a child with roots takes them all
         monic = [c / whole[-1] for c in whole]
         partitions, factor = [sizes], lambda size: monic if size else [1.0]
     else:
-        roots = [r for op in exchanged for r in _roots(op.coeffs)] if own else _roots(whole)
+        roots = [r for _, side in exchanged for r in _roots(side)] if own else _roots(whole)
         partitions = _index_partitions(tuple(range(len(roots))), sizes)
         factor = lambda group: _poly_from_roots([roots[i] for i in group])
     for k, groups in enumerate(partitions):
         if own and not k:
-            sides = [(eq.eps.coeffs, eq.sig.coeffs) for _, eq in kids]
+            sides = [kid.eq[1:] for kid in kids]
         else:
             factors = [factor(group) for group in groups]
             sides = _other_sides(exchanged, others, series, factors, eps, sig)
         if isinstance(sides, str):
-            yield from itertools.repeat(sides, math.prod(degrees[id(c)] for c, _ in kids))
+            yield from itertools.repeat(sides, math.prod(kid.degree for kid in kids))
         else:
-            children = [(child, side) for (child, _), side in zip(kids, sides)]
-            yield from _product(eqs, degrees, children, own and not k)
+            yield from _product(list(zip(kids, sides)), own and not k)
 
 
 def _other_sides(exchanged, others, series: bool, factors, eps, sig) -> list | str:
@@ -288,7 +299,8 @@ def _other_sides(exchanged, others, series: bool, factors, eps, sig) -> list | s
     node's square composition system; or why there are none."""
     if any(factor is None for factor in factors):
         return "split-pair"
-    matrix = _exchange_matrix(factors, [op.low for op in exchanged], [op.shape for op in others])
+    shapes = [(low + len(side) - 1, low) for low, side in others]
+    matrix = _exchange_matrix(factors, [low for low, _ in exchanged], shapes)
     whole, other = (eps, sig) if series else (sig, eps)
     if (len(matrix), len(matrix[0])) != (len(other), len(other)):
         raise InvariantViolation(
@@ -302,25 +314,26 @@ def _other_sides(exchanged, others, series: bool, factors, eps, sig) -> list | s
     if solution is None or not all(map(math.isfinite, solution)):  # overflow: numerically singular
         return "singular"
     flat = iter(solution)  # each child's unknowns in turn, highest order first
-    parts = [list(itertools.islice(flat, len(op.coeffs)))[::-1] for op in others]
+    parts = [list(itertools.islice(flat, len(side)))[::-1] for _, side in others]
     return [(f, x) if series else (x, f) for f, x in zip(factors, parts)]
 
 
-def _product(eqs: dict, degrees: dict, children: list, own: bool) -> Iterator:
-    """The children's distributions combined in lexicographic order, the
-    first child's slowest: the concatenated values, or the first reason
-    that dropped a part.  Each later child's distributions are listed
-    anew for every combination before it, so nothing is listed that the
-    caller does not take."""
+def _product(children: list, own: bool) -> Iterator:
+    """The distributions of the ``children``, (subtree, (strain, stress))
+    pairs, combined in lexicographic order, the first child's slowest:
+    the concatenated values, or the first reason that dropped a part.
+    Each later child's distributions are listed anew for every
+    combination before it, so nothing is listed that the caller does not
+    take."""
     if not children:
         yield []
         return
-    (child, (eps, sig)), rest = children[0], children[1:]
-    for head in _distributions(eqs, degrees, child, eps, sig, own):
+    (tree, (eps, sig)), rest = children[0], children[1:]
+    for head in _distributions(tree, eps, sig, own):
         if isinstance(head, str):
-            yield from itertools.repeat(head, math.prod(degrees[id(c)] for c, _ in rest))
+            yield from itertools.repeat(head, math.prod(kid.degree for kid, _ in rest))
             continue
-        for tail in _product(eqs, degrees, rest, own):
+        for tail in _product(rest, own):
             yield tail if isinstance(tail, str) else head + tail
 
 
@@ -354,45 +367,39 @@ def fiber_solutions(
         base = sample_point(n, seed)
     if len(base.values) != n:
         raise ValueError(f"base point has {len(base.values)} values, expected {n}")
-    eqs: dict = {}  # every subtree's equation at the base, by the node's id
     try:
         values = [float(v) for v in base.values]
-        whole = fold_constitutive(expr, values, 1.0, eqs)
-    except (OverflowError, InvariantViolation):  # a value overflowed, or an end coefficient is 0
-        whole = None
-    # exact coefficients at a positive point are positive: a float one that
-    # is not has underflowed or overflowed
-    sides = [eq.eps.coeffs + eq.sig.coeffs for eq in eqs.values()]
-    if whole is None or not all(0 < c < math.inf for side in sides for c in side):
-        raise ValueError("the base point's equation leaves the float range, about 1e-308 to 1e308")
-    degrees: dict = {}
-    degree = _degree(expr, eqs, degrees)
-    if (degree == 1) != verdict.constructible:
+    except OverflowError:  # a value past the float range: inf, which _base refuses
+        values = [math.inf] * n
+    tree = _base(expr, values)
+    if (tree.degree == 1) != verdict.constructible:
         raise InvariantViolation(
-            f"fiber degree {degree} but constructible is {verdict.constructible}"
+            f"fiber degree {tree.degree} but constructible is {verdict.constructible}"
         )
 
     solutions = [FiberSolution(tuple(values), "base")]
     dropped = Counter()
-    if degree > 1:
-        target = _normalized(whole)
-        stream = _distributions(eqs, degrees, expr, whole.eps.coeffs, whole.sig.coeffs, True)
+    if tree.degree > 1:
+        target = _normalized(_equation(*tree.eq))
+        stream = _distributions(tree, *tree.eq[1:], True)
         next(stream)  # the base's own, listed with its exact values
-        for point in itertools.islice(stream, min(degree, _MAX_SOLUTIONS) - 1):
+        for point in itertools.islice(stream, min(tree.degree, _MAX_SOLUTIONS) - 1):
             if isinstance(point, str):
                 dropped[point] += 1
                 continue
-            got = _normalized(fold_constitutive(expr, point, 1.0))
-            close = (abs(g - t) <= _FIBER_TOL * (1.0 + abs(t)) for g, t in zip(got, target))
-            if len(got) == len(target) and all(close):
+            try:
+                got = _normalized(fold_constitutive(expr, point, 1.0))
+            except InvariantViolation:  # an end coefficient underflowed to 0: no equation
+                got = None
+            if got and all(abs(g - t) <= _FIBER_TOL * (1.0 + abs(t)) for g, t in zip(got, target)):
                 solutions.append(FiberSolution(tuple(point), "root-exchange"))
             else:
                 dropped["failed-check"] += 1
     return FiberReport(
         base=base,
         solutions=tuple(solutions),
-        truncated=degree > _MAX_SOLUTIONS,
-        degree=degree,
+        truncated=tree.degree > _MAX_SOLUTIONS,
+        degree=tree.degree,
         dropped=tuple((reason, dropped[reason]) for reason in DROP_REASONS),
         multistarts=multistarts,
     )

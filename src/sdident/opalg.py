@@ -219,7 +219,8 @@ class DiffOperator:
     unless a fold says otherwise).
 
     ``coeffs[i]`` is the coefficient of order ``low + i``; both end
-    coefficients are nonzero, so the shape is tight.
+    coefficients are nonzero, so the shape is tight.  No exact fold makes
+    a zero one, and a float zero (an underflow) is refused, not trimmed.
     """
 
     __slots__ = ("low", "coeffs")
@@ -228,12 +229,8 @@ class DiffOperator:
         coeffs = tuple(coeffs)
         if not coeffs:
             raise InvariantViolation("differential operator with no coefficients")
-        if not (coeffs[0] and coeffs[-1]):  # trim zero end coefficients
-            kept = [i for i, c in enumerate(coeffs) if c]
-            if not kept:
-                raise InvariantViolation("zero differential operator")
-            low += kept[0]
-            coeffs = coeffs[kept[0] : kept[-1] + 1]
+        if not (coeffs[0] and coeffs[-1]):
+            raise InvariantViolation("differential operator with a zero end coefficient")
         if low < 0:
             raise InvariantViolation("negative differential order")
         self.low = low
@@ -342,7 +339,7 @@ def constitutive(expr: NetworkExpr, ones: ConstitutiveEq | None = None) -> Const
     return fold_constitutive(expr, variables, ParamPoly.const(nvars, 1))
 
 
-def fold_constitutive(expr: NetworkExpr, values: Sequence, one, record=None) -> ConstitutiveEq:
+def fold_constitutive(expr: NetworkExpr, values: Sequence, one) -> ConstitutiveEq:
     """Constitutive equation of a flattened network folding children left
     to right, with ``values`` (one per parameter in canonical order) and
     ``one`` from a ring whose elements add, multiply (also by the int 0)
@@ -356,9 +353,6 @@ def fold_constitutive(expr: NetworkExpr, values: Sequence, one, record=None) -> 
     The leaves share one ``unit`` stress list, whose products are
     skipped: exact in every ring.  Each product and sum keeps the
     schoolbook order, so a float fold rounds as that order does.
-    ``record``, a dict, receives every subtree's equation by its node's
-    ``id``, leaves and ``expr`` included: what a fold of the subtree alone
-    at its slice of ``values`` gives.
     """
     cursor = iter(values)
     unit = [one]  # every leaf's stress list
@@ -371,8 +365,6 @@ def fold_constitutive(expr: NetworkExpr, values: Sequence, one, record=None) -> 
             eq = walk(node.children[0])
             for child in node.children[1:]:
                 eq = _step(series, eq, walk(child), unit)
-        if record is not None:
-            record[id(node)] = _equation(*eq)
         return eq
 
     try:
@@ -381,7 +373,7 @@ def fold_constitutive(expr: NetworkExpr, values: Sequence, one, record=None) -> 
         eq = None
     if eq is None or any(True for _ in cursor):
         raise ValueError(f"expected {len(params(expr))} parameter values, got {len(values)}")
-    return record[id(expr)] if record is not None else _equation(*eq)
+    return _equation(*eq)
 
 
 def _equation(low: int, eps: Sequence, sig: Sequence) -> ConstitutiveEq:

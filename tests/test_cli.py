@@ -533,9 +533,9 @@ def folds(monkeypatch):
     counts = collections.Counter()
     original = opalg.fold_constitutive
 
-    def counted(expr, values, one, record=None):
+    def counted(expr, values, one):
         counts[type(one).__name__, render(expr)] += 1
-        return original(expr, values, one, record)
+        return original(expr, values, one)
 
     for module in (opalg, ident, oracle, fiber):
         monkeypatch.setattr(module, "fold_constitutive", counted)

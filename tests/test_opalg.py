@@ -191,11 +191,13 @@ class TestDiffOperator:
     """The operator record, and the reference fold's operator arithmetic
     (``tests/helpers.py``), which the package no longer holds."""
 
-    def test_trims_to_tight_shape(self):
-        zero = ParamPoly(1)
-        one = ParamPoly.const(1, 1)
-        op = DiffOperator(0, [zero, one, zero])
-        assert op.shape == Shape(1, 1)
+    def test_zero_end_coefficient_rejected(self):
+        # no exact fold makes one; a trim would change a float fold's shape
+        zero, one = ParamPoly(1), ParamPoly.const(1, 1)
+        for coeffs in ([zero, one, zero], [zero, one], [one, zero], [0.0, 1.0]):
+            with pytest.raises(InvariantViolation, match="zero end coefficient"):
+                DiffOperator(0, coeffs)
+        assert DiffOperator(0, [one, zero, one]).shape == Shape(2, 0)
 
     def test_all_zero_rejected(self):
         with pytest.raises(InvariantViolation):
@@ -547,28 +549,30 @@ def _subtrees(node, start=0):
     yield node, start
 
 
-def test_record_holds_each_subtree_fold_up_to_five_elements():
-    # the fold's record, by node id, against a separate fold of each
-    # subtree at its slice of the values: ints at theta = 1, ParamPoly
-    # over the whole network's variables, and floats bit for bit
+def _tree_nodes(tree):
+    """Each subtree of the fiber's base tree, the root last."""
+    for kid in tree.kids:
+        yield from _tree_nodes(kid)
+    yield tree
+
+
+def test_fiber_tree_holds_each_subtree_fold_up_to_five_elements():
+    # the fiber's base tree against a separate float fold of each subtree
+    # at its slice of the values, bit for bit
+    from sdident import fiber
+
     seen = 0
     for expr in all_networks(5):
-        n = len(params(expr))
-        rings = [
-            ([1] * n, 1, _exact),
-            ([ParamPoly.var(n, i) for i in range(n)], ParamPoly.const(n, 1), _exact),
-            ([k / 1000 for k in _grid(n, seen)], 1.0, _bits),
-        ]
-        for values, one, key in rings:
-            record = {}
-            whole = fold_constitutive(expr, values, one, record)
-            nodes = list(_subtrees(expr))
-            assert set(record) == {id(node) for node, _ in nodes}, expr
-            assert record[id(expr)] is whole
-            for node, start in nodes:
-                got = record[id(node)]
-                want = fold_constitutive(node, values[start : start + len(leaves(node))], one)
-                assert (key(got.eps), key(got.sig)) == (key(want.eps), key(want.sig)), render(node)
+        values = [k / 1000 for k in _grid(len(params(expr)), seen)]
+        tree = fiber._base(expr, values)
+        subs, nodes = list(_tree_nodes(tree)), list(_subtrees(expr))
+        assert len(subs) == len(nodes), expr
+        assert all(sub.node is node for sub, (node, _) in zip(subs, nodes)), expr
+        for sub, (node, start) in zip(subs, nodes):
+            low, eps, sig = sub.eq
+            got = (low, [c.hex() for c in eps]), (0, [c.hex() for c in sig])
+            want = fold_constitutive(node, values[start : start + len(leaves(node))], 1.0)
+            assert got == (_bits(want.eps), _bits(want.sig)), render(node)
         seen += 1
     assert seen == 3290
 

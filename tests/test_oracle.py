@@ -724,6 +724,8 @@ class TestFiber:
             ("E1 & n2", (F(10**200),) * 2),  # a coefficient overflows to inf
             ("(E1 & n2) | (E3 & n4)", (F(10**200),) * 4),
             ("(E1 & n2) | (E3 & n4)", (F(1, 10**200),) * 4),  # an end coefficient underflows
+            # mixed scales: the strain side's top, 2e-340 + 1e-340, underflows to 0
+            ("(E1 & n2) | (E3 & n4)", (1, F(1, 10**170), 2, F(1, 10**170))),
         ],
     )
     def test_base_outside_the_float_range_is_refused(self, text, values):
@@ -732,11 +734,15 @@ class TestFiber:
         with pytest.raises(ValueError, match="float range"):
             fiber_solutions(parse(text), base=ParamPoint(values))
 
-    def test_shared_node_object_is_refused(self):
-        # the base's fold records one equation per node object
+    def test_shared_node_object_is_one_subtree_per_place(self):
+        # each place of a node object gets its own subtree of the base: the
+        # bank of one arm object twice reports what its parsed twin does
         arm = parse("E1 & n2")
-        with pytest.raises(ValueError, match="two places"):
-            fiber_solutions(Parallel((arm, arm)))
+        shared = fiber_solutions(Parallel((arm, arm)))
+        parsed = fiber_solutions(parse("(E1 & n2) | (E3 & n4)"))
+        assert (shared.degree, len(shared)) == (2, 2)
+        for field in ("base", "degree", "truncated", "dropped", "solutions"):
+            assert getattr(shared, field) == getattr(parsed, field), field
 
     def test_degree_one_is_constructible(self, monkeypatch):
         # d = 1 exactly when the network is constructible; a verdict that
@@ -809,13 +815,9 @@ class TestFiber:
         # lists them from the base's own: a point or a drop reason
         import sdident.fiber as fiber_mod
 
-        expr = parse(text)
-        eqs, degrees = {}, {}
-        whole = fold_constitutive(expr, base, 1.0, eqs)
-        degree = fiber_mod._degree(expr, eqs, degrees)
-        sides = whole.eps.coeffs, whole.sig.coeffs
-        found = list(fiber_mod._distributions(eqs, degrees, expr, *sides, True))
-        assert len(found) == degree
+        tree = fiber_mod._base(parse(text), base)
+        found = list(fiber_mod._distributions(tree, *tree.eq[1:], True))
+        assert len(found) == tree.degree
         return found
 
     def test_root_exchange_skips_split_pairs_and_singular_systems(self):
@@ -850,7 +852,7 @@ class TestFiber:
     def test_leaf_over_zero_stress_is_not_positive(self, eps):
         import sdident.fiber as fiber_mod
 
-        stream = fiber_mod._distributions({}, {}, parse("E1"), [eps], [0.0], False)
+        stream = fiber_mod._distributions(fiber_mod._base(parse("E1"), [1.0]), [eps], [0.0], False)
         assert list(stream) == ["non-positive"]
 
     def test_solve_matches_lapack(self):
@@ -883,17 +885,15 @@ class TestFiber:
         # scaled past the float range: the solution overflows to inf
         import sdident.fiber as fiber_mod
 
-        expr = parse("(E1 & n2) | (E3 & n4)")
-        eqs = {}
-        whole = fold_constitutive(expr, [2.0, 1.0, 3.0, 5.0], 1.0, eqs)
-        kids = [eqs[id(child)] for child in expr.children]
-        exchanged, others = [eq.sig for eq in kids], [eq.eps for eq in kids]
-        factors = [[c / op.coeffs[-1] for c in op.coeffs] for op in exchanged]
+        tree = fiber_mod._base(parse("(E1 & n2) | (E3 & n4)"), [2.0, 1.0, 3.0, 5.0])
+        kids = [kid.eq for kid in tree.kids]
+        exchanged, others = [(0, sig) for _, _, sig in kids], [(low, eps) for low, eps, _ in kids]
+        factors = [[c / side[-1] for c in side] for _, side in exchanged]
         args = exchanged, others, False, factors
-        eps, sig = list(whole.eps.coeffs), list(whole.sig.coeffs)
+        _, eps, sig = tree.eq
         # in range, each arm's strain side comes back in its monic scale
-        for (got, _), eq in zip(fiber_mod._other_sides(*args, eps, sig), kids):
-            assert np.allclose(got, [c / eq.sig.coeffs[-1] for c in eq.eps.coeffs])
+        for (got, _), (_, kid_eps, kid_sig) in zip(fiber_mod._other_sides(*args, eps, sig), kids):
+            assert np.allclose(got, [c / kid_sig[-1] for c in kid_eps])
         eps, sig = [c * 1e300 for c in eps], [c * 1e-300 for c in sig]
         assert fiber_mod._other_sides(*args, eps, sig) == "singular"
 
@@ -948,45 +948,61 @@ class TestFiber:
                 assert [s.method for s in report.solutions] == ["base"], (bad, text)
                 assert sum(_dropped(report).values()) == min(report.degree, 64) - 1, (bad, text)
 
+    def test_check_fold_with_a_zero_end_coefficient_fails_the_check(self, monkeypatch):
+        # each candidate is checked at values scaled by 1e-200, where its
+        # float fold's top coefficients underflow to 0: DiffOperator refuses
+        # the equation, so there is nothing to compare
+        import sdident.fiber as fiber_mod
+
+        fold = fiber_mod.fold_constitutive
+        scaled = lambda expr, values, one: fold(expr, [v * 1e-200 for v in values], one)
+        monkeypatch.setattr(fiber_mod, "fold_constitutive", scaled)
+        with pytest.raises(InvariantViolation, match="zero end coefficient"):
+            scaled(parse(GEN_KELVIN_VOIGT), [1.0] * 7, 1.0)
+        report = fiber_solutions(parse(GEN_KELVIN_VOIGT))
+        assert [s.method for s in report.solutions] == ["base"]
+        assert _dropped(report) == dict(NO_DROPS, **{"failed-check": 5})
+
     def test_root_exchange_builds_each_child_map_once(self, monkeypatch):
         # no map is built and no subtree is folded on its own: the base's
-        # one float fold records every child's equation, and the whole
-        # network is folded once more per checked distribution
+        # one float walk keeps every child's lists, and the whole network
+        # is folded once more per checked distribution
         import collections
 
         import sdident.fiber as fiber_mod
 
         folds = collections.Counter()
-        fold = fiber_mod.fold_constitutive
+        fold, base = fiber_mod.fold_constitutive, fiber_mod._base
 
-        def counted(expr, values, one, record=None):
-            folds[type(one).__name__, render(expr), record is not None] += 1
-            return fold(expr, values, one, record)
+        def counted(expr, values, one):
+            folds[type(one).__name__, render(expr)] += 1
+            return fold(expr, values, one)
 
         monkeypatch.setattr(fiber_mod, "fold_constitutive", counted)
+        monkeypatch.setattr(fiber_mod, "_base", lambda *a: folds.update(["base"]) or base(*a))
         expr = parse(GEN_KELVIN_VOIGT)
         report = fiber_solutions(expr, multistarts=40, seed=1)
         checked = len(report) - 1 + _dropped(report)["failed-check"]
         assert checked == 5
-        assert folds == {("float", render(expr), True): 1, ("float", render(expr), False): checked}
+        assert folds == {"base": 1, ("float", render(expr)): checked}
 
     def test_deep_chain_folds_the_base_once(self, monkeypatch):
-        # the base's one recording fold serves all 161 nodes of
-        # nested_chain(40), in floats, with no fold of a subtree
+        # the base's one float walk serves all 161 nodes of
+        # nested_chain(40), with no fold of the network or a subtree
         import sdident.fiber as fiber_mod
 
         expr = parse(nested_chain(40))
-        calls = []
-        fold = fiber_mod.fold_constitutive
-
-        def counted(node, values, one, record=None):
-            calls.append((node is expr, type(one).__name__))
-            return fold(node, values, one, record)
-
-        monkeypatch.setattr(fiber_mod, "fold_constitutive", counted)
+        calls, base = [], fiber_mod._base
+        monkeypatch.setattr(fiber_mod, "fold_constitutive", lambda *a: calls.append("fold"))
+        monkeypatch.setattr(fiber_mod, "_base", lambda *a: calls.append(base(*a)) or calls[-1])
         report = fiber_solutions(expr)
         assert (report.degree, len(report)) == (1, 1)
-        assert calls == [(True, "float")]
+        [tree] = calls
+
+        def size(tree):
+            return 1 + sum(map(size, tree.kids))
+
+        assert tree.node is expr and size(tree) == 161
 
     def test_root_exchange_solves_each_child_in_one_batch(self, monkeypatch):
         # one square system per exchange holds every child of the root, and
