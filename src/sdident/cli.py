@@ -31,7 +31,14 @@ from typing import Sequence
 from .ident import analyze
 from .nettypes import format_tables
 from .network import NetworkExpr, ParseError, parse, params, random_network, render
-from .opalg import ConstitutiveEq, InvariantViolation, coefficient_map, constitutive, equation_to_json
+from .opalg import (
+    ConstitutiveEq,
+    InvariantViolation,
+    NameTables,
+    coefficient_map,
+    constitutive,
+    equation_to_json,
+)
 
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE
 
@@ -66,10 +73,11 @@ def equation_text(equation: dict) -> str:
     return f"{side(equation['eps'], _EPS)} = {side(equation['sigma'], _SIGMA)}"
 
 
-def normalized_coefficients(eq: ConstitutiveEq, equation: dict, names: Sequence[str]) -> list[dict]:
+def normalized_coefficients(eq: ConstitutiveEq, equation: dict, names: NameTables) -> list[dict]:
     """``coefficient_map(eq)`` as strings: the exact quotient when the
     division is polynomial, else ``(num) / (pivot)`` over the texts of
-    ``equation``, which is ``equation_to_json(eq, names)``."""
+    ``equation``, which is ``equation_to_json(eq, names)``; the quotients
+    print from the same ``names`` tables."""
     pivot = equation["sigma"][-1]["poly"]
     printed = [("eps", t) for t in reversed(equation["eps"])]
     printed += [("sigma", t) for t in reversed(equation["sigma"][:-1])]
@@ -171,7 +179,9 @@ def cmd_analyze(args) -> int:
     if args.verify:
         report["oracle"] = _run_oracle(expr, args, report["nonmonic_count"])
     if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
+        # streamed: a large equation's text is never held whole
+        json.dump(report, sys.stdout, indent=2, sort_keys=True)
+        print()
     else:
         _print_human_report(report)
     if report["oracle"] is not None and not report["oracle"]["agrees"]:
@@ -183,7 +193,7 @@ def cmd_analyze(args) -> int:
 def cmd_derive(args) -> int:
     expr = parse(args.expression)
     eq = constitutive(expr)
-    names = params(expr)
+    names = NameTables(params(expr))
     equation = equation_to_json(eq, names)
     payload = {
         "expression": args.expression,
@@ -193,7 +203,8 @@ def cmd_derive(args) -> int:
         "normalized": normalized_coefficients(eq, equation, names),
     }
     if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        json.dump(payload, sys.stdout, indent=2, sort_keys=True)
+        print()
     else:
         print(payload["equation"])
         print("normalized coefficients (pivot: leading sigma coefficient):")

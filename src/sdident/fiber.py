@@ -69,8 +69,8 @@ from collections import Counter, namedtuple
 from typing import Iterator, Sequence
 
 from .ident import analyze, factor_matrix
-from .network import DASHPOT, Leaf, NetworkExpr, Record, Series
-from .opalg import InvariantViolation, _equation, _step, coefficient_map, fold_constitutive
+from .network import Leaf, NetworkExpr, Record, Series
+from .opalg import InvariantViolation, _equation, _leaf, _step, coefficient_map, fold_constitutive
 from .opalg import _product as _poly_product
 from .oracle import ParamPoint, sample_point
 
@@ -235,9 +235,9 @@ def _base(expr: NetworkExpr, values: Sequence[float]) -> _Subtree:
     cursor, unit = iter(values), [1.0]
 
     def walk(node: NetworkExpr) -> _Subtree:
-        if isinstance(node, Leaf):  # a spring's value has order 0, a dashpot's order 1
+        if isinstance(node, Leaf):
             kids, degree = [], 1
-            eq = (1 if node.element.kind == DASHPOT else 0), [next(cursor)], unit
+            eq = _leaf(node, next(cursor), unit)
         else:
             series = isinstance(node, Series)
             kids = [walk(child) for child in node.children]

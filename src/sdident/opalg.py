@@ -4,7 +4,8 @@ Three layers:
 
 * ``ParamPoly``     multilinear polynomial in the element parameters
                     with every coefficient 1, a set of parameter
-                    bitmasks.
+                    bitmasks, parameter i of n at bit n - 1 - i: the
+                    masks in descending order are the printed order.
 * ``DiffOperator``  polynomial in the time-derivative operator, a
                     fold's result; its shape is the pair (highest
                     order, lowest order).
@@ -42,7 +43,7 @@ therefore nonzero at positive points unless zero, and
 from __future__ import annotations
 
 from functools import reduce
-from itertools import compress, cycle
+from itertools import chain, repeat
 from operator import or_
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence, Union
 
@@ -64,7 +65,7 @@ Rat = Union[int, "Fraction"]
 
 # Most monomials ``constitutive`` derives; past it, it raises ValueError
 # before deriving anything.  Terms grow exponentially with depth and width:
-# ``analyze --json`` on a 514,229-term ladder took 1.3-1.4 s and 125 MB peak
+# ``analyze --json`` on a 514,229-term ladder took 0.54-0.6 s and 81-82 MB peak
 # RSS on a 2-vCPU Xeon.
 MAX_TERMS = 10**6
 
@@ -84,12 +85,16 @@ class ParamPoly:
     """Multilinear polynomial in the element parameters with every
     coefficient 1.
 
-    ``terms`` is the frozenset of its monomials' parameter bitmasks (bit
-    i is parameter i); the zero polynomial has none.  ``support`` is the
-    OR of the masks, the parameters the polynomial holds.  Products join
-    disjoint parameter sets and sums join disjoint monomial sets, so no
-    exponent or coefficient exceeds 1: a product of polynomials sharing
-    a parameter, or a sum of polynomials sharing a monomial, raises
+    ``terms`` is the frozenset of its monomials' parameter bitmasks; the
+    zero polynomial has none.  ``support`` is the OR of the masks, the
+    parameters the polynomial holds.  Parameter i of n is bit n - 1 - i,
+    the first parameter the highest bit, so masks compare as integers the
+    way their exponent tuples compare in parameter order, and
+    ``to_string`` sorts the masks, descending, with no key; only ``var``
+    and the printer know the layout.  Products join disjoint parameter
+    sets and sums join disjoint monomial sets, so no exponent or
+    coefficient exceeds 1: a product of polynomials sharing a parameter,
+    or a sum of polynomials sharing a monomial, raises
     ``InvariantViolation``.  Instances are treated as immutable.
     """
 
@@ -123,7 +128,7 @@ class ParamPoly:
     def var(cls, nvars: int, index: int) -> "ParamPoly":
         if not 0 <= index < nvars:
             raise ValueError(f"variable index {index} out of range for {nvars}")
-        return cls(nvars, [1 << index])
+        return cls(nvars, [1 << nvars - 1 - index])
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -178,32 +183,27 @@ class ParamPoly:
         quot = ParamPoly(self.nvars, [mask & outside for mask in self.terms])
         return quot if quot * divisor == self else None
 
-    def to_string(self, names: Sequence[str]) -> str:
+    def to_string(self, names: Sequence[str] | NameTables) -> str:
         """Canonical text, terms by descending exponent tuple in parameter
-        order (lex order).  On a homogeneous polynomial, as every derived
-        coefficient and quotient is, that is graded lex order.
+        order (lex order), which is descending mask order.  On a
+        homogeneous polynomial, as every derived coefficient and quotient
+        is, that is graded lex order.
 
-        A name that is empty or holds ``*`` or `` + `` raises ValueError:
-        the text would not say which names a term multiplies.
+        ``names`` is the parameter list or its ``NameTables``.  A name that
+        is empty or holds ``*`` or `` + `` raises ValueError: the text
+        would not say which names a term multiplies.
         """
-        if len(names) != self.nvars:
+        tables = names if isinstance(names, NameTables) else NameTables(names)
+        if tables.nvars != self.nvars:
             raise ValueError("one name per variable required")
-        for name in names:
-            if not name or "*" in name or " + " in name:
-                raise ValueError(f"parameter name {name!r} cannot be rendered")
         if not self.terms:
             return "0"
-        # Character i of a mask's key is its bit i, and a final 1 selects
-        # " + ": the keys sort like the exponent tuples, and the joined
-        # keys select every term's "name*" words and separators in one pass.
-        top = 1 << self.nvars
-        keys = sorted([bin(mask | top)[:1:-1] for mask in self.terms], reverse=True)
-        selectors = "".join(keys).encode().translate(_BITS)
-        words = [name + "*" for name in names]
-        words.append(" + ")
-        text = "".join(compress(cycle(words), selectors))
+        order = sorted(self.terms, reverse=True)
+        # each term's words run by run, first parameters first, then " + "
+        columns = [[table[mask >> shift & 255] for mask in order] for shift, table in tables.chunks]
+        text = "".join(chain.from_iterable(zip(*columns, repeat(" + ", len(order)))))
         # Drop each term's last "*" and the final " + "; the constant
-        # term, whose key sorts last, selects no word.
+        # term, whose mask sorts last, has no word.
         text = text.replace("* + ", " + ")[:-3]
         return text + "1" if 0 in self.terms else text
 
@@ -211,7 +211,28 @@ class ParamPoly:
         return f"ParamPoly({self.nvars}, {sorted(self.terms)!r})"
 
 
-_BITS = bytes.maketrans(b"01", b"\0\1")
+class NameTables:
+    """The printed words of one parameter list, for ``ParamPoly.to_string``.
+
+    ``chunks`` holds (shift, table) per run of up to 8 parameters, first
+    parameters first: ``table[mask >> shift & 255]`` is the run's
+    ``"name*"`` words in parameter order for the mask's bits there.
+    """
+
+    __slots__ = ("nvars", "chunks")
+
+    def __init__(self, names: Sequence[str]):
+        for name in names:
+            if not name or "*" in name or " + " in name:
+                raise ValueError(f"parameter name {name!r} cannot be rendered")
+        self.nvars = len(names)
+        self.chunks = []
+        for stop in range(self.nvars % 8 or 8, self.nvars + 1, 8):
+            table = [""]
+            for name in reversed(names[max(stop - 8, 0) : stop]):  # bit 0 first
+                word = name + "*"
+                table += [word + words for words in table]
+            self.chunks.append((self.nvars - stop, table))
 
 
 class DiffOperator:
@@ -306,6 +327,12 @@ def _sum(p: Sequence, a: int, q: Sequence, b: int) -> list:
     return [*first[:shift], *[x + y for x, y in pairs], *tail]
 
 
+def _leaf(leaf: Leaf, value, unit) -> tuple:
+    """A leaf's triple: a spring's value has strain order 0, a dashpot's
+    order 1, and the stress list is ``unit``."""
+    return (1 if leaf.element.kind == DASHPOT else 0), [value], unit
+
+
 def _step(series: bool, eq1: tuple, eq2: tuple, unit) -> tuple:
     """One composition of two triples.  Both rules hold E1*S4 + S2*E3,
     aligned at k, the lower strain low order: a series step's stress
@@ -358,8 +385,8 @@ def fold_constitutive(expr: NetworkExpr, values: Sequence, one) -> ConstitutiveE
     unit = [one]  # every leaf's stress list
 
     def walk(node: NetworkExpr) -> tuple:
-        if isinstance(node, Leaf):  # a spring's value has order 0, a dashpot's order 1
-            eq = (1 if node.element.kind == DASHPOT else 0), [next(cursor)], unit
+        if isinstance(node, Leaf):
+            eq = _leaf(node, next(cursor), unit)
         else:
             series = isinstance(node, Series)
             eq = walk(node.children[0])
@@ -400,12 +427,14 @@ def coefficient_map(eq: ConstitutiveEq) -> list[tuple]:
     return entries
 
 
-def equation_to_json(eq: ConstitutiveEq, names: Sequence[str]) -> dict:
-    """JSON form: coefficient polynomial per order, both sides ascending."""
+def equation_to_json(eq: ConstitutiveEq, names: Sequence[str] | NameTables) -> dict:
+    """JSON form: coefficient polynomial per order, both sides ascending,
+    every text from one ``NameTables``."""
+    tables = names if isinstance(names, NameTables) else NameTables(names)
 
     def side(op: DiffOperator) -> list[dict]:
         return [
-            {"order": order, "poly": op.coeff(order).to_string(names)}
+            {"order": order, "poly": op.coeff(order).to_string(tables)}
             for order in range(op.low, op.high + 1)
         ]
 

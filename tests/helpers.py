@@ -16,6 +16,7 @@ composition rules."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -312,6 +313,19 @@ def poly_from_roots(roots: list[Fraction], lead: Fraction = Fraction(1)) -> list
     return coeffs
 
 
+@functools.cache
+def bit(nvars: int, index: int) -> int:
+    """Parameter ``index``'s bit in a monomial mask over ``nvars``
+    parameters, as ``ParamPoly`` lays it out: every mask decoder here
+    reads the layout through it."""
+    return ParamPoly.var(nvars, index).support
+
+
+def exponents(nvars: int, mask: int) -> tuple[int, ...]:
+    """A monomial's exponent tuple, in parameter order."""
+    return tuple(1 if mask & bit(nvars, i) else 0 for i in range(nvars))
+
+
 def evaluate(poly: ParamPoly, values) -> Fraction:
     """Exact value of a polynomial at a point (one value per parameter)."""
     if len(values) != poly.nvars:
@@ -320,24 +334,22 @@ def evaluate(poly: ParamPoly, values) -> Fraction:
     total = Fraction(0)
     for mask in poly.terms:
         term = 1
-        for i, v in enumerate(vals):
-            if mask >> i & 1:
+        for e, v in zip(exponents(poly.nvars, mask), vals):
+            if e:
                 term *= v
         total += term
     return total
 
 
 def to_string_reference(poly: ParamPoly, names) -> str:
-    """``ParamPoly.to_string`` one term at a time: the reference for the
-    one-pass printer."""
+    """``ParamPoly.to_string`` one term at a time, terms by descending
+    exponent tuple: the reference for the table printer."""
     if len(names) != poly.nvars:
         raise ValueError("one name per variable required")
     if not poly.terms:
         return "0"
-    order = sorted(poly.terms, key=lambda m: f"{m:0{poly.nvars}b}"[::-1], reverse=True)
-    return " + ".join(
-        ["*".join([n for i, n in enumerate(names) if mask >> i & 1]) or "1" for mask in order]
-    )
+    order = sorted([exponents(poly.nvars, mask) for mask in poly.terms], reverse=True)
+    return " + ".join(["*".join([n for e, n in zip(es, names) if e]) or "1" for es in order])
 
 
 def reference_equation_text(eq: ConstitutiveEq, names) -> str:
@@ -385,8 +397,8 @@ def reference_normalized(eq: ConstitutiveEq, names) -> list[dict]:
 
 def derivative(poly: ParamPoly, index: int) -> ParamPoly:
     """Partial derivative in parameter ``index``."""
-    bit = 1 << index
-    return ParamPoly(poly.nvars, [m ^ bit for m in poly.terms if m & bit])
+    b = bit(poly.nvars, index)
+    return ParamPoly(poly.nvars, [m ^ b for m in poly.terms if m & b])
 
 
 def eval_coeffs(op: DiffOperator, theta) -> list[Fraction]:

@@ -17,6 +17,8 @@ import numpy as np
 
 from sdident import ConstitutiveEq, NetworkExpr, coefficient_map, constitutive
 
+from helpers import exponents
+
 
 class CompiledMap:
     """Float evaluation of a derived equation's coefficient map and its
@@ -43,9 +45,7 @@ class CompiledMap:
         # each polynomial's masks in ascending order, so the sums do not
         # depend on the iteration order of a frozenset
         masks = [mask for p in polys for mask in sorted(p.terms)]
-        self._exps = np.array(
-            [[mask >> i & 1 for i in range(self.nparams)] for mask in masks], dtype=float
-        )
+        self._exps = np.array([exponents(self.nparams, mask) for mask in masks], dtype=float)
         self._starts = np.cumsum([0] + [len(p.terms) for p in polys[:-1]])
 
     def _terms(self, theta: np.ndarray) -> np.ndarray:

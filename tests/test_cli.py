@@ -37,6 +37,7 @@ from helpers import (
     nested_chain,
     reference_equation_text,
     reference_normalized,
+    to_string_reference,
 )
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(sdident.__file__)))
@@ -141,6 +142,22 @@ class TestAnalyze:
         assert report["shapes"] == {"eps": [2, 1], "sigma": [2, 0]}
         # round trip through json is lossless
         assert json.loads(json.dumps(report)) == report
+
+    def test_json_texts_match_the_reference_on_maxwell_banks(self, capsys):
+        # banks of 1-8 modes print 3 to 17 parameters, one to three name tables
+        for modes in range(1, 9):
+            text = maxwell_bank(modes)
+            expr = parse(text)
+            eq, names = constitutive(expr), params(expr)
+            expected = {
+                side: [
+                    {"order": order, "poly": to_string_reference(op.coeff(order), names)}
+                    for order in range(op.low, op.high + 1)
+                ]
+                for side, op in (("eps", eq.eps), ("sigma", eq.sig))
+            }
+            code, out, _ = run(capsys, "analyze", text, "--json")
+            assert (code, json.loads(out)["constitutive"]) == (0, expected), modes
 
     def test_json_with_verify(self, capsys):
         code, out, _ = run(capsys, "analyze", MAXWELL, "--json", "--verify")

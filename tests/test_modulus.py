@@ -17,7 +17,7 @@ from sdident import analyze, constitutive, params, parse
 from sdident.fiber import fiber_solutions
 from sdident.network import DASHPOT, Leaf, Parallel
 
-from helpers import all_networks, maxwell_bank, nested_chain
+from helpers import all_networks, exponents, maxwell_bank, nested_chain
 
 RATIONAL_S = (F(3, 7), F(5, 2))
 FLOAT_S = (0.37, 1.0, 2.9, 0.5 + 1.3j)
@@ -46,8 +46,8 @@ def _value(poly, numerators, den):
     sums = Counter()
     for mask in poly.terms:
         term = 1
-        for i, k in enumerate(numerators):
-            if mask >> i & 1:
+        for e, k in zip(exponents(poly.nvars, mask), numerators):
+            if e:
                 term *= k
         sums[bin(mask).count("1")] += term
     return sum(F(total, den**degree) for degree, total in sums.items())

@@ -23,7 +23,7 @@ from sdident import (
     render,
 )
 from sdident.network import DASHPOT, leaves
-from sdident.opalg import fold_constitutive
+from sdident.opalg import NameTables, fold_constitutive
 from sdident.oracle import _Dual, _grid
 
 from helpers import (
@@ -31,6 +31,7 @@ from helpers import (
     LADDER_8,
     _shifted_equation,
     all_networks,
+    bit,
     child_equations,
     combine_parallel,
     combine_series,
@@ -155,6 +156,23 @@ class TestParamPoly:
         assert p.to_string(["a", "b", "c"]) == "a*c + a + b + 1"
         assert (y * z + x * y + z).to_string(["a", "b", "c"]) == "a*b + b*c + c"
         assert ParamPoly(3).to_string(["a", "b", "c"]) == "0"
+
+    @pytest.mark.parametrize("nvars", [1, 7, 8, 9, 16, 17, 25, 27])
+    def test_to_string_across_name_table_boundaries(self, nvars):
+        # the printer reads each run of up to 8 parameters from its own
+        # table, the first run holding nvars % 8 of them (8 when none)
+        rng = random.Random(nvars)
+        names = [f"{'En'[i % 2]}{i}" for i in range(nvars)]
+        top = (1 << nvars) - 1
+        masks = {0, top, *(bit(nvars, i) for i in range(nvars))}
+        masks |= {rng.randint(0, top) for _ in range(300)}
+        tables = NameTables(names)
+        for terms in (masks, masks - {0}, {0}, ()):
+            poly = ParamPoly(nvars, terms)
+            expected = to_string_reference(poly, names)
+            assert poly.to_string(names) == poly.to_string(tables) == expected
+        with pytest.raises(ValueError, match="one name per variable"):
+            ParamPoly(nvars + 1).to_string(tables)
 
     def test_to_string_rejects_ambiguous_names(self):
         # with the name " + b", a*b would print as "a + b", and an empty
@@ -672,7 +690,7 @@ def test_every_coefficient_is_graded(seed, n):
     # makes every order-k monomial hold k + c dashpots
     expr = random_network(seed, n)
     eq = constitutive(expr)
-    dashpots = sum(1 << i for i, el in enumerate(leaves(expr)) if el.kind == DASHPOT)
+    dashpots = sum(bit(eq.nvars, i) for i, el in enumerate(leaves(expr)) if el.kind == DASHPOT)
 
     def grades(op):
         # (degree, dashpots - order) of every monomial
