@@ -26,7 +26,7 @@ import argparse
 import json
 import os
 import sys
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .ident import analyze
 from .nettypes import format_tables
@@ -53,24 +53,27 @@ def _symbol(base: str, order: int) -> str:
     return f"{base}^({order})"
 
 
-def equation_text(equation: dict) -> str:
+def equation_text(equation: dict) -> Iterator[str]:
     """One-line rendering of ``equation_to_json``'s texts, highest orders
-    first, denominators cleared."""
+    first, denominators cleared, in parts: each coefficient text is
+    yielded as it is, never copied into a longer string."""
 
-    def side(terms: list[dict], base: str) -> str:
-        parts = []
+    def side(terms: list[dict], base: str) -> Iterator[str]:
         # no text is "0": leaves, gapless 0/1 products and sums from order 0/1 are gapless
-        for term in reversed(terms):
+        for i, term in enumerate(reversed(terms)):
+            if i:
+                yield " + "
             text, sym = term["poly"], _symbol(base, term["order"])
             if text == "1":
-                parts.append(sym)
+                yield sym
             elif "+" in text:
-                parts.append(f"({text})·{sym}")
+                yield from ("(", text, ")·" + sym)
             else:
-                parts.append(f"{text}·{sym}")
-        return " + ".join(parts)
+                yield from (text, "·" + sym)
 
-    return f"{side(equation['eps'], _EPS)} = {side(equation['sigma'], _SIGMA)}"
+    yield from side(equation["eps"], _EPS)
+    yield " = "
+    yield from side(equation["sigma"], _SIGMA)
 
 
 def normalized_coefficients(eq: ConstitutiveEq, equation: dict, names: NameTables) -> list[dict]:
@@ -190,25 +193,34 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def cmd_derive(args) -> int:
-    expr = parse(args.expression)
+def _derive(expr: NetworkExpr) -> tuple[dict, list[dict]]:
+    """The equation's texts and its normalized coefficients; the
+    polynomials are freed on return, before anything prints."""
     eq = constitutive(expr)
     names = NameTables(params(expr))
     equation = equation_to_json(eq, names)
-    payload = {
-        "expression": args.expression,
-        "canonical": render(expr),
-        "equation": equation_text(equation),
-        "constitutive": equation,
-        "normalized": normalized_coefficients(eq, equation, names),
-    }
+    return equation, normalized_coefficients(eq, equation, names)
+
+
+def cmd_derive(args) -> int:
+    expr = parse(args.expression)
+    equation, normalized = _derive(expr)
     if args.json:
+        payload = {
+            "expression": args.expression,
+            "canonical": render(expr),
+            "equation": "".join(equation_text(equation)),
+            "constitutive": equation,
+            "normalized": normalized,
+        }
         json.dump(payload, sys.stdout, indent=2, sort_keys=True)
         print()
     else:
-        print(payload["equation"])
+        # streamed: the equation line is never held whole
+        sys.stdout.writelines(equation_text(equation))
+        print()
         print("normalized coefficients (pivot: leading sigma coefficient):")
-        for item in payload["normalized"]:
+        for item in normalized:
             print(f"  {item['side']}[{item['order']}] = {item['value']}")
     return 0
 

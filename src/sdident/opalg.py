@@ -36,8 +36,23 @@ one c per equation, which keeps the terms of an operator product apart
 or product in the fold meets a monomial twice.  A coefficient is
 therefore nonzero at positive points unless zero, and
 ``fold_constitutive`` gives the same shapes over every ring it accepts:
-``ParamPoly`` (``constitutive``), ``int`` at theta = (1, ..., 1),
-``float`` values and the oracle's exact duals.
+``ParamPoly``, ``constitutive``'s term lists, ``int`` at
+theta = (1, ..., 1), ``float`` values and the oracle's exact duals.
+
+Where the invariant is checked: ``ParamPoly`` arithmetic checks it at
+every operation, a product refusing operands that share a parameter and
+a sum operands that share a monomial.  ``constitutive`` folds plain
+lists of masks (``_Terms``) instead: each product refuses a shared
+parameter, each sum concatenates, and each final coefficient's list is
+checked for a repeated monomial once, when it becomes a ``ParamPoly``.
+That one check catches every repeat a checked sum would have raised on.
+The lists never cancel.  A product with a nonempty list of disjoint
+support maps distinct masks to distinct masks (each factor's part of
+``a | b`` is read back by masking with its support) and repeats to
+repeats, and a concatenation keeps every repeat of its operands.  The
+kernel drops no coefficient, so each intermediate list reaches a final
+coefficient through such products and sums, and a repeated monomial
+anywhere in the fold is still repeated there.
 """
 
 from __future__ import annotations
@@ -90,11 +105,11 @@ class ParamPoly:
     parameters the polynomial holds.  Parameter i of n is bit n - 1 - i,
     the first parameter the highest bit, so masks compare as integers the
     way their exponent tuples compare in parameter order, and
-    ``to_string`` sorts the masks, descending, with no key; only ``var``
-    and the printer know the layout.  Products join disjoint parameter
-    sets and sums join disjoint monomial sets, so no exponent or
-    coefficient exceeds 1: a product of polynomials sharing a parameter,
-    or a sum of polynomials sharing a monomial, raises
+    ``to_string`` sorts the masks, descending, with no key; only ``var``,
+    ``constitutive``'s leaves and the printer know the layout.  Products
+    join disjoint parameter sets and sums join disjoint monomial sets, so
+    no exponent or coefficient exceeds 1: a product of polynomials sharing
+    a parameter, or a sum of polynomials sharing a monomial, raises
     ``InvariantViolation``.  Instances are treated as immutable.
     """
 
@@ -235,6 +250,46 @@ class NameTables:
             self.chunks.append((self.nvars - stop, table))
 
 
+class _Terms:
+    """``constitutive``'s fold ring: a 0/1 polynomial as a plain list of
+    its monomials' masks, never empty, with ``support`` the OR of them.
+
+    A product refuses factors sharing a parameter, as ``ParamPoly``'s
+    does; a sum joins the two lists unchecked.  ``freeze`` makes the
+    ``ParamPoly`` of a final coefficient, refusing a list that repeats a
+    monomial: the module docstring says why that one check covers the
+    fold.
+    """
+
+    __slots__ = ("masks", "support")
+
+    def __init__(self, masks: list, support: int):
+        self.masks = masks
+        self.support = support
+
+    def __bool__(self) -> bool:
+        return bool(self.masks)
+
+    def __add__(self, other: "_Terms") -> "_Terms":
+        return _Terms(self.masks + other.masks, self.support | other.support)
+
+    def __mul__(self, other: "_Terms") -> "_Terms":
+        if self.support & other.support:
+            raise InvariantViolation("product of monomials sharing a parameter")
+        if len(other.masks) == 1:  # one monomial, as a leaf is
+            b = other.masks[0]
+            masks = [a | b for a in self.masks]
+        else:
+            masks = [a | b for a in self.masks for b in other.masks]
+        return _Terms(masks, self.support | other.support)
+
+    def freeze(self, nvars: int) -> ParamPoly:
+        terms = frozenset(self.masks)
+        if len(terms) != len(self.masks):
+            raise InvariantViolation("sum of polynomials sharing a monomial")
+        return ParamPoly._derived(nvars, terms, self.support)
+
+
 class DiffOperator:
     """Polynomial in d/dt with coefficients in one ring (``ParamPoly``
     unless a fold says otherwise).
@@ -307,6 +362,9 @@ def _product(a: Sequence, b: Sequence, unit) -> Sequence:
     with a leaf's ``unit`` stress list is its other factor."""
     if b is unit or a is unit:
         return a if b is unit else b
+    if len(b) == 1:  # one coefficient, as a leaf's strain list: the loop's result
+        c = b[0]
+        return [x * c for x in a]
     # out[k] sums a_i * b_(k-i) in ascending i: row i adds into the
     # orders row i - 1 reached and opens one more
     first, *rest = a
@@ -353,6 +411,8 @@ def constitutive(expr: NetworkExpr, ones: ConstitutiveEq | None = None) -> Const
     theta = (1, ..., 1) is its term count; past ``MAX_TERMS`` in total
     this raises ``ValueError`` up front.
     ``ones`` is that integer pass when the caller has it (``Verdict.ones``).
+    The fold runs over ``_Terms`` lists, each coefficient frozen into a
+    ``ParamPoly`` once.
     """
     nvars = len(params(expr))
     if ones is None:
@@ -362,8 +422,11 @@ def constitutive(expr: NetworkExpr, ones: ConstitutiveEq | None = None) -> Const
         raise ValueError(
             f"the constitutive equation would have {terms} terms, over the budget of {MAX_TERMS}"
         )
-    variables = [ParamPoly.var(nvars, i) for i in range(nvars)]
-    return fold_constitutive(expr, variables, ParamPoly.const(nvars, 1))
+    # parameter i of n at bit n - 1 - i, as in ParamPoly.var
+    variables = [_Terms([1 << bit], 1 << bit) for bit in range(nvars - 1, -1, -1)]
+    eq = fold_constitutive(expr, variables, _Terms([0], 0))
+    eps, sig = ([c.freeze(nvars) for c in op.coeffs] for op in (eq.eps, eq.sig))
+    return _equation(eq.eps.low, eps, sig)
 
 
 def fold_constitutive(expr: NetworkExpr, values: Sequence, one) -> ConstitutiveEq:

@@ -23,7 +23,7 @@ from sdident import (
     render,
 )
 from sdident.network import DASHPOT, leaves
-from sdident.opalg import NameTables, fold_constitutive
+from sdident.opalg import NameTables, _Terms, fold_constitutive
 from sdident.oracle import _Dual, _grid
 
 from helpers import (
@@ -452,6 +452,41 @@ class TestCoefficientMap:
             assert _rational_functions_equal(pair, num, den)
 
 
+class TestTermLists:
+    """``constitutive``'s fold ring checks each product's supports as it
+    forms, and each final coefficient for a repeated monomial at the
+    freeze."""
+
+    @staticmethod
+    def _fold(text, masks):
+        return fold_constitutive(parse(text), [_Terms([m], m) for m in masks], _Terms([0], 0))
+
+    @pytest.mark.parametrize(
+        "text, masks",
+        [
+            ("E1 | E2", [0b100, 0b100]),
+            ("(E1 | E2) & n3", [0b100, 0b100, 0b001]),
+            ("((E1 | E2) & n3) | E4", [0b1000, 0b1000, 0b0010, 0b0001]),
+        ],
+    )
+    def test_repeated_monomial_raises_at_the_freeze(self, text, masks):
+        # two leaves given one mask in parallel: the sums join the lists
+        # unchecked, products carry the repeat on, and freezing the
+        # coefficient that holds it raises the sum error
+        eq = self._fold(text, masks)
+        coeffs = [c for op in (eq.eps, eq.sig) for c in op.coeffs]
+        assert any(len(set(c.masks)) < len(c.masks) for c in coeffs)
+        with pytest.raises(InvariantViolation, match="sum of polynomials sharing a monomial"):
+            [c.freeze(len(masks)) for c in coeffs]
+
+    @pytest.mark.parametrize(
+        "text, masks", [("E1 & E2", [0b10, 0b10]), ("(E1 | n2) & (E3 | n4)", [8, 4, 2, 8])]
+    )
+    def test_shared_parameter_raises_at_the_product(self, text, masks):
+        with pytest.raises(InvariantViolation, match="product of monomials sharing a parameter"):
+            self._fold(text, masks)
+
+
 class TestInvariants:
     def test_fold_order_independence(self):
         rng = random.Random(7)
@@ -526,28 +561,37 @@ def _dual_slots(op):
     return op.low, [(d.value, d.grad, d.exp) for d in op.coeffs]
 
 
+def _polys(op):
+    return op.low, [(p.terms, p.support) for p in op.coeffs]
+
+
 def test_kernel_matches_reference_fold_up_to_five_elements():
     # the coefficient-list kernel against the fold on operator objects
     # (tests/helpers.py), in every ring it serves: ints at theta = 1
-    # (analyze) and at a grid point, ParamPoly (constitutive), floats bit
-    # for bit (fiber), and the rank oracle's duals slot by slot, each
-    # gradient packed at any width, since both folds form the same ints;
-    # and the kernel's step on two equations against the reference's, on
-    # each root's children
+    # (analyze) and at a grid point, ParamPoly, floats bit for bit
+    # (fiber), and the rank oracle's duals slot by slot, each gradient
+    # packed at any width, since both folds form the same ints;
+    # constitutive's term lists, frozen into ParamPoly, against the
+    # reference's ParamPoly operators, terms and support; and the
+    # kernel's step on two equations against the reference's, on each
+    # root's children
     seen = 0
     for expr in all_networks(5):
         n = len(params(expr))
         grid = _grid(n, seen)
+        variables, const = [ParamPoly.var(n, i) for i in range(n)], ParamPoly.const(n, 1)
         rings = [
             ([1] * n, 1, _exact),
             (grid, 1, _exact),
-            ([ParamPoly.var(n, i) for i in range(n)], ParamPoly.const(n, 1), _exact),
+            (variables, const, _exact),
             ([k / 1000 for k in grid], 1.0, _bits),
             ([_Dual(k, 1000 << (64 * i), 1) for i, k in enumerate(grid)], _Dual(1, 0, 0), _dual_slots),
         ]
         for values, one, key in rings:
             got, want = fold_constitutive(expr, values, one), reference_fold(expr, values, one)
             assert (key(got.eps), key(got.sig)) == (key(want.eps), key(want.sig)), expr
+        got, want = constitutive(expr), reference_fold(expr, variables, const)
+        assert (_polys(got.eps), _polys(got.sig)) == (_polys(want.eps), _polys(want.sig)), expr
         if isinstance(expr, (Series, Parallel)):
             series = isinstance(expr, Series)
             kids = child_equations(expr)
