@@ -297,6 +297,9 @@ class DiffOperator:
     ``coeffs[i]`` is the coefficient of order ``low + i``; both end
     coefficients are nonzero, so the shape is tight.  No exact fold makes
     a zero one, and a float zero (an underflow) is refused, not trimmed.
+    That check is all the operator asks of its ring, a truth value; the
+    fold that builds it asks for sums and products too, and readers
+    index ``coeffs`` themselves.
     """
 
     __slots__ = ("low", "coeffs")
@@ -320,19 +323,10 @@ class DiffOperator:
     def shape(self) -> Shape:
         return Shape(self.high, self.low)
 
-    @property
-    def nvars(self) -> int:
-        return self.coeffs[0].nvars
-
-    def coeff(self, order: int):
-        if self.low <= order <= self.high:
-            return self.coeffs[order - self.low]
-        return self.coeffs[0] * 0
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, DiffOperator):
             return NotImplemented
-        return self.low == other.low and list(self.coeffs) == list(other.coeffs)
+        return self.low == other.low and self.coeffs == other.coeffs
 
     __hash__ = None  # type: ignore[assignment]
 
@@ -351,10 +345,6 @@ class ConstitutiveEq(Record):
                 f"stress operator must have a constant term, shape {sig.shape}"
             )
         self.eps, self.sig = eps, sig
-
-    @property
-    def nvars(self) -> int:
-        return self.eps.nvars
 
 
 def _product(a: Sequence, b: Sequence, unit) -> Sequence:
@@ -432,8 +422,8 @@ def constitutive(expr: NetworkExpr, ones: ConstitutiveEq | None = None) -> Const
 def fold_constitutive(expr: NetworkExpr, values: Sequence, one) -> ConstitutiveEq:
     """Constitutive equation of a flattened network folding children left
     to right, with ``values`` (one per parameter in canonical order) and
-    ``one`` from a ring whose elements add, multiply (also by the int 0)
-    and are falsy exactly when zero.
+    ``one`` from a ring whose elements add, multiply and are falsy
+    exactly when zero: all the pipeline asks of a ring.
 
     The fold is one kernel over plain lists: each sub-equation is the
     triple (strain low order, ascending strain list, ascending stress
@@ -482,12 +472,7 @@ def coefficient_map(eq: ConstitutiveEq) -> list[tuple]:
     pivot = eq.sig.coeffs[-1]
     if not pivot:
         raise InvariantViolation("leading stress coefficient vanished")
-    entries = []
-    for order in range(eq.eps.high, eq.eps.low - 1, -1):
-        entries.append((eq.eps.coeff(order), pivot))
-    for order in range(eq.sig.high - 1, -1, -1):
-        entries.append((eq.sig.coeff(order), pivot))
-    return entries
+    return [(c, pivot) for c in chain(eq.eps.coeffs[::-1], eq.sig.coeffs[-2::-1])]
 
 
 def equation_to_json(eq: ConstitutiveEq, names: Sequence[str] | NameTables) -> dict:
@@ -497,8 +482,8 @@ def equation_to_json(eq: ConstitutiveEq, names: Sequence[str] | NameTables) -> d
 
     def side(op: DiffOperator) -> list[dict]:
         return [
-            {"order": order, "poly": op.coeff(order).to_string(tables)}
-            for order in range(op.low, op.high + 1)
+            {"order": order, "poly": c.to_string(tables)}
+            for order, c in enumerate(op.coeffs, op.low)
         ]
 
     return {"eps": side(eq.eps), "sigma": side(eq.sig)}

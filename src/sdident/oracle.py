@@ -113,10 +113,10 @@ class _Dual:
         return _Dual(a * b, a * other.grad + b * self.grad, self.exp + other.exp)
 
 
-def _jacobian_rows(expr: NetworkExpr, point: Sequence[int], scale: int) -> tuple[list, list]:
+def _jacobian_rows(expr: NetworkExpr, point: Sequence[int], scale: int) -> list[list[int]]:
     """Row-scaled exact Jacobian of the coefficient map at theta =
     point / scale (positive integers), as integer rows, each over its own
-    positive denominator ``scale**degree``, with the degrees.
+    positive denominator, a power of ``scale``.
 
     Each row of d(num/den) is multiplied by den(theta)**2, which cannot
     vanish at positive theta and does not change the rank: the row is
@@ -136,11 +136,10 @@ def _jacobian_rows(expr: NetworkExpr, point: Sequence[int], scale: int) -> tuple
 
     den = entries[0][1]
     den_partials = partials(den)
-    rows = [
+    return [
         [g * den.value - num.value * d for g, d in zip(partials(num), den_partials)]
         for num, _ in entries
     ]
-    return rows, [num.exp + den.exp for num, _ in entries]
 
 
 def _integer_point(theta: Sequence[Rat]) -> tuple[list[int], int]:
@@ -158,7 +157,7 @@ def _integer_point(theta: Sequence[Rat]) -> tuple[list[int], int]:
 def jacobian_rank(expr: NetworkExpr, theta: ParamPoint) -> int:
     """Exact rank of the coefficient-map Jacobian at a positive point,
     ranked on the integer rows (a positive row scale keeps the rank)."""
-    return exact_rank(_jacobian_rows(expr, *_integer_point(theta.values))[0])
+    return exact_rank(_jacobian_rows(expr, *_integer_point(theta.values)))
 
 
 def local_ranks(expr: NetworkExpr, trials: int = 3, seed: int = 0) -> tuple[list[int], bool]:
@@ -172,7 +171,7 @@ def local_ranks(expr: NetworkExpr, trials: int = 3, seed: int = 0) -> tuple[list
     n = len(params(expr))
     ranks = []
     for t in range(trials):
-        rows = _jacobian_rows(expr, _grid(n, seed + 1000 * t), 1000)[0]
+        rows = _jacobian_rows(expr, _grid(n, seed + 1000 * t), 1000)
         ranks.append(exact_rank(rows))
         if ranks[-1] == len(rows):
             return ranks, True

@@ -360,7 +360,7 @@ def reference_equation_text(eq: ConstitutiveEq, names) -> str:
     def side(op, base):
         parts = []
         for order in range(op.high, op.low - 1, -1):
-            poly = op.coeff(order)
+            poly = op.coeffs[order - op.low]
             if not poly:
                 continue
             text = poly.to_string(names)
@@ -385,7 +385,7 @@ def reference_normalized(eq: ConstitutiveEq, names) -> list[dict]:
     for side, op in (("eps", eq.eps), ("sigma", eq.sig)):
         top = op.high - 1 if side == "sigma" else op.high
         for order in range(top, op.low - 1, -1):
-            poly = op.coeff(order)
+            poly = op.coeffs[order - op.low]
             quotient = poly.try_divide(pivot)
             if quotient is not None:
                 text = quotient.to_string(names)
@@ -545,10 +545,16 @@ def reference_fold(expr: NetworkExpr, values: Sequence, one) -> ConstitutiveEq:
 
 def jacobian_matrix(expr: NetworkExpr, theta) -> list[list[Fraction]]:
     """The oracle's row-scaled Jacobian at a positive theta as Fractions:
-    its integer rows over their denominators."""
+    its integer rows, each over ``scale**degree``, the degree of its
+    ``coefficient_map`` entry's numerator times the pivot.  Every
+    coefficient is homogeneous, so any monomial's size is its degree."""
     point, scale = _integer_point(theta)
-    rows, degrees = _jacobian_rows(expr, point, scale)
-    return [[Fraction(x, scale**d) for x in row] for row, d in zip(rows, degrees)]
+    rows = _jacobian_rows(expr, point, scale)
+    degrees = [
+        max(num.terms).bit_count() + max(den.terms).bit_count()
+        for num, den in coefficient_map(constitutive(expr))
+    ]
+    return [[Fraction(x, scale**d) for x in row] for row, d in zip(rows, degrees, strict=True)]
 
 
 def _gauss_jordan(mat) -> tuple[int, Fraction]:

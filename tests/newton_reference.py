@@ -36,7 +36,7 @@ class CompiledMap:
     """
 
     def __init__(self, eq: ConstitutiveEq):
-        self.nparams = eq.nvars
+        self.nparams = eq.eps.coeffs[0].nvars
         entries = coefficient_map(eq)
         self.dim = len(entries)
         polys = [num for num, _ in entries] + [entries[0][1]]

@@ -152,13 +152,14 @@ def composition_sweep():
                 assert type_trace(net2)[0] == NetType(t2)
                 eq1, eq2 = embedded_pair(net1, net2)
                 combined = combine(eq1, eq2)
+                nparams = len(params(net1)) + len(params(net2))
 
                 shape_type, _ = classify(combined)
                 assert shape_type.value == row["result"]
                 assert tuple(combined.eps.shape) == row["eps"](n1, n2)
                 assert tuple(combined.sig.shape) == row["sig"](n1, n2)
                 assert nonmonic_count(combined) == row["nonmonic"](n1, n2)
-                assert combined.nvars == row["params"](n1, n2)
+                assert nparams == row["params"](n1, n2)
                 balanced = row["nonmonic"](n1, n2) == row["params"](n1, n2)
                 assert balanced == row["identifiable"]
                 table_result = table(NetType(t1), NetType(t2))
@@ -177,7 +178,7 @@ def composition_sweep():
                 if r == c:
                     for attempt in range(2):  # one resample allowed on a zero draw
                         theta = [
-                            F(rng.randint(1, 10**6), 1000) for _ in range(combined.nvars)
+                            F(rng.randint(1, 10**6), 1000) for _ in range(nparams)
                         ]
                         vecs = []
                         for op in ops:

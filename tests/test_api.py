@@ -99,6 +99,9 @@ def test_removed_name_is_gone(name):
         (opalg.DiffOperator, "__mul__"),  # the operator fold, now the tests' reference
         (opalg.DiffOperator, "__add__"),
         (opalg.DiffOperator, "shift_down"),
+        (opalg.DiffOperator, "coeff"),  # readers index coeffs themselves
+        (opalg.DiffOperator, "nvars"),  # assumed a ParamPoly ring
+        (opalg.ConstitutiveEq, "nvars"),
         (opalg, "leaf_equation"),
         (CompiledMap, "value_exact"),  # the Newton search's map, now the tests' reference
         (fiber, "CompiledMap"),

@@ -151,8 +151,8 @@ class TestAnalyze:
             eq, names = constitutive(expr), params(expr)
             expected = {
                 side: [
-                    {"order": order, "poly": to_string_reference(op.coeff(order), names)}
-                    for order in range(op.low, op.high + 1)
+                    {"order": order, "poly": to_string_reference(poly, names)}
+                    for order, poly in enumerate(op.coeffs, op.low)
                 ]
                 for side, op in (("eps", eq.eps), ("sigma", eq.sig))
             }

@@ -367,7 +367,7 @@ class TestBlockDeterminant:
                     quad = (eq1.sig.shape, eq1.eps.shape, eq2.sig.shape, eq2.eps.shape)
                     ops = (eq1.sig, eq2.sig)
                 assert factor_matrix_size(quad)[0] == factor_matrix_size(quad)[1]
-                theta = [F(rng.randint(1, 10**6), 1000) for _ in range(eq1.nvars)]
+                theta = [F(rng.randint(1, 10**6), 1000) for _ in range(eq1.eps.coeffs[0].nvars)]
                 vecs = []
                 for op in ops:
                     vec = eval_coeffs(op, theta)

@@ -14,9 +14,11 @@ from sdident import (
     Series,
     Shape,
     analyze,
+    classify,
     coefficient_map,
     constitutive,
     equation_to_json,
+    nonmonic_count,
     params,
     parse,
     random_network,
@@ -239,16 +241,7 @@ class TestDiffOperator:
         b = DiffOperator(0, [one, y])  # 1 + y d/dt
         prod = operator_product(a, b)
         assert prod.shape == Shape(2, 1)
-        assert prod.coeff(1) == x
-        assert prod.coeff(2) == x * y
-
-    def test_coeff_outside_shape_is_zero(self):
-        x, y = ParamPoly.var(2, 0), ParamPoly.var(2, 1)
-        op = DiffOperator(1, [x, y])  # x d/dt + y d2/dt2
-        assert [op.coeff(k) for k in range(1, 3)] == [x, y]
-        for order in (0, 3, 7):
-            assert op.coeff(order) == ParamPoly(2) and not op.coeff(order)
-            assert op.coeff(order).nvars == 2
+        assert prod.coeffs == (x, x * y)
 
     def test_shift_down_requires_exactness(self):
         one = ParamPoly.const(1, 1)
@@ -283,7 +276,7 @@ class TestLeafEquations:
         eq = _shifted_equation(parse("E1"), 1, 0)
         assert eq.eps.shape == Shape(0, 0)
         assert eq.sig.shape == Shape(0, 0)
-        assert eq.eps.coeff(0) == ParamPoly.var(1, 0)
+        assert eq.eps.coeffs == (ParamPoly.var(1, 0),)
 
     def test_dashpot(self):
         eq = _shifted_equation(parse("n1"), 1, 0)
@@ -504,7 +497,7 @@ class TestInvariants:
             right = kids[-1]
             for eq in reversed(kids[:-1]):
                 right = combine(eq, right)
-            theta = [F(rng.randint(1, 10**6), 1000) for _ in range(left.nvars)]
+            theta = [F(rng.randint(1, 10**6), 1000) for _ in range(len(params(expr)))]
             for a, b in zip(coefficient_map(left), coefficient_map(right)):
                 assert evaluate(a[0], theta) * evaluate(b[1], theta) == evaluate(
                     a[1], theta
@@ -536,7 +529,7 @@ class TestInvariants:
             for eq in kids[1:]:
                 acc = combine_series(left, eq)
                 k = min(left.eps.low, eq.eps.low)
-                theta = [F(rng.randint(1, 10**6), 1000) for _ in range(left.nvars)]
+                theta = [F(rng.randint(1, 10**6), 1000) for _ in range(len(params(expr)))]
                 x0 = F(rng.randint(1, 100), 7)
                 pre = _operator_at(left.eps, theta, x0) * _operator_at(eq.eps, theta, x0)
                 post = _operator_at(acc.eps, theta, x0)
@@ -574,7 +567,10 @@ def test_kernel_matches_reference_fold_up_to_five_elements():
     # constitutive's term lists, frozen into ParamPoly, against the
     # reference's ParamPoly operators, terms and support; and the
     # kernel's step on two equations against the reference's, on each
-    # root's children
+    # root's children.  In every ring, the readers of an equation
+    # (coefficient_map, nonmonic_count, classify) need nothing of it but
+    # its shapes and a truth value per coefficient, and agree with the
+    # fold at theta = 1.
     seen = 0
     for expr in all_networks(5):
         n = len(params(expr))
@@ -587,11 +583,16 @@ def test_kernel_matches_reference_fold_up_to_five_elements():
             ([k / 1000 for k in grid], 1.0, _bits),
             ([_Dual(k, 1000 << (64 * i), 1) for i, k in enumerate(grid)], _Dual(1, 0, 0), _dual_slots),
         ]
+        shape_class = classify(fold_constitutive(expr, [1] * n, 1))
         for values, one, key in rings:
             got, want = fold_constitutive(expr, values, one), reference_fold(expr, values, one)
             assert (key(got.eps), key(got.sig)) == (key(want.eps), key(want.sig)), expr
+            assert len(coefficient_map(got)) == nonmonic_count(got), expr
+            assert classify(got) == shape_class, expr
         got, want = constitutive(expr), reference_fold(expr, variables, const)
         assert (_polys(got.eps), _polys(got.sig)) == (_polys(want.eps), _polys(want.sig)), expr
+        assert len(coefficient_map(got)) == nonmonic_count(got), expr
+        assert classify(got) == shape_class, expr
         if isinstance(expr, (Series, Parallel)):
             series = isinstance(expr, Series)
             kids = child_equations(expr)
@@ -734,14 +735,14 @@ def test_every_coefficient_is_graded(seed, n):
     # makes every order-k monomial hold k + c dashpots
     expr = random_network(seed, n)
     eq = constitutive(expr)
-    dashpots = sum(bit(eq.nvars, i) for i, el in enumerate(leaves(expr)) if el.kind == DASHPOT)
+    dashpots = sum(bit(n, i) for i, el in enumerate(leaves(expr)) if el.kind == DASHPOT)
 
     def grades(op):
         # (degree, dashpots - order) of every monomial
         return {
             (mask.bit_count(), (mask & dashpots).bit_count() - order)
-            for order in range(op.low, op.high + 1)
-            for mask in op.coeff(order).terms
+            for order, poly in enumerate(op.coeffs, op.low)
+            for mask in poly.terms
         }
 
     [(strain_degree, c)] = grades(eq.eps)

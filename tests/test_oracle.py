@@ -294,7 +294,7 @@ class TestCoprimality:
             lhs = random_network(rng.randint(0, 10**9), rng.randint(1, 4))
             rhs = random_network(rng.randint(0, 10**9), rng.randint(1, 4))
             eq1, eq2 = embedded_pair(lhs, rhs)
-            n = eq1.nvars
+            n = len(params(lhs)) + len(params(rhs))
             for op in ("series", "parallel"):
                 ok = check_coprimality(eq1, eq2, op, sample_point(n, seed=trial))
                 if not ok:
@@ -388,7 +388,7 @@ class TestCompiledMap:
         twin = ConstitutiveEq(reinserted(eq.eps), reinserted(eq.sig))
         polys = zip(eq.eps.coeffs + eq.sig.coeffs, twin.eps.coeffs + twin.sig.coeffs)
         assert any(list(p.terms) != list(q.terms) for p, q in polys)
-        theta = np.array(sample_point(eq.nvars, seed=3).values, dtype=float)
+        theta = np.array(sample_point(eq.eps.coeffs[0].nvars, seed=3).values, dtype=float)
         cmap, twin_map = CompiledMap(eq), CompiledMap(twin)
         assert cmap.value(theta).tobytes() == twin_map.value(theta).tobytes()
         assert cmap.jacobian(theta).tobytes() == twin_map.jacobian(theta).tobytes()
