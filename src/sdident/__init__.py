@@ -48,7 +48,6 @@ from .ident import (
     Verdict,
     analyze,
     constructible_one_at_a_time,
-    exact_rank,
     factor_matrix,
     nonmonic_count,
 )
@@ -57,7 +56,6 @@ from .ident import (
 # command that runs neither does not compile them.
 _LAZY = {
     "ParamPoint": "oracle",
-    "jacobian_rank": "oracle",
     "sample_point": "oracle",
     "verify_local": "oracle",
     "FiberReport": "fiber",
@@ -110,14 +108,12 @@ __all__ = [
     "Verdict",
     "analyze",
     "constructible_one_at_a_time",
-    "exact_rank",
     "factor_matrix",
     "nonmonic_count",
     "FiberReport",
     "FiberSolution",
     "ParamPoint",
     "fiber_solutions",
-    "jacobian_rank",
     "sample_point",
     "verify_local",
 ]

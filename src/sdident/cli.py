@@ -154,26 +154,28 @@ def _print_human_report(report: dict) -> None:
 
 
 def _run_oracle(expr: NetworkExpr, args, nonmonic_count: int) -> dict:
-    """The rank oracle's trials, up to the first certified one; the
-    largest rank must equal the non-monic count ``analyze`` found."""
+    """The rank oracle's trials, up to the first certified one; its rank
+    must equal the non-monic count ``analyze`` found."""
     from .oracle import local_ranks
 
-    ranks, certified = local_ranks(expr, trials=args.trials, seed=args.seed)
+    uncertified, rank = local_ranks(expr, trials=args.trials, seed=args.seed)
     return {
         "trials": args.trials,
         "seed": args.seed,
-        "jacobian_rank": max(ranks),
-        "ranks": ranks,
-        "certified": certified,
-        "agrees": max(ranks) == nonmonic_count,
+        "jacobian_rank": rank,
+        "uncertified_steps": uncertified,
+        "certified": rank is not None,
+        "agrees": rank == nonmonic_count,
     }
 
 
 def _oracle_text(oracle: dict) -> str:
     if oracle["agrees"]:
-        mark = " (certified)" if oracle["certified"] else ""
-        return f"agrees at trial {len(oracle['ranks'])} of {oracle['trials']}{mark}"
-    return f"DISAGREES: largest rank {oracle['jacobian_rank']} over {oracle['trials']} trials"
+        trial = len(oracle["uncertified_steps"])
+        return f"agrees at trial {trial} of {oracle['trials']} (certified)"
+    if oracle["certified"]:
+        return f"DISAGREES: largest rank {oracle['jacobian_rank']} over {oracle['trials']} trials"
+    return f"DISAGREES: no trial certified over {oracle['trials']} trials"
 
 
 def cmd_analyze(args) -> int:

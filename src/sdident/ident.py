@@ -20,25 +20,17 @@ Sylvester matrix of L1 and L3 between two triangular blocks; the tests
 check that argument against a reference Sylvester layer in
 ``tests/helpers.py``.  ``factor_matrix`` builds the system for any
 number of operators, over ints, rationals or floats: the fiber search's
-root exchange solves one at every exchange node.  ``fractions`` loads
-only where a Fraction is built (``_rational``): the elimination over the
-rationals that ``exact_rank`` falls back to when the rank mod p falls
-short.
+root exchange solves one at every exchange node.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from .network import Leaf, NetworkExpr, Record, params
 from .nettypes import NetType, TraceStep, classify, type_trace
 from .opalg import ConstitutiveEq, InvariantViolation, Rat, Shape, fold_constitutive
-
-if TYPE_CHECKING:
-    from fractions import Fraction
-
-_MODULUS = 2**61 - 1  # a Mersenne prime, for ``exact_rank``
 
 
 class GlobalStatus(str, Enum):
@@ -135,51 +127,6 @@ def analyze(expr: NetworkExpr) -> Verdict:
         trace=trace,
         ones=ones,
     )
-
-
-# ---------------------------------------------------------------------------
-# exact linear algebra: one elimination over GF(p) or the rationals
-
-
-def exact_rank(rows: list[list[int]]) -> int:
-    """Exact rank of integer rows (scale rational rows to integers first;
-    a positive row scale keeps the rank).  A nonzero r x r minor mod the
-    prime ``_MODULUS`` is a nonzero integer minor, so rank mod p <= rank
-    <= min(rows, columns): a rank mod p at that bound is the rank, and
-    only a shorter one is ranked again over the rationals."""
-    if not rows:
-        return 0
-    bound = min(len(rows), len(rows[0]))
-    return bound if _eliminate(rows, _MODULUS) == bound else _eliminate(rows)
-
-
-def _eliminate(rows: Sequence[Sequence[Rat]], p: int = 0) -> int:
-    """Rank by Gaussian elimination over GF(p) on integer rows, or over
-    the rationals when p = 0.  Rows are replaced, never mutated.  Over
-    GF(p) an entry is reduced only when a pivot or a factor reads it."""
-    rows = list(rows) if p else [_rational(row) for row in rows]
-    rank = 0
-    for col in range(len(rows[0]) if rows else 0):
-        pivot_row = next(
-            (i for i in range(rank, len(rows)) if (rows[i][col] % p if p else rows[i][col])), None
-        )
-        if pivot_row is None:
-            continue
-        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
-        pivot = [x % p for x in rows[rank]] if p else rows[rank]
-        inverse = pow(pivot[col], -1, p) if p else 1 / pivot[col]
-        for i in range(rank + 1, len(rows)):
-            factor = rows[i][col] * inverse % p if p else rows[i][col] * inverse
-            rows[i] = [x - factor * y for x, y in zip(rows[i], pivot)]
-        rank += 1
-    return rank
-
-
-def _rational(vec: Sequence[Rat]) -> list[Fraction]:
-    """``vec`` as Fractions; ``fractions`` loads on the exact rational path only."""
-    from fractions import Fraction
-
-    return [Fraction(x) for x in vec]
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,9 @@ or product in the fold meets a monomial twice.  A coefficient is
 therefore nonzero at positive points unless zero, and
 ``fold_constitutive`` gives the same shapes over every ring it accepts:
 ``ParamPoly``, ``constitutive``'s term lists, ``int`` at
-theta = (1, ..., 1), ``float`` values and the oracle's exact duals.
+theta = (1, ..., 1) and ``float`` values.  The rank oracle walks the
+same ``_leaf`` and ``_step`` over ints mod a prime, and its lists keep
+those lengths: the kernel trims nothing.
 
 Where the invariant is checked: ``ParamPoly`` arithmetic checks it at
 every operation, a product refusing operands that share a parameter and

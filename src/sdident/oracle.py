@@ -1,39 +1,82 @@
-"""Independent exact verification of the symbolic verdicts: the rank
-oracle.
+"""Independent verification of the symbolic verdicts: the rank oracle.
 
-Local identifiability is re-decided from the exact rank of the Jacobian
-of the coefficient map at random positive rational points k/1000, k
-uniform in 1..10**6, each trial drawn as the integers k (a forward-mode
-pass of integer duals, each gradient packed into one int, through the
-composition fold, then ``exact_rank``: a rank mod 2**61 - 1, certified
-when full, and the rank over the rationals only when it falls short).
-The rank must equal the non-monic coefficient count, which is the
-Jacobian's row count: one row per ``coefficient_map`` entry, and the
-fold gives the same shapes over every ring.  So a trial costs one fold
-and one rank.  A full rank at one point fixes the generic rank: the
-first trial to reach it certifies the verdict and ends the check.  A
-short rank may be a degenerate point, so it only draws the next trial.
+Local identifiability is re-decided from the rank of the Jacobian of
+the coefficient map at random positive rational points k/1000, k uniform
+in 1..10**6, each trial drawn as the integers k.  The rank must equal the
+non-monic coefficient count, the Jacobian's row count: one row per
+``coefficient_map`` entry.  The oracle certifies that full row rank step
+by step, never forming the Jacobian.  A trial walks the tree as
+``fold_constitutive`` does, through the kernel's own ``_leaf`` and
+``_step``, with every list reduced mod the prime p = 2**61 - 1.  At each
+binary step of a node's left fold it takes the two exchanged sides: the
+strain lists at a series step, the stress lists at a parallel one, each
+read as a polynomial from its low order.  The step is certified when both
+leading coefficients are nonzero mod p and Euclid's algorithm mod p finds
+the two coprime.  The trial is certified when every step is: the rank is
+then full at its point, which fixes the generic rank, so the first
+certified trial ends the check.  An uncertified step may be a degenerate
+point (or a leading coefficient that p divides), so it only draws the
+next trial.
 
-The rank oracle is pure integer/rational Python.  The float probe of
-global identifiability, the fiber search, is the module ``fiber``.
-Each CLI command loads only what it runs: ``tables``, ``derive``,
-``analyze`` and ``gen`` load neither module; ``verify`` and ``analyze
---verify`` load this one; ``fiber`` loads both.  ``import sdident``
-loads neither: the package resolves their names on first use.
-A trial draws integers, so a certified ``verify`` builds no Fraction and
-does not load ``fractions``; ``sample_point``, ``jacobian_rank`` and a
-short rank's elimination over the rationals do.
+Why a certified trial has full rank.  Each side of every sub-equation is
+homogeneous in theta, so at the integers k each list is a fixed power of
+1000 times its value at k/1000: neither ranks nor common roots move.
+For a subtree with K coefficients c(theta) (both lists), call its *cone
+map* (lam, theta) -> lam * c(theta).  Its Jacobian [c | lam Dc] has rank
+K exactly when the normalized map c / pivot has rank K - 1: the
+normalization's derivative is Dc projected along c.  At the root that
+normalized rank is the dense Jacobian's, whose K - 1 rows are the
+non-monic count.  By induction over the tree:
+
+* a leaf's cone map (lam, v) -> (lam v, lam) has rank 2 = K;
+* a step's rule Phi(A, B) is bilinear, and its children share no
+  parameter, so lam_A lam_B Phi(A, B) = Phi(lam_A A, lam_B B).  When both
+  children's cone maps have full rank, the composite's Jacobian has the
+  image of DPhi at (A, B), so the step's cone map has rank K whenever
+  DPhi has full row rank K.
+
+The step criterion: DPhi has full row rank exactly when the resultant of
+the exchanged sides A and B is nonzero.  It is the paper's Sylvester
+argument.  Order DPhi's rows as the product side (A*B), then the mixed
+side, and its columns as the exchanged sides, then the other two.  DPhi
+is then block triangular: the product side reads only the exchanged
+sides, through their Sylvester map (u, v) -> u*B + A*v, whose rank
+falls short exactly when A and B share a root; the other two sides enter
+only the mixed side, through the composition system of
+``ident.factor_matrix``, a Sylvester matrix of A and B between
+triangular blocks (``tests/helpers.py``: ``sylvester``,
+``block_determinant``).  The last link is exact: a reduction mod p that
+keeps both degrees maps the Sylvester determinant to its residue, so
+lists coprime mod p have a nonzero resultant over the integers.
+
+What is proved here and what is checked: the induction and the
+reduction mod p are proved above; that the criterion holds at every
+step, with the shapes the rules give, is the paper's argument, which
+the tests check outright (``tests/test_exhaustive.py``).  At every step
+of every network of up to four elements, at two grid points and four
+points with values in {1, 2} each, an explicit DPhi built from
+``_step`` has full row rank exactly when the exchanged sides' Sylvester
+resultant is nonzero: 6,960 steps (a run up to five elements, 76,080
+steps with 218 of them short, found no exception).  A sibling test
+checks that the certificate equals the full rank of the dense Jacobian,
+now the tests' reference in ``tests/helpers.py``, at those points on
+every network of up to five.
+
+The rank oracle is pure integer Python.  The float probe of global
+identifiability, the fiber search, is the module ``fiber``.  Each CLI
+command loads only what it runs: ``tables``, ``derive``, ``analyze`` and
+``gen`` load neither module; ``verify`` and ``analyze --verify`` load
+this one; ``fiber`` loads both.  ``import sdident`` loads neither: the
+package resolves their names on first use.  No trial builds a Fraction,
+so ``verify`` does not load ``fractions``; ``sample_point`` does.
 """
 
 from __future__ import annotations
 
-import math
 import random
-from typing import Sequence
 
-from .ident import exact_rank
-from .network import NetworkExpr, Record, params
-from .opalg import InvariantViolation, Rat, coefficient_map, fold_constitutive
+from .network import Leaf, NetworkExpr, Record, Series, params
+from .opalg import Rat, _leaf, _step
 
 # The fiber search's public names resolve here as well, loading ``fiber``
 # on first access: the benchmark's tracer (perfbench/tracer.py) times
@@ -49,6 +92,9 @@ def __getattr__(name: str):
     from . import fiber
 
     return getattr(fiber, name)
+
+
+_PRIME = 2**61 - 1  # a Mersenne prime: every certificate's lists are mod it
 
 
 class ParamPoint(Record):
@@ -76,110 +122,79 @@ def sample_point(n_params: int, seed: int = 0) -> ParamPoint:
 
 
 # ---------------------------------------------------------------------------
-# exact Jacobian rank
+# the step certificate
 
 
-class _Dual:
-    """A coefficient's value and gradient at a point, carried through the
-    composition fold: forward-mode differentiation.  Both are integers
-    over ``scale**exp`` (``scale`` clears the point's denominators, ``exp``
-    is the degree), so the fold reduces no fraction; each side of an
-    equation is homogeneous (its terms share units).  The gradient packs
-    the partial in parameter i into bytes [width*i, width*(i+1)) of one
-    int, so a product is three big-int multiplies for any parameter count.
-    No slot overflows: at the integer point V = scale*theta, every
-    coefficient and every partial sum the fold forms is a 0/1 multilinear
-    P, so each partial scale*dP/dV_i lies in [0, scale*prod_j (1 + V_j)),
-    below 2**(bit lengths of scale and of each 1 + V_j, summed): the slot
-    size that ``_jacobian_rows`` rounds up to ``width`` bytes."""
-
-    __slots__ = ("value", "grad", "exp")
-
-    def __init__(self, value: int, grad: int, exp: int):
-        self.value, self.grad, self.exp = value, grad, exp
-
-    def __bool__(self) -> bool:
-        return bool(self.value)
-
-    def __add__(self, other: "_Dual") -> "_Dual":
-        if self.exp != other.exp:
-            raise InvariantViolation("sum of coefficients of different degrees")
-        return _Dual(self.value + other.value, self.grad + other.grad, self.exp)
-
-    def __mul__(self, other) -> "_Dual":
-        if not isinstance(other, _Dual):  # an integer scalar
-            return _Dual(self.value * other, self.grad * other, self.exp)
-        a, b = self.value, other.value
-        return _Dual(a * b, a * other.grad + b * self.grad, self.exp + other.exp)
+def _coprime(a: list[int], b: list[int]) -> bool:
+    """Whether two ascending lists mod ``_PRIME``, each with a nonzero last
+    entry, share no root: Euclid's algorithm on descending copies."""
+    p = _PRIME
+    a, b = a[::-1], b[::-1]
+    if len(a) < len(b):
+        a, b = b, a
+    while len(b) > 1:  # b's leading entry is nonzero
+        inverse, span, tail = pow(b[0], -1, p), len(b), b[1:]
+        for i in range(len(a) - span + 1):  # a mod b, leading terms cancelled in place
+            factor = a[i] * inverse % p
+            if factor:
+                window = a[i + 1 : i + span]
+                a[i + 1 : i + span] = [(x - factor * y) % p for x, y in zip(window, tail)]
+        rest = a[len(a) - span + 1 :]
+        top = next((i for i, x in enumerate(rest) if x), None)
+        if top is None:  # b divides a: a common factor of positive degree
+            return False
+        a, b = b, rest[top:]
+    return True
 
 
-def _jacobian_rows(expr: NetworkExpr, point: Sequence[int], scale: int) -> list[list[int]]:
-    """Row-scaled exact Jacobian of the coefficient map at theta =
-    point / scale (positive integers), as integer rows, each over its own
-    positive denominator, a power of ``scale``.
+def _certify(expr: NetworkExpr, point: list[int]) -> tuple[int, int]:
+    """The walk at positive integers ``point``: (row count K - 1, number of
+    uncertified steps).  No uncertified step certifies full row rank."""
+    p = _PRIME
+    cursor = iter(point)
+    unit = [1]  # every leaf's stress list, as in fold_constitutive
+    uncertified = 0
 
-    Each row of d(num/den) is multiplied by den(theta)**2, which cannot
-    vanish at positive theta and does not change the rank: the row is
-    d(num)*den - num*d(den), all from one pass of duals at theta.  There
-    is one row per ``coefficient_map`` entry, ``nonmonic_count`` of them:
-    the fold gives the same shapes over every ring.
-    """
-    # slot width in whole bytes, so the slots unpack by slicing bytes
-    width = -(-(scale.bit_length() + sum((v + 1).bit_length() for v in point)) // 8)
-    duals = [_Dual(v, scale << (8 * width * i), 1) for i, v in enumerate(point)]
-    entries = coefficient_map(fold_constitutive(expr, duals, _Dual(1, 0, 0)))
+    def walk(node: NetworkExpr) -> tuple:
+        nonlocal uncertified
+        if isinstance(node, Leaf):
+            return _leaf(node, next(cursor) % p, unit)
+        series = isinstance(node, Series)
+        side = 1 if series else 2  # the exchanged sides: strain or stress
+        eq = walk(node.children[0])
+        for child in node.children[1:]:
+            other = walk(child)
+            a, b = eq[side], other[side]
+            if not (a[-1] and b[-1] and _coprime(a, b)):
+                uncertified += 1
+            low, eps, sig = _step(series, eq, other, unit)
+            eq = low, [x % p for x in eps], [x % p for x in sig]
+        return eq
 
-    def partials(dual: _Dual) -> list[int]:
-        packed = dual.grad.to_bytes(width * len(point), "little")
-        slots = range(0, len(packed), width)
-        return [int.from_bytes(packed[k : k + width], "little") for k in slots]
-
-    den = entries[0][1]
-    den_partials = partials(den)
-    return [
-        [g * den.value - num.value * d for g, d in zip(partials(num), den_partials)]
-        for num, _ in entries
-    ]
-
-
-def _integer_point(theta: Sequence[Rat]) -> tuple[list[int], int]:
-    """A positive rational point as integers over their least common
-    denominator."""
-    from fractions import Fraction
-
-    values = [Fraction(v) for v in theta]
-    if any(v <= 0 for v in values):
-        raise ValueError("parameter values must be strictly positive")
-    scale = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (scale // v.denominator) for v in values], scale
+    _, eps, sig = walk(expr)
+    return len(eps) + len(sig) - 1, uncertified
 
 
-def jacobian_rank(expr: NetworkExpr, theta: ParamPoint) -> int:
-    """Exact rank of the coefficient-map Jacobian at a positive point,
-    ranked on the integer rows (a positive row scale keeps the rank)."""
-    return exact_rank(_jacobian_rows(expr, *_integer_point(theta.values)))
-
-
-def local_ranks(expr: NetworkExpr, trials: int = 3, seed: int = 0) -> tuple[list[int], bool]:
-    """Exact Jacobian ranks at up to ``trials`` sample points, one dual
-    fold and one ``exact_rank`` each, trial t at ``sample_point(n, seed +
-    1000 * t)`` drawn as its grid integers over 1000; and whether the
-    last is certified: its rank reached its row count, ending the trials.
-    (The pivot is positive at positive points: every draw is defined.)"""
+def local_ranks(expr: NetworkExpr, trials: int = 3, seed: int = 0) -> tuple[list[int], int | None]:
+    """Certificate walks at up to ``trials`` sample points, trial t at
+    ``sample_point(n, seed + 1000 * t)`` drawn as its grid integers: the
+    uncertified step count of each trial run, and the Jacobian rank (its
+    row count, the non-monic count) that the last one certified, or None
+    when none did."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     n = len(params(expr))
-    ranks = []
+    uncertified = []
     for t in range(trials):
-        rows = _jacobian_rows(expr, _grid(n, seed + 1000 * t), 1000)
-        ranks.append(exact_rank(rows))
-        if ranks[-1] == len(rows):
-            return ranks, True
-    return ranks, False
+        rows, short = _certify(expr, _grid(n, seed + 1000 * t))
+        uncertified.append(short)
+        if not short:
+            return uncertified, rows
+    return uncertified, None
 
 
 def verify_local(expr: NetworkExpr, trials: int = 3, seed: int = 0) -> bool:
-    """True iff a trial of ``local_ranks`` is certified: its Jacobian rank
-    equals its row count, the non-monic coefficient count, with no
-    ``analyze`` pass at theta = 1."""
-    return local_ranks(expr, trials, seed)[1]
+    """True iff a trial of ``local_ranks`` is certified: its Jacobian has
+    full row rank, the non-monic coefficient count, with no ``analyze``
+    pass at theta = 1."""
+    return local_ranks(expr, trials, seed)[1] is not None

@@ -7,17 +7,21 @@ polynomials, the reference polynomial printer, the former renderers of
 reference Jacobian, schoolbook operator products and sums, the fold on
 operator objects that the package's coefficient-list kernel replaced
 (the kernel's reference) and that kernel's step on two equations, the
-oracle's Jacobian as Fractions, one plain Fraction elimination behind a rank and
-a determinant, a cofactor-expansion determinant, the paper's Sylvester
-layer (Sylvester matrices, resultants, factor-matrix sizes and the
-predicted block determinant), the random probe of the shape
-factorization problem, and the coprimality spot check for the
-composition rules."""
+dense rank oracle that the step certificate replaced (forward-mode
+duals, the integer Jacobian and its exact rank mod p or over the
+rationals, and that Jacobian as Fractions), the certificate's walk over
+the integers with each step's explicit derivative, one plain Fraction
+elimination behind a rank and a determinant, a cofactor-expansion
+determinant, the paper's Sylvester layer (Sylvester matrices,
+resultants, factor-matrix sizes and the predicted block determinant),
+the random probe of the shape factorization problem, and the
+coprimality spot check for the composition rules."""
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 import random
 from fractions import Fraction
 from typing import Sequence
@@ -44,8 +48,7 @@ from sdident import (
     params,
 )
 from sdident.cli import _symbol
-from sdident.opalg import Rat, _step, fold_constitutive
-from sdident.oracle import _integer_point, _jacobian_rows
+from sdident.opalg import Rat, _leaf, _step, fold_constitutive
 
 # classic textbook models and the two larger literature networks
 MAXWELL = "E1 & n1"
@@ -543,18 +546,176 @@ def reference_fold(expr: NetworkExpr, values: Sequence, one) -> ConstitutiveEq:
     return walk(expr)
 
 
+# The dense rank oracle that the step certificate replaced: the
+# reference for ``oracle.local_ranks``.
+
+
+class Dual:
+    """A coefficient's value and gradient at a point, carried through the
+    composition fold: forward-mode differentiation.  Both are integers
+    over ``scale**exp`` (``scale`` clears the point's denominators, ``exp``
+    is the degree), so the fold reduces no fraction; each side of an
+    equation is homogeneous (its terms share units).  The gradient packs
+    the partial in parameter i into bytes [width*i, width*(i+1)) of one
+    int, so a product is three big-int multiplies for any parameter count.
+    No slot overflows: at the integer point V = scale*theta, every
+    coefficient and every partial sum the fold forms is a 0/1 multilinear
+    P, so each partial scale*dP/dV_i lies in [0, scale*prod_j (1 + V_j)),
+    below 2**(bit lengths of scale and of each 1 + V_j, summed): the slot
+    size that ``jacobian_rows`` rounds up to ``width`` bytes."""
+
+    __slots__ = ("value", "grad", "exp")
+
+    def __init__(self, value: int, grad: int, exp: int):
+        self.value, self.grad, self.exp = value, grad, exp
+
+    def __bool__(self) -> bool:
+        return bool(self.value)
+
+    def __add__(self, other: "Dual") -> "Dual":
+        if self.exp != other.exp:
+            raise InvariantViolation("sum of coefficients of different degrees")
+        return Dual(self.value + other.value, self.grad + other.grad, self.exp)
+
+    def __mul__(self, other) -> "Dual":
+        if not isinstance(other, Dual):  # an integer scalar
+            return Dual(self.value * other, self.grad * other, self.exp)
+        a, b = self.value, other.value
+        return Dual(a * b, a * other.grad + b * self.grad, self.exp + other.exp)
+
+
+def jacobian_rows(expr: NetworkExpr, point: Sequence[int], scale: int) -> list[list[int]]:
+    """Row-scaled exact Jacobian of the coefficient map at theta =
+    point / scale (positive integers), as integer rows, each over its own
+    positive denominator, a power of ``scale``.
+
+    Each row of d(num/den) is multiplied by den(theta)**2, which cannot
+    vanish at positive theta and does not change the rank: the row is
+    d(num)*den - num*d(den), all from one pass of duals at theta.  There
+    is one row per ``coefficient_map`` entry, ``nonmonic_count`` of them:
+    the fold gives the same shapes over every ring.
+    """
+    # slot width in whole bytes, so the slots unpack by slicing bytes
+    width = -(-(scale.bit_length() + sum((v + 1).bit_length() for v in point)) // 8)
+    duals = [Dual(v, scale << (8 * width * i), 1) for i, v in enumerate(point)]
+    entries = coefficient_map(fold_constitutive(expr, duals, Dual(1, 0, 0)))
+
+    def partials(dual: Dual) -> list[int]:
+        packed = dual.grad.to_bytes(width * len(point), "little")
+        slots = range(0, len(packed), width)
+        return [int.from_bytes(packed[k : k + width], "little") for k in slots]
+
+    den = entries[0][1]
+    den_partials = partials(den)
+    return [
+        [g * den.value - num.value * d for g, d in zip(partials(num), den_partials)]
+        for num, _ in entries
+    ]
+
+
+def integer_point(theta: Sequence[Rat]) -> tuple[list[int], int]:
+    """A positive rational point as integers over their least common
+    denominator."""
+    values = [Fraction(v) for v in theta]
+    if any(v <= 0 for v in values):
+        raise ValueError("parameter values must be strictly positive")
+    scale = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (scale // v.denominator) for v in values], scale
+
+
+def jacobian_rank(expr: NetworkExpr, theta: ParamPoint) -> int:
+    """Exact rank of the coefficient-map Jacobian at a positive point,
+    ranked on the integer rows (a positive row scale keeps the rank)."""
+    return exact_rank(jacobian_rows(expr, *integer_point(theta.values)))
+
+
+MODULUS = 2**61 - 1  # a Mersenne prime, for ``exact_rank``
+
+
+def exact_rank(rows: list[list[int]]) -> int:
+    """Exact rank of integer rows (scale rational rows to integers first;
+    a positive row scale keeps the rank).  A nonzero r x r minor mod the
+    prime ``MODULUS`` is a nonzero integer minor, so rank mod p <= rank
+    <= min(rows, columns): a rank mod p at that bound is the rank, and
+    only a shorter one is ranked again over the rationals."""
+    if not rows:
+        return 0
+    bound = min(len(rows), len(rows[0]))
+    return bound if eliminate(rows, MODULUS) == bound else eliminate(rows)
+
+
+def eliminate(rows: Sequence[Sequence[Rat]], p: int = 0) -> int:
+    """Rank by Gaussian elimination over GF(p) on integer rows, or over
+    the rationals when p = 0.  Rows are replaced, never mutated.  Over
+    GF(p) an entry is reduced only when a pivot or a factor reads it."""
+    rows = list(rows) if p else [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot_row = next(
+            (i for i in range(rank, len(rows)) if (rows[i][col] % p if p else rows[i][col])), None
+        )
+        if pivot_row is None:
+            continue
+        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
+        pivot = [x % p for x in rows[rank]] if p else rows[rank]
+        inverse = pow(pivot[col], -1, p) if p else 1 / pivot[col]
+        for i in range(rank + 1, len(rows)):
+            factor = rows[i][col] * inverse % p if p else rows[i][col] * inverse
+            rows[i] = [x - factor * y for x, y in zip(rows[i], pivot)]
+        rank += 1
+    return rank
+
+
 def jacobian_matrix(expr: NetworkExpr, theta) -> list[list[Fraction]]:
-    """The oracle's row-scaled Jacobian at a positive theta as Fractions:
-    its integer rows, each over ``scale**degree``, the degree of its
-    ``coefficient_map`` entry's numerator times the pivot.  Every
+    """The dense oracle's row-scaled Jacobian at a positive theta as
+    Fractions: its integer rows, each over ``scale**degree``, the degree
+    of its ``coefficient_map`` entry's numerator times the pivot.  Every
     coefficient is homogeneous, so any monomial's size is its degree."""
-    point, scale = _integer_point(theta)
-    rows = _jacobian_rows(expr, point, scale)
+    point, scale = integer_point(theta)
+    rows = jacobian_rows(expr, point, scale)
     degrees = [
         max(num.terms).bit_count() + max(den.terms).bit_count()
         for num, den in coefficient_map(constitutive(expr))
     ]
     return [[Fraction(x, scale**d) for x in row] for row, d in zip(rows, degrees, strict=True)]
+
+
+def certificate_steps(expr: NetworkExpr, values: Sequence[int]):
+    """The step certificate's walk over the integers, unreduced: each
+    binary step of a node's left fold as (series, prefix triple, next
+    child's triple), in the walk's order."""
+    cursor = iter(values)
+
+    def walk(node: NetworkExpr):
+        if isinstance(node, Leaf):
+            return _leaf(node, next(cursor), [1])
+        series = isinstance(node, Series)
+        eq = yield from walk(node.children[0])
+        for child in node.children[1:]:
+            other = yield from walk(child)
+            yield series, eq, other
+            eq = _step(series, eq, other, None)
+        return eq
+
+    yield from walk(expr)
+
+
+def step_jacobian(series: bool, eq1: tuple, eq2: tuple) -> list[list[int]]:
+    """DPhi of one composition step at (eq1, eq2), as an explicit matrix:
+    a row per output coefficient (strain list, then stress list), a
+    column per input coefficient.  The step is bilinear, so the column of
+    an input of eq1 is the step on its unit list and eq2 itself, and
+    likewise for eq2."""
+
+    def units(eq: tuple):
+        low, eps, sig = eq
+        for k in range(len(eps) + len(sig)):
+            flat = [int(i == k) for i in range(len(eps) + len(sig))]
+            yield low, flat[: len(eps)], flat[len(eps) :]
+
+    columns = [_step(series, unit, eq2, None) for unit in units(eq1)]
+    columns += [_step(series, eq1, unit, None) for unit in units(eq2)]
+    return [list(row) for row in zip(*[eps + sig for _, eps, sig in columns])]
 
 
 def _gauss_jordan(mat) -> tuple[int, Fraction]:

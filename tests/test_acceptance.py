@@ -19,7 +19,6 @@ from sdident import (
     constitutive,
     factor_matrix,
     fiber_solutions,
-    jacobian_rank,
     nonmonic_count,
     params,
     parse,
@@ -47,6 +46,7 @@ from helpers import (
     eval_coeffs,
     exact_det,
     factor_matrix_size,
+    jacobian_rank,
     poly_from_roots,
     resultant,
     typed_network,

@@ -1,7 +1,8 @@
 """The public surface: ``sdident.__all__`` is exactly the names the CLI,
 the verdicts, the rank oracle and the fiber search use, and the
 test-only API stays out of the package: its references, the paper's
-Sylvester layer among them, live in ``tests/helpers.py``.  The rank oracle's and the fiber search's names
+Sylvester layer and the dense rank oracle among them, live in
+``tests/helpers.py``.  The rank oracle's and the fiber search's names
 resolve on first use.  The record types compare, hash and print by
 their fields."""
 
@@ -43,18 +44,18 @@ PUBLIC = {
     "NetType", "TraceStep", "classify", "format_tables", "table_parallel", "table_series",
     "type_trace",
     # ident
-    "GlobalStatus", "Verdict", "analyze", "constructible_one_at_a_time", "exact_rank",
-    "factor_matrix", "nonmonic_count",
+    "GlobalStatus", "Verdict", "analyze", "constructible_one_at_a_time", "factor_matrix",
+    "nonmonic_count",
     # oracle
-    "ParamPoint", "jacobian_rank", "sample_point", "verify_local",
+    "ParamPoint", "sample_point", "verify_local",
     # fiber
     "FiberReport", "FiberSolution", "fiber_solutions",
 }
 
 REMOVED = [
     "CompiledMap", "Quadruple", "block_determinant", "combine_parallel", "combine_series",
-    "exact_det", "factor_matrix_size", "good_quadruple", "jacobian_matrix", "leaf_equation",
-    "predicted_shapes", "resultant", "sylvester", "type_of",
+    "exact_det", "exact_rank", "factor_matrix_size", "good_quadruple", "jacobian_matrix",
+    "jacobian_rank", "leaf_equation", "predicted_shapes", "resultant", "sylvester", "type_of",
 ]
 
 
@@ -71,7 +72,7 @@ def test_every_exported_name_resolves():
 @pytest.mark.parametrize(
     "module, names",
     [
-        (oracle, ["ParamPoint", "jacobian_rank", "sample_point", "verify_local"]),
+        (oracle, ["ParamPoint", "sample_point", "verify_local"]),
         (fiber, ["FiberReport", "FiberSolution", "fiber_solutions"]),
     ],
 )
@@ -110,6 +111,9 @@ def test_removed_name_is_gone(name):
         (fiber, "_degree"),  # the base's tree holds each subtree's degree
         (fiber, "random"),
         (oracle, "jacobian_matrix"),
+        (oracle, "jacobian_rank"),  # the dense rank oracle, now the tests' reference
+        (oracle, "_Dual"),
+        (ident, "exact_rank"),
         (ident, "good_quadruple"),
         (ident, "random_operator_vector"),
         (ident, "random_rational"),

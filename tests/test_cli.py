@@ -16,7 +16,6 @@ from sdident import (
     analyze,
     constitutive,
     fiber_solutions,
-    jacobian_rank,
     params,
     parse,
     random_network,
@@ -33,6 +32,7 @@ from helpers import (
     LADDER_8,
     MAXWELL,
     all_networks,
+    jacobian_rank,
     maxwell_bank,
     nested_chain,
     reference_equation_text,
@@ -167,19 +167,19 @@ class TestAnalyze:
         assert report["oracle"]["jacobian_rank"] == 2
 
     def test_verify_ranks_each_trial_point_once(self, capsys, monkeypatch):
-        # the trials draw integer points, so the spy sits on the rows
-        # every rank comes from and reads each point back as Fractions;
-        # the first point's rank is full, so it certifies and ends the check
+        # the trials walk integer points, so the spy sits on the walk and
+        # reads each point back as Fractions; the first point certifies,
+        # which ends the check, and its rank is the dense reference's there
         import sdident.oracle as oracle_mod
 
-        original = oracle_mod._jacobian_rows
+        original = oracle_mod._certify
         points = []
 
-        def counted(expr, point, scale):
-            points.append([F(v, scale) for v in point])
-            return original(expr, point, scale)
+        def counted(expr, point):
+            points.append([F(v, 1000) for v in point])
+            return original(expr, point)
 
-        monkeypatch.setattr(oracle_mod, "_jacobian_rows", counted)
+        monkeypatch.setattr(oracle_mod, "_certify", counted)
         for text, trials in ((MAXWELL, 3), (BRANCHED_10, 2)):
             points.clear()
             code, out, _ = run(
@@ -195,7 +195,7 @@ class TestAnalyze:
                 "trials": trials,
                 "seed": 5,
                 "jacobian_rank": rank,
-                "ranks": [rank],
+                "uncertified_steps": [0],
                 "certified": True,
                 "agrees": True,
             }
@@ -413,10 +413,9 @@ class TestVerify:
         # force a disagreement to pin the exit-code contract
         import sdident.oracle as oracle_mod
 
-        # both commands read the per-trial ranks, which the CLI looks up
-        # in the oracle when it runs; Maxwell has 2 parameters, and no
-        # trial reaches rank 2
-        monkeypatch.setattr(oracle_mod, "local_ranks", lambda *a, **k: ([1, 1, 1], False))
+        # both commands read the trials' outcome, which the CLI looks up in
+        # the oracle when it runs: no trial certified
+        monkeypatch.setattr(oracle_mod, "local_ranks", lambda *a, **k: ([1, 1, 1], None))
         code, _, _ = run(capsys, "verify", MAXWELL)
         assert code == 3
         code, _, err = run(capsys, "analyze", MAXWELL, "--verify")
@@ -436,10 +435,10 @@ class TestVerify:
 
     def test_rank_below_nonmonic_count_disagrees(self, capsys, monkeypatch):
         # unidentifiable with 4 parameters and 2 non-monic coefficients:
-        # rank 1 is short of full rank but is not the coefficient count
+        # a certified rank 1 is short of full rank but is not the count
         import sdident.oracle as oracle_mod
 
-        monkeypatch.setattr(oracle_mod, "local_ranks", lambda *a, **k: ([1, 1, 1], False))
+        monkeypatch.setattr(oracle_mod, "local_ranks", lambda *a, **k: ([0], 1))
         code, out, _ = run(capsys, "verify", "(E1 & n1) & (E2 & n2)")
         assert code == 3
         assert out.splitlines()[1] == "oracle:   DISAGREES: largest rank 1 over 3 trials"
@@ -447,12 +446,12 @@ class TestVerify:
         assert code == 3
         oracle = json.loads(out)["oracle"]
         assert oracle["agrees"] is False
-        assert (oracle["jacobian_rank"], oracle["ranks"], oracle["certified"]) == (1, [1, 1, 1], False)
+        assert (oracle["jacobian_rank"], oracle["uncertified_steps"], oracle["certified"]) == (1, [0], True)
 
     def test_certified_is_the_oracle_flag(self, capsys, monkeypatch):
         # certified is the oracle's own verdict on its last trial, agrees
         # the comparison with analyze's count: with that count one below
-        # Maxwell's 2 rows, trial 1's rank of 2 certifies but disagrees
+        # Maxwell's 2 rows, trial 1 certifies rank 2 but disagrees
         import sdident.cli as cli_mod
         import sdident.oracle as oracle_mod
 
@@ -466,60 +465,65 @@ class TestVerify:
         assert code == 3
         assert "disagrees" in err
         oracle = json.loads(out)["oracle"]
-        assert (oracle["ranks"], oracle["certified"], oracle["agrees"]) == ([2], True, False)
+        assert (oracle["uncertified_steps"], oracle["certified"], oracle["agrees"]) == ([0], True, False)
         code, out, _ = run(capsys, "verify", MAXWELL)
         assert code == 3
         assert out.splitlines()[1] == "oracle:   DISAGREES: largest rank 2 over 3 trials"
-        # every trial short of its 2 rows: rank 1 agrees with the lowered
-        # count, and the text does not call it certified
-        ranks = iter([1, 1, 1])
-        monkeypatch.setattr(oracle_mod, "exact_rank", lambda rows: next(ranks))
+        # no trial certified: nothing agrees with any count
+        monkeypatch.setattr(oracle_mod, "_certify", lambda expr, point: (2, 1))
         code, out, _ = run(capsys, "verify", MAXWELL)
-        assert code == 0
-        assert out.splitlines()[1] == "oracle:   agrees at trial 3 of 3"
+        assert code == 3
+        assert out.splitlines()[1] == "oracle:   DISAGREES: no trial certified over 3 trials"
 
     def test_degenerate_first_point_draws_the_next(self, capsys, monkeypatch, folds):
-        # a short rank may be a degenerate point: the next trial is drawn,
-        # and the first full rank (Maxwell has 2 rows) certifies
+        # an uncertified walk may be a degenerate point: the next trial is
+        # drawn, one walk each, and the first certified one ends the check
         import sdident.oracle as oracle_mod
 
-        original = oracle_mod._jacobian_rows
+        certify = oracle_mod._certify
         points = []
 
-        def spied(expr, point, scale):
-            points.append([F(v, scale) for v in point])
-            return original(expr, point, scale)
+        def fail_first(count):
+            def walk(expr, point):
+                rows, short = certify(expr, point)
+                points.append([F(v, 1000) for v in point])
+                return rows, short + (len(points) <= count)
 
-        monkeypatch.setattr(oracle_mod, "_jacobian_rows", spied)
-
-        def patch_ranks(*values):
-            values = iter(values)
-            monkeypatch.setattr(oracle_mod, "exact_rank", lambda rows: next(values))
+            monkeypatch.setattr(oracle_mod, "_certify", walk)
             folds.clear()
             points.clear()
 
         expr, key = parse(MAXWELL), render(parse(MAXWELL))
-        patch_ranks(1, 2)
+        fail_first(1)
         assert verify_local(expr, seed=7) is True
-        assert folds == {("_Dual", key): 2}
+        assert folds == {("walk", key): 2}
         assert points == [list(sample_point(2, 7 + 1000 * t).values) for t in range(2)]
-        patch_ranks(1, 2)
+        fail_first(1)
         code, out, _ = run(capsys, "verify", MAXWELL)
         assert code == 0
         assert out.splitlines()[1] == "oracle:   agrees at trial 2 of 3 (certified)"
-        patch_ranks(1, 2)
+        fail_first(1)
         code, out, _ = run(capsys, "analyze", MAXWELL, "--verify", "--json")
         assert code == 0
         oracle = json.loads(out)["oracle"]
-        assert (oracle["jacobian_rank"], oracle["ranks"], oracle["certified"]) == (2, [1, 2], True)
-        patch_ranks(1, 1, 1)
+        assert (oracle["jacobian_rank"], oracle["uncertified_steps"], oracle["certified"]) == (
+            2, [1, 0], True
+        )
+        fail_first(3)
         assert verify_local(expr, seed=7) is False
-        assert folds == {("_Dual", key): 3}
+        assert folds == {("walk", key): 3}
         assert points == [list(sample_point(2, 7 + 1000 * t).values) for t in range(3)]
-        patch_ranks(1, 1, 1)
+        fail_first(3)
         code, out, _ = run(capsys, "verify", MAXWELL)
         assert code == 3
-        assert out.splitlines()[1] == "oracle:   DISAGREES: largest rank 1 over 3 trials"
+        assert out.splitlines()[1] == "oracle:   DISAGREES: no trial certified over 3 trials"
+        fail_first(3)
+        code, out, _ = run(capsys, "analyze", MAXWELL, "--verify", "--json")
+        assert code == 3
+        oracle = json.loads(out)["oracle"]
+        assert (oracle["jacobian_rank"], oracle["uncertified_steps"], oracle["certified"]) == (
+            None, [1, 1, 1], False
+        )
 
     def test_analyzes_once(self, capsys, monkeypatch):
         import sdident.cli as cli_mod
@@ -544,18 +548,24 @@ class TestVerify:
 @pytest.fixture
 def folds(monkeypatch):
     """Counts ``fold_constitutive`` calls by (ring, rendered network),
-    through every module binding of the fold."""
+    through every module binding of the fold, and the rank oracle's
+    certificate walks as ("walk", rendered network)."""
     from sdident import fiber, ident, opalg, oracle
 
     counts = collections.Counter()
-    original = opalg.fold_constitutive
+    original, certify = opalg.fold_constitutive, oracle._certify
 
     def counted(expr, values, one):
         counts[type(one).__name__, render(expr)] += 1
         return original(expr, values, one)
 
-    for module in (opalg, ident, oracle, fiber):
+    def walked(expr, point):
+        counts["walk", render(expr)] += 1
+        return certify(expr, point)
+
+    for module in (opalg, ident, fiber):
         monkeypatch.setattr(module, "fold_constitutive", counted)
+    monkeypatch.setattr(oracle, "_certify", walked)
     return counts
 
 
@@ -592,14 +602,14 @@ class TestOnePassPerRequest:
         ids=["burgers", "gen_kelvin_voigt", "random11"],
     )
     def test_verify_local_folds_once_per_trial(self, folds, text):
-        # verify_local reads the coefficient count off its trials' own
-        # Jacobians: analyze's integer fold is the only one at theta = 1,
-        # and the first trial's full rank certifies, so it is the only trial
+        # verify_local reads the row count off its trials' own walks, which
+        # fold nothing: analyze's integer fold is the only one at theta = 1,
+        # and the first trial certifies, so it is the only walk
         expr = parse(text)
         analyze(expr)
         assert verify_local(expr, trials=3) is True
         key = render(expr)
-        assert folds == {("int", key): 1, ("_Dual", key): 1}
+        assert folds == {("int", key): 1, ("walk", key): 1}
 
     def test_fiber_folds_the_tree_once_at_theta_one(self, folds):
         # analyze's integer pass, and no symbolic derivation of any subtree

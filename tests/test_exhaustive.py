@@ -6,12 +6,17 @@ equation must land in a shape class consistent with the tables, and the
 point-evaluated passes (shapes at theta = 1, forward-mode Jacobian) must
 match the symbolic equation exactly, and every coefficient must be a
 multilinear polynomial whose monomials all have coefficient 1.  Up to
-five elements, the Jacobian has nonmonic_count rows, and the fiber
-search lists exactly min(d, 64) positive points of every identifiable
-network, each verified by the float fold; the degree d is 1 exactly on
-the global networks.  Up to six elements, the composition system at
-every root-exchange node is square."""
+five elements, the Jacobian has nonmonic_count rows, the rank oracle's
+step certificate certifies exactly the points where that Jacobian has
+full rank, and the fiber search lists exactly min(d, 64) positive
+points of every identifiable network, each verified by the float fold;
+the degree d is 1 exactly on the global networks.  Up to four elements,
+each step of the certificate's walk has a derivative of full row rank
+exactly when its exchanged sides have a nonzero resultant.  Up to six
+elements, the composition system at every root-exchange node is
+square."""
 
+import random
 from collections import Counter
 from fractions import Fraction as F
 
@@ -24,9 +29,7 @@ from sdident import (
     classify,
     coefficient_map,
     constitutive,
-    exact_rank,
     fiber_solutions,
-    jacobian_rank,
     nonmonic_count,
     params,
     sample_point,
@@ -34,14 +37,21 @@ from sdident import (
 )
 from sdident import fiber
 from sdident.opalg import fold_constitutive
-from sdident.oracle import _integer_point, _jacobian_rows
+from sdident.oracle import _certify, _grid
 
 from helpers import (
     all_networks,
+    certificate_steps,
+    exact_rank,
     fraction_rank,
+    integer_point,
     jacobian_matrix,
+    jacobian_rank,
+    jacobian_rows,
     predicted_shapes,
     reference_jacobian_matrix,
+    resultant,
+    step_jacobian,
     structures,
 )
 
@@ -89,19 +99,62 @@ def test_every_network_up_to_four_elements():
 
 
 def test_jacobian_rows_are_the_nonmonic_count_up_to_five_elements():
-    # verify_local compares each rank with its Jacobian's row count: one
-    # row per coefficient_map entry of the dual fold, which has the shapes
-    # of the integer fold at theta = 1 and so nonmonic_count rows.  The
-    # rank reaches that count at trial 1's point, which certifies the
-    # verdict: verify_local(expr, seed=seen) runs one fold on every network
+    # the dense reference's Jacobian has one row per coefficient_map entry
+    # of the dual fold, which has the shapes of the integer fold at
+    # theta = 1 and so nonmonic_count rows.  Its rank reaches that count
+    # at trial 1's point: verify_local(expr, seed=seen) certifies there
     seen = 0
     for expr in all_networks(5):
-        point, scale = _integer_point(sample_point(len(params(expr)), seed=seen).values)
-        rows = _jacobian_rows(expr, point, scale)
+        point, scale = integer_point(sample_point(len(params(expr)), seed=seen).values)
+        rows = jacobian_rows(expr, point, scale)
         assert len(rows) == analyze(expr).nonmonic_count, expr
         assert exact_rank(rows) == len(rows), expr
         seen += 1
     assert seen == 3290
+
+
+def _trial_points(n: int, seen: int) -> list[list[int]]:
+    """Two grid points, those of seeds ``seen`` and ``seen + 1``, and four
+    points with values in {1, 2}, where short ranks are common."""
+    rng = random.Random(seen)
+    ones_and_twos = [[rng.choice((1, 2)) for _ in range(n)] for _ in range(4)]
+    return [_grid(n, seen), _grid(n, seen + 1), *ones_and_twos]
+
+
+def test_certificate_is_the_dense_full_rank_up_to_five_elements():
+    # the step certificate certifies a point exactly when the dense
+    # reference's Jacobian has full row rank there, and its row count is
+    # that Jacobian's
+    seen = short = 0
+    for expr in all_networks(5):
+        for point in _trial_points(len(params(expr)), seen):
+            rows = jacobian_rows(expr, point, 1)
+            full = exact_rank(rows) == len(rows)
+            count, uncertified = _certify(expr, point)
+            assert count == len(rows), (expr, point)
+            assert (uncertified == 0) == full, (expr, point)
+            short += not full
+        seen += 1
+    assert (seen, short) == (3290, 218)
+
+
+def test_step_criterion_up_to_four_elements():
+    # the fact the certificate rests on, checked over the integers at
+    # every step of the walks above: DPhi, built column by column from
+    # _step on unit lists, has full row rank exactly when the Sylvester
+    # resultant of the exchanged sides (strain lists at a series step,
+    # stress lists at a parallel one) is nonzero
+    steps = short = 0
+    for seen, expr in enumerate(all_networks(4)):
+        for point in _trial_points(len(params(expr)), seen):
+            for series, eq1, eq2 in certificate_steps(expr, point):
+                side = 1 if series else 2
+                jacobian = step_jacobian(series, eq1, eq2)
+                full = exact_rank(jacobian) == len(jacobian)
+                assert full == (resultant(eq1[side], eq2[side]) != 0), (expr, point, series)
+                steps += 1
+                short += not full
+    assert (steps, short) == (6960, 16)
 
 
 def test_structure_counts():

@@ -15,13 +15,11 @@ from sdident import (
     coefficient_map,
     constitutive,
     constructible_one_at_a_time,
-    exact_rank,
     factor_matrix,
     nonmonic_count,
     parse,
 )
 from sdident import ident
-from sdident.ident import _MODULUS, _eliminate
 
 from helpers import (
     BRANCHED_10,
@@ -31,11 +29,14 @@ from helpers import (
     MAXWELL,
     PARALLEL_ROWS,
     SERIES_ROWS,
+    MODULUS,
     VOIGT,
     block_determinant,
     embedded_pair,
+    eliminate,
     eval_coeffs,
     exact_det,
+    exact_rank,
     factor_matrix_size,
     fraction_rank,
     good_quadruple,
@@ -181,24 +182,24 @@ class TestExactLinearAlgebra:
     @pytest.mark.parametrize(
         "mat, short, rank",
         [
-            ([[_MODULUS]], 0, 1),
-            ([[_MODULUS, 0], [0, 1]], 1, 2),
-            ([[1, 1], [1, 1 + _MODULUS]], 1, 2),
-            ([[_MODULUS, 3], [0, 2 * _MODULUS]], 1, 2),
-            ([[_MODULUS, 2 * _MODULUS], [1, 2]], 1, 1),
+            ([[MODULUS]], 0, 1),
+            ([[MODULUS, 0], [0, 1]], 1, 2),
+            ([[1, 1], [1, 1 + MODULUS]], 1, 2),
+            ([[MODULUS, 3], [0, 2 * MODULUS]], 1, 2),
+            ([[MODULUS, 2 * MODULUS], [1, 2]], 1, 1),
         ],
     )
     def test_rank_short_mod_p_falls_back(self, mat, short, rank):
         # the rank mod p is below min(rows, columns), so the rank over the
         # rationals decides
         before = [list(row) for row in mat]
-        assert _eliminate(mat, _MODULUS) == short
+        assert eliminate(mat, MODULUS) == short
         assert exact_rank(mat) == rank == fraction_rank(mat)
         assert mat == before  # the fallback eliminates a copy
 
 
 # small integers plus multiples of the modulus, so ranks mod p often fall short
-_NEAR_MULTIPLES = st.builds(lambda a, k: a + k * _MODULUS, st.integers(-3, 3), st.integers(-2, 2))
+_NEAR_MULTIPLES = st.builds(lambda a, k: a + k * MODULUS, st.integers(-3, 3), st.integers(-2, 2))
 
 
 @settings(max_examples=200, deadline=None)

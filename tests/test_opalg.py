@@ -26,11 +26,12 @@ from sdident import (
 )
 from sdident.network import DASHPOT, leaves
 from sdident.opalg import NameTables, _Terms, fold_constitutive
-from sdident.oracle import _Dual, _grid
+from sdident.oracle import _grid
 
 from helpers import (
     BURGERS,
     LADDER_8,
+    Dual,
     _shifted_equation,
     all_networks,
     bit,
@@ -562,8 +563,9 @@ def test_kernel_matches_reference_fold_up_to_five_elements():
     # the coefficient-list kernel against the fold on operator objects
     # (tests/helpers.py), in every ring it serves: ints at theta = 1
     # (analyze) and at a grid point, ParamPoly, floats bit for bit
-    # (fiber), and the rank oracle's duals slot by slot, each gradient
-    # packed at any width, since both folds form the same ints;
+    # (fiber), and the dense rank oracle's duals (tests/helpers.py) slot
+    # by slot, each gradient packed at any width, since both folds form
+    # the same ints;
     # constitutive's term lists, frozen into ParamPoly, against the
     # reference's ParamPoly operators, terms and support; and the
     # kernel's step on two equations against the reference's, on each
@@ -581,7 +583,7 @@ def test_kernel_matches_reference_fold_up_to_five_elements():
             (grid, 1, _exact),
             (variables, const, _exact),
             ([k / 1000 for k in grid], 1.0, _bits),
-            ([_Dual(k, 1000 << (64 * i), 1) for i, k in enumerate(grid)], _Dual(1, 0, 0), _dual_slots),
+            ([Dual(k, 1000 << (64 * i), 1) for i, k in enumerate(grid)], Dual(1, 0, 0), _dual_slots),
         ]
         shape_class = classify(fold_constitutive(expr, [1] * n, 1))
         for values, one, key in rings:

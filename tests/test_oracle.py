@@ -19,7 +19,6 @@ from sdident import (
     coefficient_map,
     constitutive,
     fiber_solutions,
-    jacobian_rank,
     nonmonic_count,
     params,
     parse,
@@ -30,7 +29,7 @@ from sdident import (
     verify_local,
 )
 from sdident.opalg import ConstitutiveEq, DiffOperator, ParamPoly, fold_constitutive
-from sdident.oracle import _Dual, local_ranks
+from sdident.oracle import _PRIME, _certify, _coprime, _grid, local_ranks
 
 from helpers import (
     BRANCHED_10,
@@ -39,15 +38,20 @@ from helpers import (
     LADDER_8,
     MAXWELL,
     VOIGT,
+    Dual,
     check_coprimality,
     coefficient_values,
     embedded_pair,
     eval_coeffs,
     evaluate,
+    exact_rank,
     jacobian_matrix,
+    jacobian_rank,
+    jacobian_rows,
     maxwell_bank,
     nested_chain,
     reference_jacobian_matrix,
+    resultant,
 )
 from newton_reference import CompiledMap, multistart_points, newton_batch
 
@@ -141,7 +145,7 @@ class TestPointPasses:
 
     def test_dual_sum_of_different_degrees_raises(self):
         with pytest.raises(InvariantViolation, match="different degrees"):
-            _Dual(1, 0, 1) + _Dual(1, 0, 2)
+            Dual(1, 0, 1) + Dual(1, 0, 2)
 
     def test_float_pass_matches_symbolic_values(self):
         expr = parse(GEN_KELVIN_VOIGT)
@@ -169,32 +173,46 @@ class TestVerifyLocal:
             verify_local(parse("E1"), trials=0)
 
     def test_rank_below_nonmonic_count_disagrees(self, monkeypatch):
-        # unidentifiable: 4 parameters, 2 non-monic coefficients.  A rank
-        # of 1 is short of full rank, as the verdict says, but it is not
-        # the coefficient count the rank always equals
+        # unidentifiable: 4 parameters, 2 non-monic coefficients, and a
+        # certified rank is that count, not the parameter count.  A walk
+        # with an uncertified step certifies nothing, so it draws the
+        # next trial, in both local_ranks and verify_local
         import sdident.oracle as oracle_mod
 
         expr = parse("(E1 & n1) & (E2 & n2)")
         verdict = analyze(expr)
         assert (verdict.param_count, verdict.nonmonic_count) == (4, 2)
-        # every trial comes up short, so all three are drawn and none
-        # certifies, in both local_ranks and verify_local
-        for check, expected in ((local_ranks, ([1, 1, 1], False)), (verify_local, False)):
-            ranks = iter([1, 1, 1])
-            monkeypatch.setattr(oracle_mod, "exact_rank", lambda rows: next(ranks))
+        assert local_ranks(expr) == ([0], 2)
+        certify = oracle_mod._certify
+        outcomes = []
+
+        def failing(times):
+            def walk(expr, point):
+                rows, short = certify(expr, point)
+                outcomes.append(point)
+                return rows, short + (len(outcomes) <= times)
+
+            outcomes.clear()
+            monkeypatch.setattr(oracle_mod, "_certify", walk)
+
+        # every trial uncertified: all three are drawn and none certifies
+        for check, expected in ((local_ranks, ([1, 1, 1], None)), (verify_local, False)):
+            failing(3)
             assert check(expr) == expected
-            assert next(ranks, None) is None
-        # a short rank and then a full one: the second trial certifies
-        ranks = iter([1, 2])
-        monkeypatch.setattr(oracle_mod, "exact_rank", lambda rows: next(ranks))
-        assert local_ranks(expr) == ([1, 2], True)
-        assert next(ranks, None) is None
+            assert outcomes == [_grid(4, 1000 * t) for t in range(3)]
+        # an uncertified trial and then a certified one
+        failing(1)
+        assert local_ranks(expr) == ([1, 0], 2)
+        assert len(outcomes) == 2
 
     @pytest.mark.parametrize(
-        "expr", [parse(maxwell_bank(20)), random_network(3, 80)], ids=["bank20", "random80"]
+        "expr",
+        [parse(maxwell_bank(20)), random_network(3, 80), random_network(1, 400)],
+        ids=["bank20", "random80", "random400"],
     )
     def test_wide_networks_within_budget(self, expr):
-        # 41 and 80 parameters: the exact rank stays polynomial in size
+        # 41, 80 and 400 parameters: the walk's Euclid steps stay far
+        # below the dense rank's n**4
         start = time.perf_counter()
         assert verify_local(expr, trials=1) is True
         assert time.perf_counter() - start < 2.0
@@ -205,43 +223,42 @@ class TestVerifyLocal:
         ids=["burgers", "gen_kelvin_voigt", "ladder_8", "springs", "bank10"],
     )
     def test_exact_fallback_on_real_jacobians(self, text, monkeypatch):
-        # every entry of these Jacobians is even, so with p = 2 the rank
-        # mod p is 0 at every trial and each rank comes from the rationals;
-        # that rank is full, so trial 1 certifies in both calls
-        import sdident.ident as ident_mod
+        # the dense reference: every entry of these Jacobians is even, so
+        # with p = 2 the rank mod p is 0 and the rank comes from the
+        # rationals; that rank is full at trial 1's point, which the
+        # certificate certifies
+        import helpers
 
-        eliminate = ident_mod._eliminate
+        eliminate = helpers.eliminate
         fields = []
 
         def spy(rows, p=0):
             fields.append(p)
             return eliminate(rows, p)
 
-        monkeypatch.setattr(ident_mod, "_MODULUS", 2)
-        monkeypatch.setattr(ident_mod, "_eliminate", spy)
+        monkeypatch.setattr(helpers, "MODULUS", 2)
+        monkeypatch.setattr(helpers, "eliminate", spy)
         expr = parse(text)
-        start = time.perf_counter()
-        ranks = local_ranks(expr, trials=3)
-        assert time.perf_counter() - start < 2.0
-        assert ranks == ([analyze(expr).nonmonic_count], True)
+        count = analyze(expr).nonmonic_count
+        rows = jacobian_rows(expr, _grid(len(params(expr)), 0), 1000)
+        assert exact_rank(rows) == len(rows) == count
+        assert fields == [2, 0]
+        assert local_ranks(expr, trials=3) == ([0], count)
         assert verify_local(expr) is True
-        assert fields == [2, 0] * 2
 
     def test_local_ranks_are_the_sample_point_ranks(self):
-        # the trials draw sample_point's grid numerators over 1000, and
-        # jacobian_rank clears the reduced Fractions' denominators: the
-        # same theta, rows scaled apart, the same ranks.  Every point's
-        # rank is full, so trial 1 certifies and is the only one run
+        # the trials walk sample_point's grid numerators, the points where
+        # the dense reference ranks the Jacobian: every point's rank is
+        # full, so trial 1 certifies, with that rank, and is the only one run
         rng = random.Random(15)
         for _ in range(200):
             expr = random_network(rng.randint(0, 10**9), rng.randint(1, 12))
             n, seed = len(params(expr)), rng.randint(0, 10**6)
             nonmonic_count = analyze(expr).nonmonic_count
-            ranks = local_ranks(expr, 3, seed)
             points = [sample_point(n, seed + 1000 * t) for t in range(3)]
             point_ranks = [jacobian_rank(expr, point) for point in points]
             assert point_ranks == [nonmonic_count] * 3
-            assert ranks == (point_ranks[:1], True)
+            assert local_ranks(expr, 3, seed) == ([0], nonmonic_count)
             assert verify_local(expr, 3, seed) is True
 
     def test_random_networks_never_disagree(self):
@@ -249,6 +266,48 @@ class TestVerifyLocal:
         for _ in range(60):
             expr = random_network(rng.randint(0, 10**9), rng.randint(1, 7))
             assert verify_local(expr, trials=2, seed=rng.randint(0, 10**6))
+
+
+class TestCertificate:
+    def test_leaf_value_p_does_not_certify(self):
+        # a leaf value of p is a positive point where the dense rank is
+        # full, but mod p its strain list is [0]: the series step's
+        # exchanged side loses its leading coefficient, so the walk
+        # cannot tell its degree and does not certify
+        for text, point, bad in (
+            (MAXWELL, [4, 5], [_PRIME, 5]),
+            ("(E1 | n1) & E2", [4, 5, 6], [4, _PRIME, 6]),
+        ):
+            expr = parse(text)
+            rows = jacobian_rows(expr, bad, 1)
+            assert exact_rank(rows) == len(rows)
+            assert _certify(expr, point) == (len(rows), 0)
+            assert _certify(expr, bad) == (len(rows), 1)
+        # a parallel step exchanges the leaves' stress lists, the constant
+        # one: p in a strain list leaves it certified
+        assert _certify(parse(VOIGT), [_PRIME, 5]) == (2, 0)
+
+    def test_coprime_is_a_nonzero_resultant(self):
+        # small integer lists: every resultant is far below p, so it is
+        # nonzero exactly when it is nonzero mod p
+        rng = random.Random(36)
+        checked = {True: 0, False: 0}
+        for _ in range(800):
+            a, b = ([rng.randint(-3, 3) for _ in range(rng.randint(1, 5))] for _ in range(2))
+            if a[-1] == 0 or b[-1] == 0:
+                continue
+            if rng.random() < 0.3:  # both times x - 1: a shared root
+                a, b = ([low - high for high, low in zip(c + [0], [0] + c)] for c in (a, b))
+            got = _coprime([x % _PRIME for x in a], [x % _PRIME for x in b])
+            assert got == (resultant(a, b) != 0), (a, b)
+            checked[got] += 1
+        assert min(checked.values()) > 50, checked
+
+    def test_coprime_leaves_its_arguments(self):
+        a, b = [2, 3, 1], [1, 1]  # (x + 1)(x + 2) and x + 1
+        assert _coprime(a, b) is False
+        assert (a, b) == ([2, 3, 1], [1, 1])
+        assert _coprime([1], [5, 0, 7]) is True
 
 
 class TestCoprimality:
