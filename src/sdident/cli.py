@@ -94,7 +94,7 @@ def normalized_coefficients(eq: ConstitutiveEq, equation: dict, names: NameTable
 
 def build_report(expr: NetworkExpr, text: str) -> dict:
     verdict = analyze(expr)
-    eq = constitutive(expr, verdict.ones)
+    eq = constitutive(expr)
     names = params(expr)
     return {
         "expression": text,
@@ -104,8 +104,8 @@ def build_report(expr: NetworkExpr, text: str) -> dict:
         "shape_type": verdict.shape_type.value,
         "index": verdict.index,
         "shapes": {
-            "eps": list(verdict.ones.eps.shape),
-            "sigma": list(verdict.ones.sig.shape),
+            "eps": list(eq.eps.shape),
+            "sigma": list(eq.sig.shape),
         },
         "param_count": verdict.param_count,
         "nonmonic_count": verdict.nonmonic_count,

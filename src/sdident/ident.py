@@ -4,7 +4,11 @@ Local identifiability of a network is a counting criterion: the number
 of parameters must equal the number of non-monic coefficients of its
 constitutive equation.  The type algebra of ``nettypes`` decides the
 same question by table lookup; ``analyze`` computes both routes and
-insists they agree.
+insists they agree.  Counting needs the equation's shapes only, and
+so does its A/B/C/D shape class: ``analyze`` reads them off one walk of
+the composition kernel's degree arithmetic over list lengths
+(``_shapes``), linear in the network's size, and derives nothing.  The
+counting route stays independent of the type tables, which are data.
 
 Global identifiability adds a structural criterion: the network must be
 buildable by attaching one basic element (spring or dashpot) at a time
@@ -28,9 +32,9 @@ from __future__ import annotations
 from enum import Enum
 from typing import Sequence
 
-from .network import Leaf, NetworkExpr, Record, params
+from .network import DASHPOT, Leaf, NetworkExpr, Record, Series, params
 from .nettypes import NetType, TraceStep, classify, type_trace
-from .opalg import ConstitutiveEq, InvariantViolation, Rat, Shape, fold_constitutive
+from .opalg import InvariantViolation, Rat, Shape
 
 
 class GlobalStatus(str, Enum):
@@ -43,35 +47,57 @@ class GlobalStatus(str, Enum):
 
 
 class Verdict(Record):
-    """``shape_type`` and ``index`` are the derived equation's shape class and
-    highest stress order n; ``ones``, the equation at theta = 1 (exact shapes,
-    term count), is derived from the network like the rest: not in == or hash."""
+    """``shape_type`` and ``index`` are the equation's shape class and
+    highest stress order n, read off its shapes like ``nonmonic_count``."""
 
     __slots__ = (
         "locally_identifiable", "global_status", "param_count", "nonmonic_count",
-        "net_type", "shape_type", "index", "constructible", "trace", "ones",
+        "net_type", "shape_type", "index", "constructible", "trace",
     )
 
     def __init__(
         self, locally_identifiable: bool, global_status: GlobalStatus, param_count: int,
         nonmonic_count: int, net_type: NetType, shape_type: NetType, index: int,
-        constructible: bool, trace: tuple[TraceStep, ...], ones: ConstitutiveEq,
+        constructible: bool, trace: tuple[TraceStep, ...],
     ):
         self.locally_identifiable, self.global_status = locally_identifiable, global_status
         self.param_count, self.nonmonic_count = param_count, nonmonic_count
         self.net_type, self.shape_type, self.index = net_type, shape_type, index
-        self.constructible, self.trace, self.ones = constructible, trace, ones
-
-    def _key(self) -> tuple:
-        return tuple([getattr(self, name) for name in self.__slots__[:-1]])  # not ones
+        self.constructible, self.trace = constructible, trace
 
 
-def nonmonic_count(eq: ConstitutiveEq) -> int:
-    """Coefficient slots of the normalized equation minus the single pivot
-    (the stress side starts at order 0, as ``ConstitutiveEq`` checks)."""
-    n_eps, m_eps = eq.eps.shape
-    n_sig = eq.sig.high
-    return (n_eps - m_eps + 1) + (n_sig + 1) - 1
+def nonmonic_count(eps: Shape, sig: Shape) -> int:
+    """Coefficient slots of an equation with these strain and stress
+    shapes minus the single pivot (the stress side starts at order 0, as
+    ``ConstitutiveEq`` checks)."""
+    return (eps.n - eps.m + 1) + (sig.n + 1) - 1
+
+
+def _shapes(expr: NetworkExpr) -> tuple[Shape, Shape]:
+    """Strain and stress shapes of the constitutive equation from list
+    lengths alone: ``fold_constitutive``'s walk carrying, per subtree, the
+    strain low order and the lengths of its two lists, not the lists.  The
+    kernel trims nothing, so in every ring its lengths are ``_step``'s: a
+    product's is its factors' sum less one, and the mixed sum reaches the
+    further end of its two shifted terms."""
+
+    def walk(node: NetworkExpr) -> tuple[int, int, int]:
+        if isinstance(node, Leaf):
+            return (1 if node.element.kind == DASHPOT else 0), 1, 1
+        series = isinstance(node, Series)
+        lo1, e1, s2 = walk(node.children[0])
+        for child in node.children[1:]:
+            lo3, e3, s4 = walk(child)
+            k = min(lo1, lo3)
+            mixed = max(lo1 - k + e1 + s4, lo3 - k + s2 + e3) - 1
+            if series:
+                lo1, e1, s2 = lo1 + lo3 - k, e1 + e3 - 1, mixed
+            else:
+                lo1, e1, s2 = k, mixed, s2 + s4 - 1
+        return lo1, e1, s2
+
+    low, n_eps, n_sig = walk(expr)
+    return Shape(low + n_eps - 1, low), Shape(n_sig - 1, 0)
 
 
 def constructible_one_at_a_time(expr: NetworkExpr) -> bool:
@@ -93,13 +119,13 @@ def constructible_one_at_a_time(expr: NetworkExpr) -> bool:
 
 def analyze(expr: NetworkExpr) -> Verdict:
     """Full verdict: both local routes (count and table), plus global.
-    Counting reads the exact shapes from the integer pass at theta = 1,
-    which the verdict keeps for the term budget (``constitutive``)."""
+    Counting and the shape class read the equation's shapes off
+    ``_shapes``, a walk over list lengths: nothing is derived."""
     n_params = len(params(expr))
-    ones = fold_constitutive(expr, [1] * n_params, 1)
-    n_coeffs = nonmonic_count(ones)
+    eps, sig = _shapes(expr)
+    n_coeffs = nonmonic_count(eps, sig)
     net_type, trace = type_trace(expr)
-    shape_type, index = classify(ones)
+    shape_type, index = classify(eps, sig)
     local = n_params == n_coeffs
     if local != (net_type is not NetType.U):
         raise InvariantViolation(
@@ -125,7 +151,6 @@ def analyze(expr: NetworkExpr) -> Verdict:
         index=index,
         constructible=constructible,
         trace=trace,
-        ones=ones,
     )
 
 

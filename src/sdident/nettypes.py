@@ -19,7 +19,7 @@ from __future__ import annotations
 from enum import Enum
 
 from .network import SPRING, Leaf, NetworkExpr, Record, Series, subtree_texts
-from .opalg import ConstitutiveEq, InvariantViolation, Shape
+from .opalg import InvariantViolation, Shape
 
 
 class NetType(str, Enum):
@@ -51,14 +51,24 @@ _SERIES_TABLE = {
 }
 
 
+def _view(table: dict) -> dict:
+    """A string table keyed and valued by ``NetType``, for the fold."""
+    return {
+        NetType(a): {NetType(b): NetType(c) for b, c in row.items()} for a, row in table.items()
+    }
+
+
+_PARALLEL, _SERIES = _view(_PARALLEL_TABLE), _view(_SERIES_TABLE)
+
+
 def table_parallel(t1: NetType, t2: NetType) -> NetType:
     """Type of the parallel connection of two networks of known types."""
-    return NetType(_PARALLEL_TABLE[t1.value][t2.value])
+    return _PARALLEL[t1][t2]
 
 
 def table_series(t1: NetType, t2: NetType) -> NetType:
     """Type of the series connection of two networks of known types."""
-    return NetType(_SERIES_TABLE[t1.value][t2.value])
+    return _SERIES[t1][t2]
 
 
 # Strain shape of each class over stress shape [n, 0]: (n + offset, low).
@@ -70,21 +80,19 @@ _STRAIN_SHAPES = {
 }
 
 
-def classify(eq: ConstitutiveEq) -> tuple[NetType, int]:
-    """Shape class and stress index n of a derived equation.
+def classify(eps: Shape, sig: Shape) -> tuple[NetType, int]:
+    """Shape class and stress index n of an equation's strain and stress
+    shapes.
 
     Every constitutive equation has one of the four classes; ``u`` never
     comes out of here (unidentifiability is a counting property, not a
     shape property).
     """
-    n = eq.sig.high
-    eps = eq.eps.shape
+    n = sig.n
     for t, (offset, low) in _STRAIN_SHAPES.items():
-        if eps == Shape(n + offset, low):
+        if eps == (n + offset, low):
             return t, n
-    raise InvariantViolation(
-        f"strain shape {eps} does not match any class for stress shape {eq.sig.shape}"
-    )
+    raise InvariantViolation(f"strain shape {eps} does not match any class for stress shape {sig}")
 
 
 class TraceStep(Record):
@@ -118,13 +126,13 @@ def type_trace(expr: NetworkExpr) -> tuple[NetType, tuple[TraceStep, ...]]:
         if isinstance(node, Leaf):
             return leaf_type(node)
         if isinstance(node, Series):
-            op, name = table_series, "series"
+            table, name = _SERIES, "series"
         else:
-            op, name = table_parallel, "parallel"
+            table, name = _PARALLEL, "parallel"
         acc = walk(node.children[0], depth + 1)
         for child in node.children[1:]:
             t = walk(child, depth + 1)
-            result = op(acc, t)
+            result = table[acc][t]
             steps.append(TraceStep(name, acc, t, result, labels[id(node)], depth))
             acc = result
         return acc

@@ -36,10 +36,13 @@ one c per equation, which keeps the terms of an operator product apart
 or product in the fold meets a monomial twice.  A coefficient is
 therefore nonzero at positive points unless zero, and
 ``fold_constitutive`` gives the same shapes over every ring it accepts:
-``ParamPoly``, ``constitutive``'s term lists, ``int`` at
-theta = (1, ..., 1) and ``float`` values.  The rank oracle walks the
-same ``_leaf`` and ``_step`` over ints mod a prime, and its lists keep
-those lengths: the kernel trims nothing.
+``ParamPoly``, ``constitutive``'s term lists and ``float`` values.  The
+kernel trims nothing, so those shapes are its list lengths in any ring:
+``ident._shapes`` walks the lengths alone, for the verdicts.  Two more
+walks go through the same ``_leaf`` and ``_step``: ``_term_count`` over
+ints at theta = (1, ..., 1), each coefficient's value there being its
+term count, for ``constitutive``'s budget, and the rank oracle over ints
+mod a prime.
 
 Where the invariant is checked: ``ParamPoly`` arithmetic checks it at
 every operation, a product refusing operands that share a parameter and
@@ -155,8 +158,6 @@ class ParamPoly:
             if other.nvars != self.nvars:
                 raise ValueError("mixing polynomials over different parameter lists")
             return other
-        if type(other) is int and other == 0:
-            return ParamPoly(self.nvars)
         return None
 
     def __eq__(self, other) -> bool:
@@ -395,30 +396,59 @@ def _step(series: bool, eq1: tuple, eq2: tuple, unit) -> tuple:
     return k, mixed, _product(s2, s4, unit)
 
 
-def constitutive(expr: NetworkExpr, ones: ConstitutiveEq | None = None) -> ConstitutiveEq:
+def constitutive(expr: NetworkExpr) -> ConstitutiveEq:
     """Symbolic constitutive equation of a flattened network over its
     canonical parameter ordering.
 
-    Every coefficient is a sum of distinct monomials, so its value at
-    theta = (1, ..., 1) is its term count; past ``MAX_TERMS`` in total
-    this raises ``ValueError`` up front.
-    ``ones`` is that integer pass when the caller has it (``Verdict.ones``).
-    The fold runs over ``_Terms`` lists, each coefficient frozen into a
-    ``ParamPoly`` once.
+    Past ``MAX_TERMS`` terms in total this raises ``ValueError`` up front,
+    counted by ``_term_count``.  The fold runs over ``_Terms`` lists, each
+    coefficient frozen into a ``ParamPoly`` once.
     """
-    nvars = len(params(expr))
-    if ones is None:
-        ones = fold_constitutive(expr, [1] * nvars, 1)
-    terms = sum(ones.eps.coeffs + ones.sig.coeffs)
-    if terms > MAX_TERMS:
+    if _term_count(expr) > MAX_TERMS:
         raise ValueError(
-            f"the constitutive equation would have {terms} terms, over the budget of {MAX_TERMS}"
+            f"the constitutive equation would have more than {MAX_TERMS} terms (the term budget)"
         )
+    nvars = len(params(expr))
     # parameter i of n at bit n - 1 - i, as in ParamPoly.var
     variables = [_Terms([1 << bit], 1 << bit) for bit in range(nvars - 1, -1, -1)]
     eq = fold_constitutive(expr, variables, _Terms([0], 0))
     eps, sig = ([c.freeze(nvars) for c in op.coeffs] for op in (eq.eps, eq.sig))
     return _equation(eq.eps.low, eps, sig)
+
+
+class _OverBudget(Exception):
+    """``_term_count``'s early stop."""
+
+
+def _term_count(expr: NetworkExpr) -> int:
+    """Terms of the constitutive equation, capped at ``MAX_TERMS + 1``.
+
+    Every coefficient is a sum of distinct monomials, so its value at
+    theta = (1, ..., 1) is its term count: this is the kernel's fold over
+    ints at theta = 1, stopped at the first list entry past ``MAX_TERMS``.
+    The stop is exact: the kernel drops no coefficient, and each entry
+    reaches a final coefficient through products with positive ints and
+    sums, which never shrink it.  So no operand exceeds ``MAX_TERMS``,
+    and the ints stay small.
+    """
+    unit = [1]
+
+    def walk(node: NetworkExpr) -> tuple:
+        if isinstance(node, Leaf):
+            return _leaf(node, 1, unit)
+        series = isinstance(node, Series)
+        eq = walk(node.children[0])
+        for child in node.children[1:]:
+            eq = _step(series, eq, walk(child), unit)
+            if max(eq[1]) > MAX_TERMS or max(eq[2]) > MAX_TERMS:
+                raise _OverBudget
+        return eq
+
+    try:
+        _, eps, sig = walk(expr)
+    except _OverBudget:
+        return MAX_TERMS + 1
+    return min(sum(eps) + sum(sig), MAX_TERMS + 1)
 
 
 def fold_constitutive(expr: NetworkExpr, values: Sequence, one) -> ConstitutiveEq:

@@ -195,6 +195,6 @@ def local_ranks(expr: NetworkExpr, trials: int = 3, seed: int = 0) -> tuple[list
 
 def verify_local(expr: NetworkExpr, trials: int = 3, seed: int = 0) -> bool:
     """True iff a trial of ``local_ranks`` is certified: its Jacobian has
-    full row rank, the non-monic coefficient count, with no ``analyze``
-    pass at theta = 1."""
+    full row rank, the non-monic coefficient count, read off the walk
+    with no ``analyze``."""
     return local_ranks(expr, trials, seed)[1] is not None

@@ -72,6 +72,11 @@ def nested_chain(levels: int) -> str:
     return text
 
 
+def shapes_of(eq: ConstitutiveEq) -> tuple[Shape, Shape]:
+    """The strain and stress shapes ``classify`` and ``nonmonic_count`` take."""
+    return eq.eps.shape, eq.sig.shape
+
+
 def maxwell_bank(modes: int) -> str:
     """Generalized Maxwell model: a spring parallel to ``modes`` Maxwell
     arms, E0 | (E1 & n1) | ...; locally identifiable, local-only from
@@ -444,14 +449,14 @@ def schoolbook_product(p: DiffOperator, q: DiffOperator) -> DiffOperator:
     return DiffOperator(p.low + q.low, [out[k] for k in range(len(out))])
 
 
-def schoolbook_sum(p: DiffOperator, q: DiffOperator) -> DiffOperator:
+def schoolbook_sum(p: DiffOperator, q: DiffOperator, zero) -> DiffOperator:
     """p + q order by order: p's coefficient plus q's where both hold
-    one, a zero where neither does."""
+    one, the ring's ``zero`` where neither does."""
     out: dict[int, object] = {}
     for op in (p, q):
         for k, c in enumerate(op.coeffs, op.low):
             out[k] = out[k] + c if k in out else c
-    low, zero = min(out), p.coeffs[0] * 0
+    low = min(out)
     return DiffOperator(low, [out.get(k, zero) for k in range(low, max(out) + 1)])
 
 
@@ -471,10 +476,10 @@ def operator_product(p: DiffOperator, q: DiffOperator) -> DiffOperator:
     return DiffOperator(p.low + q.low, out)
 
 
-def operator_sum(p: DiffOperator, q: DiffOperator) -> DiffOperator:
+def operator_sum(p: DiffOperator, q: DiffOperator, zero) -> DiffOperator:
     """p + q: an order only one operand holds keeps its coefficient; the
     common orders [lo, hi) add p's to q's, and a gap between disjoint
-    operands holds zeros."""
+    operands holds the ring's ``zero``."""
     a, b = p.coeffs, q.coeffs
     lo, hi = max(p.low, q.low), min(p.low + len(a), q.low + len(b))
     below = p if p.low < q.low else q
@@ -482,7 +487,7 @@ def operator_sum(p: DiffOperator, q: DiffOperator) -> DiffOperator:
     out = [
         *below.coeffs[: lo - below.low],
         *[x + y for x, y in zip(a[lo - p.low :], b[lo - q.low :])],
-        *[below.coeffs[0] * 0] * (lo - hi),
+        *[zero] * (lo - hi),
         *above.coeffs[max(hi - above.low, 0) :],
     ]
     return DiffOperator(min(p.low, q.low), out)
@@ -497,16 +502,16 @@ def shift_down(op: DiffOperator, k: int) -> DiffOperator:
     return DiffOperator(op.low - k, op.coeffs)
 
 
-def reference_series(eq1: ConstitutiveEq, eq2: ConstitutiveEq) -> ConstitutiveEq:
+def reference_series(eq1: ConstitutiveEq, eq2: ConstitutiveEq, zero) -> ConstitutiveEq:
     l1, l2, l3, l4 = eq1.eps, eq1.sig, eq2.eps, eq2.sig
     k = min(l1.low, l3.low)
-    sig = operator_sum(operator_product(l1, l4), operator_product(l2, l3))
+    sig = operator_sum(operator_product(l1, l4), operator_product(l2, l3), zero)
     return ConstitutiveEq(shift_down(operator_product(l1, l3), k), shift_down(sig, k))
 
 
-def reference_parallel(eq1: ConstitutiveEq, eq2: ConstitutiveEq) -> ConstitutiveEq:
+def reference_parallel(eq1: ConstitutiveEq, eq2: ConstitutiveEq, zero) -> ConstitutiveEq:
     l1, l2, l3, l4 = eq1.eps, eq1.sig, eq2.eps, eq2.sig
-    eps = operator_sum(operator_product(l1, l4), operator_product(l2, l3))
+    eps = operator_sum(operator_product(l1, l4), operator_product(l2, l3), zero)
     return ConstitutiveEq(eps, operator_product(l2, l4))
 
 
@@ -527,9 +532,10 @@ def combine_parallel(eq1: ConstitutiveEq, eq2: ConstitutiveEq) -> ConstitutiveEq
     return _kernel_step(False, eq1, eq2)
 
 
-def reference_fold(expr: NetworkExpr, values: Sequence, one) -> ConstitutiveEq:
+def reference_fold(expr: NetworkExpr, values: Sequence, one, zero) -> ConstitutiveEq:
     """``fold_constitutive`` on operator objects: every leaf's stress
-    operator is ``one``, multiplied like any other."""
+    operator is ``one``, multiplied like any other, and ``zero`` is the
+    ring's, for the sums' gaps."""
     cursor = iter(values)
     unit = DiffOperator(0, [one])
 
@@ -540,7 +546,7 @@ def reference_fold(expr: NetworkExpr, values: Sequence, one) -> ConstitutiveEq:
         combine = reference_series if isinstance(node, Series) else reference_parallel
         acc = walk(node.children[0])
         for child in node.children[1:]:
-            acc = combine(acc, walk(child))
+            acc = combine(acc, walk(child), zero)
         return acc
 
     return walk(expr)
@@ -577,9 +583,7 @@ class Dual:
             raise InvariantViolation("sum of coefficients of different degrees")
         return Dual(self.value + other.value, self.grad + other.grad, self.exp)
 
-    def __mul__(self, other) -> "Dual":
-        if not isinstance(other, Dual):  # an integer scalar
-            return Dual(self.value * other, self.grad * other, self.exp)
+    def __mul__(self, other: "Dual") -> "Dual":
         a, b = self.value, other.value
         return Dual(a * b, a * other.grad + b * self.grad, self.exp + other.exp)
 

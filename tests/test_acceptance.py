@@ -49,6 +49,7 @@ from helpers import (
     jacobian_rank,
     poly_from_roots,
     resultant,
+    shapes_of,
     typed_network,
     valid_indices,
 )
@@ -154,11 +155,11 @@ def composition_sweep():
                 combined = combine(eq1, eq2)
                 nparams = len(params(net1)) + len(params(net2))
 
-                shape_type, _ = classify(combined)
+                shape_type, _ = classify(*shapes_of(combined))
                 assert shape_type.value == row["result"]
                 assert tuple(combined.eps.shape) == row["eps"](n1, n2)
                 assert tuple(combined.sig.shape) == row["sig"](n1, n2)
-                assert nonmonic_count(combined) == row["nonmonic"](n1, n2)
+                assert nonmonic_count(*shapes_of(combined)) == row["nonmonic"](n1, n2)
                 assert nparams == row["params"](n1, n2)
                 balanced = row["nonmonic"](n1, n2) == row["params"](n1, n2)
                 assert balanced == row["identifiable"]
@@ -251,7 +252,7 @@ def test_criterion_4_triple_agreement():
         expr = random_network(rng.randint(0, 10**9), n_elements)
         n = len(params(expr))
         by_table = type_trace(expr)[0] != NetType.U
-        by_counting = n == nonmonic_count(constitutive(expr))
+        by_counting = n == nonmonic_count(*shapes_of(constitutive(expr)))
         rank = jacobian_rank(expr, sample_point(n, seed=rng.randint(0, 10**6)))
         by_rank = rank == n
         if not (by_table == by_counting == by_rank):

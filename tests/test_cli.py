@@ -426,7 +426,7 @@ class TestVerify:
         # Maxwell's table type and shape class are both D; force a C
         import sdident.ident as ident_mod
 
-        monkeypatch.setattr(ident_mod, "classify", lambda eq: (ident_mod.NetType.C, 1))
+        monkeypatch.setattr(ident_mod, "classify", lambda eps, sig: (ident_mod.NetType.C, 1))
         with pytest.raises(sdident.InvariantViolation, match="disagrees with shape class C"):
             analyze(parse(MAXWELL))
         code, _, err = run(capsys, "analyze", MAXWELL)
@@ -548,36 +548,43 @@ class TestVerify:
 @pytest.fixture
 def folds(monkeypatch):
     """Counts ``fold_constitutive`` calls by (ring, rendered network),
-    through every module binding of the fold, and the rank oracle's
+    through every module binding of the fold, ``constitutive``'s capped
+    term counts as ("count", rendered network) and the rank oracle's
     certificate walks as ("walk", rendered network)."""
-    from sdident import fiber, ident, opalg, oracle
+    from sdident import fiber, opalg, oracle
 
     counts = collections.Counter()
-    original, certify = opalg.fold_constitutive, oracle._certify
+    original, count, certify = opalg.fold_constitutive, opalg._term_count, oracle._certify
 
     def counted(expr, values, one):
         counts[type(one).__name__, render(expr)] += 1
         return original(expr, values, one)
 
+    def capped(expr):
+        counts["count", render(expr)] += 1
+        return count(expr)
+
     def walked(expr, point):
         counts["walk", render(expr)] += 1
         return certify(expr, point)
 
-    for module in (opalg, ident, fiber):
+    for module in (opalg, fiber):
         monkeypatch.setattr(module, "fold_constitutive", counted)
+    monkeypatch.setattr(opalg, "_term_count", capped)
     monkeypatch.setattr(oracle, "_certify", walked)
     return counts
 
 
 class TestOnePassPerRequest:
-    """The theta = 1 pass of ``analyze`` also serves the term budget, so a
-    request folds each network at most once per exact ring."""
+    """``analyze`` walks shapes and folds nothing, and ``constitutive``
+    counts its own term budget, so a request folds each network at most
+    once per exact ring."""
 
     def test_analyze_json(self, capsys, folds):
         bank = maxwell_bank(3)
         assert run(capsys, "analyze", bank, "--json")[0] == 0
         key = render(parse(bank))
-        assert folds == {("int", key): 1, ("_Terms", key): 1}
+        assert folds == {("count", key): 1, ("_Terms", key): 1}
 
     @pytest.mark.parametrize(
         "argv",
@@ -593,8 +600,10 @@ class TestOnePassPerRequest:
     )
     def test_every_command(self, capsys, folds, argv):
         assert run(capsys, *argv)[0] == 0
-        exact = [n for (ring, _), n in folds.items() if ring in ("int", "_Terms", "ParamPoly")]
-        assert exact and max(exact) == 1
+        # analyze folds nothing, so verify and gen make no exact pass
+        exact = [n for (ring, _), n in folds.items() if ring in ("count", "_Terms", "ParamPoly")]
+        assert max(exact, default=1) == 1
+        assert not [key for key in folds if key[0] == "int"]
 
     @pytest.mark.parametrize(
         "text",
@@ -602,21 +611,20 @@ class TestOnePassPerRequest:
         ids=["burgers", "gen_kelvin_voigt", "random11"],
     )
     def test_verify_local_folds_once_per_trial(self, folds, text):
-        # verify_local reads the row count off its trials' own walks, which
-        # fold nothing: analyze's integer fold is the only one at theta = 1,
-        # and the first trial certifies, so it is the only walk
+        # verify_local reads the row count off its trials' own walks, and
+        # analyze folds nothing: the first trial certifies, so its walk is
+        # the only pass over the network
         expr = parse(text)
         analyze(expr)
         assert verify_local(expr, trials=3) is True
         key = render(expr)
-        assert folds == {("int", key): 1, ("walk", key): 1}
+        assert folds == {("walk", key): 1}
 
-    def test_fiber_folds_the_tree_once_at_theta_one(self, folds):
-        # analyze's integer pass, and no symbolic derivation of any subtree
-        expr = parse(GEN_KELVIN_VOIGT)
-        fiber_solutions(expr)
-        assert folds["int", render(expr)] == 1
-        assert not [key for key in folds if key[0] in ("_Terms", "ParamPoly")]
+    def test_fiber_makes_no_exact_fold(self, folds):
+        # the base's float walk alone: no integer pass, term count or
+        # symbolic derivation of any subtree
+        fiber_solutions(parse(GEN_KELVIN_VOIGT))
+        assert not [key for key in folds if key[0] in ("int", "count", "_Terms", "ParamPoly")]
 
 
 # Runs in a fresh interpreter: prints, per step, the argv, its exit code

@@ -6,7 +6,9 @@ equation must land in a shape class consistent with the tables, and the
 point-evaluated passes (shapes at theta = 1, forward-mode Jacobian) must
 match the symbolic equation exactly, and every coefficient must be a
 multilinear polynomial whose monomials all have coefficient 1.  Up to
-five elements, the Jacobian has nonmonic_count rows, the rank oracle's
+five elements, the shape walk over list lengths gives the shapes of the
+integer fold at theta = 1, the capped term count is exact below every
+cap, the Jacobian has nonmonic_count rows, the rank oracle's
 step certificate certifies exactly the points where that Jacobian has
 full rank, and the fiber search lists exactly min(d, 64) positive
 points of every identifiable network, each verified by the float fold;
@@ -35,8 +37,9 @@ from sdident import (
     sample_point,
     type_trace,
 )
-from sdident import fiber
-from sdident.opalg import fold_constitutive
+from sdident import fiber, opalg
+from sdident.ident import _shapes
+from sdident.opalg import _term_count, fold_constitutive
 from sdident.oracle import _certify, _grid
 
 from helpers import (
@@ -51,6 +54,7 @@ from helpers import (
     predicted_shapes,
     reference_jacobian_matrix,
     resultant,
+    shapes_of,
     step_jacobian,
     structures,
 )
@@ -69,7 +73,7 @@ def test_every_network_up_to_four_elements():
         net_type = type_trace(expr)[0]
         table_says = net_type != NetType.U
         eq = constitutive(expr)
-        counting_says = n == nonmonic_count(eq)
+        counting_says = n == nonmonic_count(*shapes_of(eq))
         point = sample_point(n, seed=seen)
         theta = point.values
         matrix = jacobian_matrix(expr, theta)
@@ -77,7 +81,7 @@ def test_every_network_up_to_four_elements():
         rank = jacobian_rank(expr, point)
         assert rank == fraction_rank(matrix), expr
         assert table_says == counting_says == (rank == n), expr
-        assert rank == nonmonic_count(eq), expr
+        assert rank == nonmonic_count(*shapes_of(eq)), expr
         # the integer fold at theta = 1 counts each coefficient's terms,
         # so it met no monomial twice: every coefficient is 1
         ones = fold_constitutive(expr, [1] * n, 1)
@@ -85,17 +89,34 @@ def test_every_network_up_to_four_elements():
         for op, counts in ((eq.eps, ones.eps), (eq.sig, ones.sig)):
             assert [len(poly.terms) for poly in op.coeffs] == list(counts.coeffs), expr
 
-        shape_class, index = classify(eq)
+        shape_class, index = classify(*shapes_of(eq))
         eps, sig = predicted_shapes(shape_class, index)
         assert eq.eps.shape == eps
         assert eq.sig.shape == sig
         verdict = analyze(expr)
-        assert verdict.nonmonic_count == nonmonic_count(eq)
+        assert verdict.nonmonic_count == nonmonic_count(*shapes_of(eq))
         assert verdict.index == index
         assert verdict.locally_identifiable == counting_says
         assert verdict.net_type == net_type
         seen += 1
     assert seen == 410  # 2 + 8 + 48 + 352 networks of sizes 1..4
+
+
+def test_shape_walk_and_term_count_up_to_five_elements(monkeypatch):
+    # analyze's walk over list lengths gives the integer fold's shapes at
+    # theta = 1, and constitutive's count, capped at every budget from 0
+    # past the term count, is min(term count, budget + 1): the early stop
+    # at an entry past the budget never cuts a count that fits
+    seen = 0
+    for expr in all_networks(5):
+        ones = fold_constitutive(expr, [1] * len(params(expr)), 1)
+        assert _shapes(expr) == shapes_of(ones), expr
+        terms = sum(ones.eps.coeffs + ones.sig.coeffs)
+        for budget in range(terms + 1):
+            monkeypatch.setattr(opalg, "MAX_TERMS", budget)
+            assert _term_count(expr) == min(terms, budget + 1), (expr, budget)
+        seen += 1
+    assert seen == 3290
 
 
 def test_jacobian_rows_are_the_nonmonic_count_up_to_five_elements():

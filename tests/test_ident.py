@@ -43,6 +43,7 @@ from helpers import (
     laplace_det,
     poly_from_roots,
     resultant,
+    shapes_of,
     sylvester,
     typed_network,
     valid_indices,
@@ -55,16 +56,16 @@ class TestNonMonicCount:
         [(BURGERS, 4), ("E1", 1), (MAXWELL, 2), (VOIGT, 2), (GEN_KELVIN_VOIGT, 7)],
     )
     def test_examples(self, text, expected):
-        assert nonmonic_count(constitutive(parse(text))) == expected
+        assert nonmonic_count(*shapes_of(constitutive(parse(text)))) == expected
 
     def test_two_maxwells_in_series(self):
         eq = constitutive(parse("(E1 & n1) & (E2 & n2)"))
-        assert nonmonic_count(eq) == 2  # against 4 parameters
+        assert nonmonic_count(*shapes_of(eq)) == 2  # against 4 parameters
 
     def test_equals_map_length(self):
         for text in (BURGERS, LADDER_8, BRANCHED_10):
             eq = constitutive(parse(text))
-            assert nonmonic_count(eq) == len(coefficient_map(eq))
+            assert nonmonic_count(*shapes_of(eq)) == len(coefficient_map(eq))
 
 
 class TestLocalVerdicts:

@@ -4,8 +4,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sdident import (
-    ConstitutiveEq,
-    DiffOperator,
     InvariantViolation,
     Leaf,
     NetType,
@@ -19,7 +17,7 @@ from sdident import (
     table_series,
     type_trace,
 )
-from sdident import network
+from sdident import network, nettypes
 
 from helpers import (
     BRANCHED_10,
@@ -30,6 +28,7 @@ from helpers import (
     VOIGT,
     nested_chain,
     predicted_shapes,
+    shapes_of,
 )
 
 A, B, C, D, U = NetType.A, NetType.B, NetType.C, NetType.D, NetType.U
@@ -47,17 +46,16 @@ class TestClassify:
         ],
     )
     def test_examples(self, text, expected):
-        assert classify(constitutive(parse(text))) == expected
+        assert classify(*shapes_of(constitutive(parse(text)))) == expected
 
     def test_strain_shape_of_no_class_raises(self):
         # strain shape (2, 0) over stress shape (0, 0) is none of A-D
-        eq = ConstitutiveEq(DiffOperator(0, [1, 1, 1]), DiffOperator(0, [1]))
         with pytest.raises(InvariantViolation, match="does not match any class"):
-            classify(eq)
+            classify(Shape(2, 0), Shape(0, 0))
 
     def test_unidentifiable_networks_still_classify(self):
         # counting says unidentifiable, but the equation still has a class
-        t, n = classify(constitutive(parse(BRANCHED_10)))
+        t, n = classify(*shapes_of(constitutive(parse(BRANCHED_10))))
         assert t in (A, B, C, D)
         assert n >= 0
 
@@ -92,6 +90,17 @@ class TestTables:
         for op in (table_parallel, table_series):
             for x, y, z in itertools.product(NetType, repeat=3):
                 assert op(op(x, y), z) == op(x, op(y, z))
+
+    def test_views_are_the_string_tables(self):
+        # the fold reads NetType-keyed views, built once from the audited
+        # string tables: every entry is its string entry as a NetType
+        for view, table in (
+            (nettypes._PARALLEL, nettypes._PARALLEL_TABLE),
+            (nettypes._SERIES, nettypes._SERIES_TABLE),
+        ):
+            entries = {(a.value, b.value): c for a, row in view.items() for b, c in row.items()}
+            assert entries == {(a, b): NetType(c) for a, row in table.items() for b, c in row.items()}
+            assert all(type(c) is NetType for c in entries.values())
 
     def test_format_tables_structure(self):
         text = format_tables()
@@ -201,7 +210,7 @@ def test_table_and_shape_consistency(seed, n):
     expr = random_network(seed, n)
     table_type = type_trace(expr)[0]
     eq = constitutive(expr)
-    shape_type, index = classify(eq)
+    shape_type, index = classify(*shapes_of(eq))
     if table_type is not U:
         assert shape_type == table_type
         eps, sig = predicted_shapes(table_type, index)

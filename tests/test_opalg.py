@@ -13,7 +13,6 @@ from sdident import (
     Parallel,
     Series,
     Shape,
-    analyze,
     classify,
     coefficient_map,
     constitutive,
@@ -50,6 +49,7 @@ from helpers import (
     reference_series,
     schoolbook_product,
     schoolbook_sum,
+    shapes_of,
     shift_down,
     to_string_reference,
 )
@@ -94,19 +94,22 @@ class TestParamPoly:
             (x + ParamPoly.var(2, 1)) + x
 
     def test_no_zero_terms_stored(self):
-        x = ParamPoly.var(1, 0)
-        assert (x * 0).terms == frozenset()
-        assert not x * 0
+        x, zero = ParamPoly.var(1, 0), ParamPoly(1)
+        assert (x * zero).terms == frozenset()
+        assert not x * zero
         assert not ParamPoly.const(1, 0)
-        assert x + 0 == x
+        assert x + zero == x
 
     def test_scalar_mix(self):
-        # the int 0 is the only scalar a polynomial takes
+        # a polynomial takes no scalar, not even 0: the ring's zero is ParamPoly(n)
         x = ParamPoly.var(1, 0)
         assert x + ParamPoly.const(1, 1) == ParamPoly(1, {0b1, 0b0})
-        assert x * 0 == 0
-        with pytest.raises(TypeError):
-            x + 1
+        assert (x == 0) is False
+        for scalar in (0, 1):
+            with pytest.raises(TypeError):
+                x * scalar
+            with pytest.raises(TypeError):
+                x + scalar
         with pytest.raises(TypeError):
             2 * x
 
@@ -144,7 +147,7 @@ class TestParamPoly:
         assert (x * y + x * z).try_divide(y + z) == x
         assert (x * y + x * z + y + z).try_divide(y + z) == x + one
         assert (x * y + x * z + y).try_divide(y + z) is None
-        assert ParamPoly(3).try_divide(y) == 0
+        assert ParamPoly(3).try_divide(y) == ParamPoly(3)
         with pytest.raises(ZeroDivisionError):
             x.try_divide(ParamPoly(3))
 
@@ -251,7 +254,7 @@ class TestDiffOperator:
 
     def test_sum_of_disjoint_operators_holds_zeros_between(self):
         x, y = ParamPoly.var(2, 0), ParamPoly.var(2, 1)
-        total = operator_sum(DiffOperator(3, [y]), DiffOperator(0, [x]))
+        total = operator_sum(DiffOperator(3, [y]), DiffOperator(0, [x]), ParamPoly(2))
         assert total.low == 0
         assert total.coeffs == (x, ParamPoly(2), ParamPoly(2), y)
 
@@ -369,27 +372,37 @@ class TestConstitutive:
         assert eq.sig.shape == Shape(n, 0)
 
     @pytest.mark.parametrize(
-        "text,passed",
+        "text",
         [
-            pytest.param(text, False, id=text)
+            pytest.param(text, id=text)
             for text in (LADDER_8, nested_chain(6), " | ".join(f"(E{i} & n{i})" for i in range(6)))
-        ]
-        + [pytest.param(nested_chain(6), True, id="ones-from-the-verdict")],
+        ],
     )
-    def test_term_budget_is_exact(self, text, passed, monkeypatch):
-        # the theta = 1 pass counts the terms exactly, so a budget of
-        # exactly that many admits the equation and one fewer refuses it,
-        # whether constitutive folds it or takes the verdict's
+    def test_term_budget_is_exact(self, text, monkeypatch):
+        # the capped count at theta = 1 is exact up to the cap, so a budget
+        # of exactly the term count admits the equation and one fewer
+        # refuses it
         from sdident import opalg
 
         eq = constitutive(parse(text))
-        ones = analyze(parse(text)).ones if passed else None
         terms = sum(len(c.terms) for op in (eq.eps, eq.sig) for c in op.coeffs)
         monkeypatch.setattr(opalg, "MAX_TERMS", terms)
-        assert constitutive(parse(text), ones) == eq
+        assert constitutive(parse(text)) == eq
         monkeypatch.setattr(opalg, "MAX_TERMS", terms - 1)
-        with pytest.raises(ValueError, match=f"would have {terms} terms"):
-            constitutive(parse(text), ones)
+        with pytest.raises(ValueError, match=f"would have more than {terms - 1} terms"):
+            constitutive(parse(text))
+
+    def test_term_budget_on_both_sides_of_the_default(self):
+        # nested_chain(13) has 514,229 terms and derives; nested_chain(14)
+        # has 1,346,269, past MAX_TERMS = 10**6, and is refused up front
+        from sdident.opalg import MAX_TERMS, _term_count
+
+        chain13, chain14 = parse(nested_chain(13)), parse(nested_chain(14))
+        assert _term_count(chain13) == 514229 and _term_count(chain14) == MAX_TERMS + 1
+        eq = constitutive(chain13)
+        assert sum(len(c.terms) for op in (eq.eps, eq.sig) for c in op.coeffs) == 514229
+        with pytest.raises(ValueError, match=f"would have more than {MAX_TERMS} terms"):
+            constitutive(chain14)
 
 
 class TestEvalOperator:
@@ -562,7 +575,7 @@ def _polys(op):
 def test_kernel_matches_reference_fold_up_to_five_elements():
     # the coefficient-list kernel against the fold on operator objects
     # (tests/helpers.py), in every ring it serves: ints at theta = 1
-    # (analyze) and at a grid point, ParamPoly, floats bit for bit
+    # (the term count) and at a grid point, ParamPoly, floats bit for bit
     # (fiber), and the dense rank oracle's duals (tests/helpers.py) slot
     # by slot, each gradient packed at any width, since both folds form
     # the same ints;
@@ -578,28 +591,34 @@ def test_kernel_matches_reference_fold_up_to_five_elements():
         n = len(params(expr))
         grid = _grid(n, seen)
         variables, const = [ParamPoly.var(n, i) for i in range(n)], ParamPoly.const(n, 1)
+        zero = ParamPoly(n)
         rings = [
-            ([1] * n, 1, _exact),
-            (grid, 1, _exact),
-            (variables, const, _exact),
-            ([k / 1000 for k in grid], 1.0, _bits),
-            ([Dual(k, 1000 << (64 * i), 1) for i, k in enumerate(grid)], Dual(1, 0, 0), _dual_slots),
+            ([1] * n, 1, 0, _exact),
+            (grid, 1, 0, _exact),
+            (variables, const, zero, _exact),
+            ([k / 1000 for k in grid], 1.0, 0.0, _bits),
+            (
+                [Dual(k, 1000 << (64 * i), 1) for i, k in enumerate(grid)],
+                Dual(1, 0, 0), Dual(0, 0, 0), _dual_slots,
+            ),
         ]
-        shape_class = classify(fold_constitutive(expr, [1] * n, 1))
-        for values, one, key in rings:
-            got, want = fold_constitutive(expr, values, one), reference_fold(expr, values, one)
+        shape_class = classify(*shapes_of(fold_constitutive(expr, [1] * n, 1)))
+        for values, one, ring_zero, key in rings:
+            got = fold_constitutive(expr, values, one)
+            want = reference_fold(expr, values, one, ring_zero)
             assert (key(got.eps), key(got.sig)) == (key(want.eps), key(want.sig)), expr
-            assert len(coefficient_map(got)) == nonmonic_count(got), expr
-            assert classify(got) == shape_class, expr
-        got, want = constitutive(expr), reference_fold(expr, variables, const)
+            assert len(coefficient_map(got)) == nonmonic_count(*shapes_of(got)), expr
+            assert classify(*shapes_of(got)) == shape_class, expr
+        got, want = constitutive(expr), reference_fold(expr, variables, const, zero)
         assert (_polys(got.eps), _polys(got.sig)) == (_polys(want.eps), _polys(want.sig)), expr
-        assert len(coefficient_map(got)) == nonmonic_count(got), expr
-        assert classify(got) == shape_class, expr
+        assert len(coefficient_map(got)) == nonmonic_count(*shapes_of(got)), expr
+        assert classify(*shapes_of(got)) == shape_class, expr
         if isinstance(expr, (Series, Parallel)):
             series = isinstance(expr, Series)
             kids = child_equations(expr)
             got = reduce(combine_series if series else combine_parallel, kids)
-            assert got == reduce(reference_series if series else reference_parallel, kids), expr
+            reference = reference_series if series else reference_parallel
+            assert got == reduce(lambda a, b: reference(a, b, zero), kids), expr
         seen += 1
     assert seen == 3290
 
@@ -768,7 +787,7 @@ def test_float_operator_arithmetic_matches_schoolbook_bitwise(p, q):
     # the reference product adds order k's terms in ascending i, so its
     # float fold rounds exactly as the schoolbook order does
     assert _bits(operator_product(p, q)) == _bits(schoolbook_product(p, q))
-    assert _bits(operator_sum(p, q)) == _bits(schoolbook_sum(p, q))
+    assert _bits(operator_sum(p, q, 0.0)) == _bits(schoolbook_sum(p, q, 0.0))
 
 
 def _poly_operators(variables):
@@ -777,9 +796,9 @@ def _poly_operators(variables):
     return st.builds(DiffOperator, st.integers(0, 3), st.lists(polys, min_size=1, max_size=4))
 
 
-def _outcome(op, p, q):
+def _outcome(op, *operands):
     try:
-        return op(p, q)
+        return op(*operands)
     except InvariantViolation as err:
         return str(err)
 
@@ -790,4 +809,5 @@ def test_param_poly_operator_arithmetic_matches_schoolbook(p, q, r):
     # the same operator, or the same InvariantViolation where two terms
     # share a monomial
     assert _outcome(operator_product, p, q) == _outcome(schoolbook_product, p, q)
-    assert _outcome(operator_sum, p, r) == _outcome(schoolbook_sum, p, r)
+    zero = ParamPoly(6)
+    assert _outcome(operator_sum, p, r, zero) == _outcome(schoolbook_sum, p, r, zero)

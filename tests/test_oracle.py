@@ -52,6 +52,7 @@ from helpers import (
     nested_chain,
     reference_jacobian_matrix,
     resultant,
+    shapes_of,
 )
 from newton_reference import CompiledMap, multistart_points, newton_batch
 
@@ -94,7 +95,7 @@ class TestJacobianRank:
             eq = constitutive(expr)
             pt = sample_point(len(params(expr)), seed=seed)
             rank = jacobian_rank(expr, pt)
-            assert rank == nonmonic_count(eq) <= len(params(expr))
+            assert rank == nonmonic_count(*shapes_of(eq)) <= len(params(expr))
 
     def test_matrix_dimensions(self):
         expr = parse(BURGERS)
@@ -123,8 +124,8 @@ class TestPointPasses:
             ones = fold_constitutive(expr, [1] * n, 1)
             assert (ones.eps.shape, ones.sig.shape) == (eq.eps.shape, eq.sig.shape)
             verdict = analyze(expr)
-            assert verdict.nonmonic_count == nonmonic_count(eq)
-            assert verdict.index == classify(eq)[1]
+            assert verdict.nonmonic_count == nonmonic_count(*shapes_of(eq))
+            assert verdict.index == classify(*shapes_of(eq))[1]
 
     def test_non_dyadic_point(self):
         # denominators that share no factor with the sampling grid
@@ -1120,7 +1121,7 @@ class TestTheoremAgreement:
             expr = random_network(rng.randint(0, 10**9), rng.randint(1, 7))
             n = len(params(expr))
             table_global = type_trace(expr)[0] != NetType.U
-            counting = n == nonmonic_count(constitutive(expr))
+            counting = n == nonmonic_count(*shapes_of(constitutive(expr)))
             rank = jacobian_rank(expr, sample_point(n, seed=rng.randint(0, 10**6)))
             assert table_global == counting == (rank == n)
 
