@@ -3,7 +3,7 @@
 Subcommands:
 
     analyze EXPR   full identifiability report (add --verify for the
-                   numeric cross-check, --json for machine output)
+                   numeric cross-check, --json for it with the equation)
     derive EXPR    constitutive equation and its normalized coefficients
                    (--json adds the per-order coefficient texts they read)
     tables         the two composition tables
@@ -28,13 +28,14 @@ import os
 import sys
 from typing import Iterator, Sequence
 
-from .ident import analyze
+from .ident import Verdict, _shapes, analyze
 from .nettypes import format_tables
 from .network import NetworkExpr, ParseError, parse, params, random_network, render
 from .opalg import (
     ConstitutiveEq,
     InvariantViolation,
     NameTables,
+    Shape,
     coefficient_map,
     constitutive,
     equation_to_json,
@@ -93,20 +94,24 @@ def normalized_coefficients(eq: ConstitutiveEq, equation: dict, names: NameTable
 
 
 def build_report(expr: NetworkExpr, text: str) -> dict:
+    """``analyze --json``'s report: the verdict and the derived equation."""
     verdict = analyze(expr)
     eq = constitutive(expr)
-    names = params(expr)
+    report = _verdict_report(expr, text, verdict, eq.eps.shape, eq.sig.shape)
+    report["constitutive"] = equation_to_json(eq, report["parameters"])
+    return report
+
+
+def _verdict_report(expr: NetworkExpr, text: str, verdict: Verdict, eps: Shape, sig: Shape) -> dict:
+    """Every report field but the derived ``"constitutive"``: text-mode ``analyze``'s report."""
     return {
         "expression": text,
         "canonical": render(expr),
-        "parameters": names,
+        "parameters": params(expr),
         "net_type": verdict.net_type.value,
         "shape_type": verdict.shape_type.value,
         "index": verdict.index,
-        "shapes": {
-            "eps": list(eq.eps.shape),
-            "sigma": list(eq.sig.shape),
-        },
+        "shapes": {"eps": list(eps), "sigma": list(sig)},
         "param_count": verdict.param_count,
         "nonmonic_count": verdict.nonmonic_count,
         "local": "identifiable" if verdict.locally_identifiable else "unidentifiable",
@@ -123,7 +128,6 @@ def build_report(expr: NetworkExpr, text: str) -> dict:
             }
             for step in verdict.trace
         ],
-        "constitutive": equation_to_json(eq, names),
         "oracle": None,
     }
 
@@ -180,7 +184,10 @@ def _oracle_text(oracle: dict) -> str:
 
 def cmd_analyze(args) -> int:
     expr = parse(args.expression)
-    report = build_report(expr, args.expression)
+    if args.json:
+        report = build_report(expr, args.expression)
+    else:  # derives nothing, so no term budget applies
+        report = _verdict_report(expr, args.expression, analyze(expr), *_shapes(expr))
     if args.verify:
         report["oracle"] = _run_oracle(expr, args, report["nonmonic_count"])
     if args.json:

@@ -38,11 +38,10 @@ therefore nonzero at positive points unless zero, and
 ``fold_constitutive`` gives the same shapes over every ring it accepts:
 ``ParamPoly``, ``constitutive``'s term lists and ``float`` values.  The
 kernel trims nothing, so those shapes are its list lengths in any ring:
-``ident._shapes`` walks the lengths alone, for the verdicts.  Two more
-walks go through the same ``_leaf`` and ``_step``: ``_term_count`` over
-ints at theta = (1, ..., 1), each coefficient's value there being its
-term count, for ``constitutive``'s budget, and the rank oracle over ints
-mod a prime.
+``ident._shapes`` walks the lengths alone, for the verdicts, and
+``_term_count`` each side's total at theta = (1, ..., 1) and x = 1, its
+term count, for ``constitutive``'s budget.  The rank oracle's walk goes
+through the kernel's ``_leaf`` and ``_step`` over ints mod a prime.
 
 Where the invariant is checked: ``ParamPoly`` arithmetic checks it at
 every operation, a product refusing operands that share a parameter and
@@ -63,7 +62,7 @@ anywhere in the fold is still repeated there.
 from __future__ import annotations
 
 from functools import reduce
-from itertools import chain, repeat
+from itertools import chain, pairwise, repeat
 from operator import or_
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence, Union
 
@@ -218,7 +217,7 @@ class ParamPoly:
             return "0"
         order = sorted(self.terms, reverse=True)
         # each term's words run by run, first parameters first, then " + "
-        columns = [[table[mask >> shift & 255] for mask in order] for shift, table in tables.chunks]
+        columns = [[t[mask >> shift & low] for mask in order] for shift, low, t in tables.chunks]
         text = "".join(chain.from_iterable(zip(*columns, repeat(" + ", len(order)))))
         # Drop each term's last "*" and the final " + "; the constant
         # term, whose mask sorts last, has no word.
@@ -232,9 +231,11 @@ class ParamPoly:
 class NameTables:
     """The printed words of one parameter list, for ``ParamPoly.to_string``.
 
-    ``chunks`` holds (shift, table) per run of up to 8 parameters, first
-    parameters first: ``table[mask >> shift & 255]`` is the run's
-    ``"name*"`` words in parameter order for the mask's bits there.
+    ``chunks`` holds (shift, low, table) per run of parameters, first
+    parameters first: ``table[mask >> shift & low]`` is the run's
+    ``"name*"`` words in parameter order for the mask's bits there.  The
+    ceil(n / 8) runs of n names (one for none) differ in width by at most
+    one, so no table holds more than 256 entries.
     """
 
     __slots__ = ("nvars", "chunks")
@@ -243,14 +244,15 @@ class NameTables:
         for name in names:
             if not name or "*" in name or " + " in name:
                 raise ValueError(f"parameter name {name!r} cannot be rendered")
-        self.nvars = len(names)
+        self.nvars = n = len(names)
+        runs = (n + 7) // 8 or 1
         self.chunks = []
-        for stop in range(self.nvars % 8 or 8, self.nvars + 1, 8):
+        for start, stop in pairwise(i * n // runs for i in range(runs + 1)):
             table = [""]
-            for name in reversed(names[max(stop - 8, 0) : stop]):  # bit 0 first
+            for name in reversed(names[start:stop]):  # bit 0 first
                 word = name + "*"
                 table += [word + words for words in table]
-            self.chunks.append((self.nvars - stop, table))
+            self.chunks.append((n - stop, len(table) - 1, table))
 
 
 class _Terms:
@@ -416,39 +418,30 @@ def constitutive(expr: NetworkExpr) -> ConstitutiveEq:
     return _equation(eq.eps.low, eps, sig)
 
 
-class _OverBudget(Exception):
-    """``_term_count``'s early stop."""
-
-
 def _term_count(expr: NetworkExpr) -> int:
     """Terms of the constitutive equation, capped at ``MAX_TERMS + 1``.
 
-    Every coefficient is a sum of distinct monomials, so its value at
-    theta = (1, ..., 1) is its term count: this is the kernel's fold over
-    ints at theta = 1, stopped at the first list entry past ``MAX_TERMS``.
-    The stop is exact: the kernel drops no coefficient, and each entry
-    reaches a final coefficient through products with positive ints and
-    sums, which never shrink it.  So no operand exceeds ``MAX_TERMS``,
-    and the ints stay small.
+    Each coefficient's value at theta = (1, ..., 1) is its term count, so
+    a side's term total is its list's sum, which ``_step``'s products
+    multiply and its sums add: this walks (strain total, stress total)
+    per subtree, a leaf's (1, 1), each capped, which is exact because
+    min(., cap) commutes with + and * on positive ints.  The ints stay
+    small and the walk is linear in the network's size.
     """
-    unit = [1]
+    cap = MAX_TERMS + 1
 
-    def walk(node: NetworkExpr) -> tuple:
+    def walk(node: NetworkExpr) -> tuple[int, int]:
         if isinstance(node, Leaf):
-            return _leaf(node, 1, unit)
+            return 1, 1
         series = isinstance(node, Series)
-        eq = walk(node.children[0])
+        e1, s2 = walk(node.children[0])
         for child in node.children[1:]:
-            eq = _step(series, eq, walk(child), unit)
-            if max(eq[1]) > MAX_TERMS or max(eq[2]) > MAX_TERMS:
-                raise _OverBudget
-        return eq
+            e3, s4 = walk(child)
+            mixed = min(e1 * s4 + s2 * e3, cap)
+            e1, s2 = (min(e1 * e3, cap), mixed) if series else (mixed, min(s2 * s4, cap))
+        return e1, s2
 
-    try:
-        _, eps, sig = walk(expr)
-    except _OverBudget:
-        return MAX_TERMS + 1
-    return min(sum(eps) + sum(sig), MAX_TERMS + 1)
+    return min(sum(walk(expr)), cap)
 
 
 def fold_constitutive(expr: NetworkExpr, values: Sequence, one) -> ConstitutiveEq:

@@ -235,6 +235,23 @@ class TestAnalyze:
         assert proc.stderr.startswith("error: the constitutive equation would have")
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize(
+        ("text", "argv", "last"),
+        [
+            (nested_chain(100), [], "global:     global"),
+            # 41 parameters, a 12.6M-term equation: the rank is reported
+            (maxwell_bank(20), ["--verify"], "oracle:     agrees at trial 1 of 3 (certified)"),
+        ],
+        ids=["ladder_100", "bank20_verify"],
+    )
+    def test_text_analyze_reports_past_the_term_budget(self, capsys, text, argv, last):
+        # the text report quotes the verdict and the shapes alone, which
+        # need no derivation, so the term budget does not apply to it
+        code, out, err = run(capsys, "analyze", text, *argv)
+        assert (code, err) == (0, "")
+        assert out.splitlines()[-1] == last
+        assert "local:      identifiable" in out.splitlines()
+
     @pytest.mark.parametrize("argv", [["analyze", "--json"], ["derive"]])
     def test_term_budget_admits_ladder_of_ten(self, argv):
         proc = run_python("-m", "sdident.cli", *argv, nested_chain(10))
@@ -585,6 +602,14 @@ class TestOnePassPerRequest:
         assert run(capsys, "analyze", bank, "--json")[0] == 0
         key = render(parse(bank))
         assert folds == {("count", key): 1, ("_Terms", key): 1}
+
+    def test_text_analyze_derives_nothing(self, capsys, folds):
+        # the text report reads its shapes off the walk over list lengths:
+        # no term count and no fold, and --verify adds the oracle's walk
+        assert run(capsys, "analyze", BURGERS)[0] == 0
+        assert folds == {}
+        assert run(capsys, "analyze", BURGERS, "--verify")[0] == 0
+        assert folds == {("walk", render(parse(BURGERS))): 1}
 
     @pytest.mark.parametrize(
         "argv",

@@ -105,8 +105,8 @@ def test_every_network_up_to_four_elements():
 def test_shape_walk_and_term_count_up_to_five_elements(monkeypatch):
     # analyze's walk over list lengths gives the integer fold's shapes at
     # theta = 1, and constitutive's count, capped at every budget from 0
-    # past the term count, is min(term count, budget + 1): the early stop
-    # at an entry past the budget never cuts a count that fits
+    # past the term count, is min(term count, budget + 1): capping each
+    # subtree's side totals never cuts a count that fits
     seen = 0
     for expr in all_networks(5):
         ones = fold_constitutive(expr, [1] * len(params(expr)), 1)

@@ -41,6 +41,7 @@ from helpers import (
     embedded_pair,
     eval_coeffs,
     evaluate,
+    maxwell_bank,
     nested_chain,
     operator_product,
     operator_sum,
@@ -163,16 +164,20 @@ class TestParamPoly:
         assert (y * z + x * y + z).to_string(["a", "b", "c"]) == "a*b + b*c + c"
         assert ParamPoly(3).to_string(["a", "b", "c"]) == "0"
 
-    @pytest.mark.parametrize("nvars", [1, 7, 8, 9, 16, 17, 25, 27])
+    @pytest.mark.parametrize("nvars", range(1, 41))
     def test_to_string_across_name_table_boundaries(self, nvars):
-        # the printer reads each run of up to 8 parameters from its own
-        # table, the first run holding nvars % 8 of them (8 when none)
+        # the printer reads each of ceil(nvars / 8) runs of parameters
+        # from its own table, the runs' widths differing by at most one
         rng = random.Random(nvars)
         names = [f"{'En'[i % 2]}{i}" for i in range(nvars)]
         top = (1 << nvars) - 1
         masks = {0, top, *(bit(nvars, i) for i in range(nvars))}
         masks |= {rng.randint(0, top) for _ in range(300)}
         tables = NameTables(names)
+        widths = [len(table).bit_length() - 1 for _, _, table in tables.chunks]
+        assert len(widths) == -(-nvars // 8) and sum(widths) == nvars
+        assert max(widths) - min(widths) <= 1
+        assert all(len(table) <= 256 for _, _, table in tables.chunks)
         for terms in (masks, masks - {0}, {0}, ()):
             poly = ParamPoly(nvars, terms)
             expected = to_string_reference(poly, names)
@@ -403,6 +408,19 @@ class TestConstitutive:
         assert sum(len(c.terms) for op in (eq.eps, eq.sig) for c in op.coeffs) == 514229
         with pytest.raises(ValueError, match=f"would have more than {MAX_TERMS} terms"):
             constitutive(chain14)
+
+    def test_term_count_is_the_sum_at_theta_one(self):
+        # each side's total at theta = 1 and x = 1, capped only past the
+        # budget: the integer fold's sum on chains and banks within it,
+        # and MAX_TERMS + 1 on a 10**42-term ladder and 20,000 elements
+        from sdident.opalg import MAX_TERMS, _term_count
+
+        texts = [nested_chain(d) for d in range(1, 14)] + [maxwell_bank(m) for m in range(1, 17)]
+        for expr in map(parse, texts):
+            ones = fold_constitutive(expr, [1] * len(params(expr)), 1)
+            assert _term_count(expr) == sum(ones.eps.coeffs + ones.sig.coeffs) <= MAX_TERMS
+        for expr in (parse(nested_chain(100)), random_network(1, 20000)):
+            assert _term_count(expr) == MAX_TERMS + 1
 
 
 class TestEvalOperator:
